@@ -18,10 +18,12 @@ the braid statistics are only a braiding when YBE holds.  An absent second
 inverse is flagged as a warning but does not by itself fail the report;
 the axioms above can hold without it.
 
-Exact mode works over Q(q) end to end.  Probabilistic mode reruns the
-pipeline over plain rationals at k sampled values of q (avoiding 0, +-1
-and poles); it is fast but non-certifying, and the sampled points are
-recorded in the report.
+Exact mode works over Q(q) end to end.  Probabilistic mode builds the
+same presentation, square and coproduct over Q(q), specializes them at k
+seeded rational values q0 = n/d of q, taken into GF(p) (p = 2^61 - 1) as
+n * d^-1 mod p and avoiding 0, +-1 and poles, and runs the same checks
+there without certificates.  It is non-certifying; the sampled rational
+points are recorded in the report.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import presents
+from . import presents, qscalar
 from .ideals import reduce_mod_ideal, substitute_generators
 from .linalg import SingularMatrixError
 from .ncalg import Generator, NCPoly, Presentation, format_poly, word_str
 from .presents import TensorSquare
-from .qscalar import PoleError
+from .qscalar import PoleError, mod_p
 from .rewrite import OrientationError
 from .rmat import RMatrix, invert, second_inverse, ybe_check
 
@@ -288,61 +290,51 @@ class VerificationReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def _verify_once(R: RMatrix, preset: str, n: int, bound: int, collect: bool):
-    """One full build-and-check pass over R's own coefficient field.
+def _check(P: Presentation, spec: CoproductSpec, square: TensorSquare,
+           bound: int, collect: bool):
+    """The homomorphism, counit and coassociativity checks over the field
+    that P, spec and square share.
 
-    Returns (verdicts, counit pair, coassoc pair, completion warning,
-    square presentation) or raises OrientationError / SingularMatrixError.
+    Returns (verdicts, counit pair, coassoc pair, completion warning).
     """
-    P = presents.build_preset(preset, R, n)
-    square = presents.braided_tensor_square(P, R)
-    spec = matrix_coproduct(P, square)
     verdicts, warning = verify_homomorphism(P, spec, square, bound, collect=collect)
-    counit_ok, counit_detail = verify_counit(P, spec, square)
-    coassoc_ok, coassoc_detail = verify_coassoc(P, spec, square)
-    return verdicts, (counit_ok, counit_detail), (coassoc_ok, coassoc_detail), warning, square
-
-
-def _verify_at_point(P: Presentation, square: TensorSquare, spec: CoproductSpec,
-                     q0: Fraction, bound: int):
-    """Evaluate the symbolic presentation and rerun the checks over Q.
-
-    Relations are evaluated in place (never rebuilt), so the verdicts stay
-    aligned with the symbolic relation list even if the evaluated span
-    degenerates at the sample point.
-    """
-    from .qscalar import QQ
-
-    def ev_poly(p):
-        return p.map_coefficients(lambda c: c.evaluate(q0))
-
-    SQ = square.presentation
-    SQ_q = Presentation(SQ.dim, SQ.roster, [ev_poly(r) for r in SQ.relations],
-                        field=QQ, name=SQ.name)
-    P_q = Presentation(P.dim, P.roster, [ev_poly(r) for r in P.relations],
-                       field=QQ, name=P.name, prune=False)
-    square_q = TensorSquare(SQ_q, P_q, square.left, square.right)
-    spec_q = CoproductSpec({g: ev_poly(img) for g, img in spec.images.items()},
-                           {g: c.evaluate(q0) for g, c in spec.counit.items()})
-    verdicts = []
-    warning = False
-    for i, r in enumerate(P.relations):
-        image = substitute_generators(ev_poly(r), spec_q.images, SQ_q, bound=bound)
-        residue, _, warned = reduce_mod_ideal(image, SQ_q, bound, collect=False)
-        warning = warning or warned
-        if residue.is_zero():
-            verdicts.append(RelationVerdict(i, format_poly(r, P), True))
-        else:
-            verdicts.append(RelationVerdict(i, format_poly(r, P), False,
-                                            residue=format_poly(residue, SQ_q)))
-    counit = verify_counit(P_q, spec_q, square_q)
-    coassoc = verify_coassoc(P_q, spec_q, square_q)
+    counit = verify_counit(P, spec, square)
+    coassoc = verify_coassoc(P, spec, square)
     return verdicts, counit, coassoc, warning
 
 
-def sample_points(R: RMatrix, seed: int, count: int):
-    """Deterministic sample values of q avoiding 0, +-1, and poles of R
-    and of R^-1."""
+def _evaluate_mod(x: int, P: Presentation, square: TensorSquare,
+                  spec: CoproductSpec):
+    """(P, spec, square) specialized at q = x in GF(p).
+
+    Relations are specialized in place, never re-solved, so verdicts stay
+    aligned with the symbolic relation list.
+    """
+    def ev(c):
+        return c.evaluate_mod(x)
+
+    P_x = P.evaluate_mod(x)
+    square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x,
+                            square.left, square.right)
+    spec_x = CoproductSpec({g: img.map_coefficients(ev) for g, img in spec.images.items()},
+                           {g: ev(c) for g, c in spec.counit.items()})
+    return P_x, spec_x, square_x
+
+
+def _denominators(P: Presentation, square: TensorSquare, spec: CoproductSpec):
+    """The distinct denominators of every coefficient _evaluate_mod evaluates."""
+    polys = P.relations + square.presentation.relations + tuple(spec.images.values())
+    dens = {c.den for p in polys for c in p.terms.values()}
+    return dens | {c.den for c in spec.counit.values()}
+
+
+def sample_points(R: RMatrix, seed: int, count: int, denominators=()):
+    """Deterministic sample values q0 = n/d of q.
+
+    Each point is used through its image x = n * d^-1 mod p.  A drawn q0 is
+    skipped when x does not exist or is 0 or +-1, when x is a pole of R or
+    of R^-1, or when one of the given denominators vanishes at x.
+    """
     rng = random.Random(seed)
     points = []
     attempts = 0
@@ -353,11 +345,15 @@ def sample_points(R: RMatrix, seed: int, count: int):
         q0 = Fraction(rng.randint(2, 19), rng.randint(1, 7))
         if rng.random() < 0.5:
             q0 = -q0
-        if q0 in points or q0 in (0, 1, -1):
+        if q0 in points:
             continue
         try:
-            Rq = R.evaluate(q0)
-            invert(Rq)
+            x = mod_p(q0)
+            if x in (0, 1, qscalar.PRIME - 1):
+                continue
+            if not all(d.evaluate_mod(x) for d in denominators):
+                continue
+            invert(R.evaluate_mod(x))
         except (PoleError, SingularMatrixError):
             continue
         points.append(q0)
@@ -394,44 +390,48 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
     if not report.second_inverse:
         report.warnings.append("second inverse absent (R is not biinvertible)")
 
+    sampled = mode == "probabilistic"
     try:
-        if mode == "exact":
-            verdicts, counit, coassoc, warning, square = _verify_once(
-                R, preset, n, bound, collect=True)
-            report.points = []
-            report.square_relations = [
-                format_poly(r, square.presentation) for r in square.presentation.relations]
-        else:
-            points = sample_points(R, seed, num_points)
-            report.points = [str(p) for p in points]
-            P = presents.build_preset(preset, R, n)
-            square = presents.braided_tensor_square(P, R)
-            spec = matrix_coproduct(P, square)
-            verdicts = None
-            counit = (True, None)
-            coassoc = (True, None)
-            warning = False
-            for q0 in points:
-                vq, cq, aq, wq = _verify_at_point(P, square, spec, q0, bound)
-                warning = warning or wq
-                if verdicts is None:
-                    verdicts = vq
-                else:
-                    verdicts = [new if (old.passed and not new.passed) else old
-                                for old, new in zip(verdicts, vq)]
-                if counit[0] and not cq[0]:
-                    counit = cq
-                if coassoc[0] and not aq[0]:
-                    coassoc = aq
+        P = presents.build_preset(preset, R, n)
+        square = presents.braided_tensor_square(P, R)
     except OrientationError as e:
         report.orientation = str(e)
         report.failure = f"orientation failure: {e}"
-        report.wall_time_s = time.perf_counter() - t0
-        return report
     except SingularMatrixError as e:
         report.failure = f"singular matrix during build: {e}"
+    if report.failure:
+        if sampled:  # without a square there are no coefficients to avoid
+            report.points = [str(q0) for q0 in sample_points(R, seed, num_points)]
         report.wall_time_s = time.perf_counter() - t0
         return report
+
+    spec = matrix_coproduct(P, square)
+    if sampled:
+        points = sample_points(R, seed, num_points, _denominators(P, square, spec))
+        report.points = [str(q0) for q0 in points]
+        verdicts = None
+        counit = (True, None)
+        coassoc = (True, None)
+        warning = False
+        for q0 in points:
+            vq, cq, aq, wq = _check(*_evaluate_mod(mod_p(q0), P, square, spec),
+                                    bound, collect=False)
+            warning = warning or wq
+            if verdicts is None:
+                verdicts = vq
+            else:
+                verdicts = [new if (old.passed and not new.passed) else old
+                            for old, new in zip(verdicts, vq)]
+            if counit[0] and not cq[0]:
+                counit = cq
+            if coassoc[0] and not aq[0]:
+                coassoc = aq
+        for v, r in zip(verdicts, P.relations):
+            v.relation = format_poly(r, P)
+    else:
+        verdicts, counit, coassoc, warning = _check(P, spec, square, bound, collect=True)
+        report.square_relations = [
+            format_poly(r, square.presentation) for r in square.presentation.relations]
 
     report.orientation = "ok"
     report.relation_verdicts = verdicts

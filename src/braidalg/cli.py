@@ -172,7 +172,13 @@ def cmd_nf(args, out):
     return 0
 
 
+def _require_nonnegative_degree(args):
+    if args.degree < 0:
+        raise UsageError(f"degree bound must be nonnegative (got {args.degree})")
+
+
 def cmd_hilbert(args, out):
+    _require_nonnegative_degree(args)
     R, rlabel = resolve_rmatrix(args.rmatrix)
     P = _build(args.preset, R, args.n)
     dims = ideals.hilbert_dims(P, args.degree)
@@ -202,6 +208,7 @@ def cmd_verify(args, out):
 
 
 def cmd_square_iso(args, out):
+    _require_nonnegative_degree(args)
     R, rlabel = resolve_rmatrix(args.rmatrix)
     rep = presents.square_iso_witness(R, args.degree)
     out.write(CONVENTION_LINE + "\n")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .linalg import SparseEchelon
 from .ncalg import NCAlgError, NCPoly, Presentation, RosterMismatchError
+from .qscalar import mod_p
 from .rewrite import expand_steps, truncated_gb
 
 
@@ -84,18 +85,14 @@ def ideal_membership(p: NCPoly, P: Presentation, bound: int, method="rewrite"):
 
 
 def ideal_membership_sampled(p: NCPoly, P: Presentation, bound: int, points):
-    """Membership tested at numeric values of q.  Fast but NON-CERTIFYING:
-    agreement at finitely many points does not prove membership over Q(q),
-    and relations may degenerate at unlucky points.  Returns a bare bool."""
-    from .qscalar import QQ
-
+    """Membership tested at rational values of q, each taken into GF(p) as
+    n * d^-1 mod p for q0 = n/d.  Fast but NON-CERTIFYING: agreement at
+    finitely many points does not prove membership over Q(q).  Raises
+    PoleError at a point that is a pole mod p.  Returns a bare bool."""
     for q0 in points:
-        Pq = Presentation(P.dim, P.roster,
-                          [r.map_coefficients(lambda c: c.evaluate(q0))
-                           for r in P.relations],
-                          field=QQ, name=P.name)
-        pq = p.map_coefficients(lambda c: c.evaluate(q0))
-        residue, _, _ = reduce_mod_ideal(pq, Pq, bound, collect=False)
+        x = mod_p(q0)
+        pq = p.map_coefficients(lambda c: c.evaluate_mod(x))
+        residue, _, _ = reduce_mod_ideal(pq, P.evaluate_mod(x), bound, collect=False)
         if not residue.is_zero():
             return False
     return True

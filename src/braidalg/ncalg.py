@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qscalar import QQ, QQ_Q
+from .qscalar import GFP, QQ_Q
 
 
 class NCAlgError(ValueError):
@@ -213,7 +213,8 @@ class Presentation:
 
     relations are stored as the canonical reduced echelon basis of their
     span (monic leading words, fully reduced), ordered by descending
-    leading word, so equal spans give equal stored relation lists.
+    leading word, so equal spans give equal stored relation lists.  With
+    prune=False they are stored as given, and pruned is False.
     """
 
     def __init__(self, dim, roster, relations, field=QQ_Q, name="", prune=True):
@@ -231,6 +232,7 @@ class Presentation:
             if not r.generators() <= gens:
                 raise NCAlgError("relation uses generators outside the roster")
         self.source_relations = tuple(r for r in relations if r)
+        self.pruned = prune
         if prune:
             self.relations = tuple(_prune(self.source_relations, self.order))
         else:
@@ -249,6 +251,19 @@ class Presentation:
 
     def poly(self, terms) -> NCPoly:
         return NCPoly(terms)
+
+    def evaluate_mod(self, x) -> "Presentation":
+        """The specialization q -> x in GF(p), x a residue mod p; raises
+        PoleError at a pole of a relation coefficient.
+
+        Specialization keeps every monic leading term and every zero, so
+        stored relations that form the canonical echelon basis still do and
+        are not reduced again.
+        """
+        rels = [r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in self.relations]
+        P = Presentation(self.dim, self.roster, rels, GFP, self.name, prune=False)
+        P.pruned = self.pruned
+        return P
 
     def relabel(self, mapping, name=None) -> "Presentation":
         """New presentation with copy labels renamed by mapping (a dict)."""
@@ -395,7 +410,7 @@ class _PolyParser:
             return NCPoly.unit(self.field.one).scale(self.field.from_int(val))
         if kind == "name":
             if val == "q" and self.peek() != "[":
-                if self.field is QQ:
+                if self.field is not QQ_Q:
                     raise PolyParseError("symbolic q in an evaluated-mode polynomial")
                 return NCPoly.unit(self.field.one).scale(self.field.parse("q"))
             self.expect("[")

@@ -12,6 +12,9 @@ integer coefficients, normalized so that
 which makes equality (and hence zero-testing) a structural comparison.
 Values are immutable; all operations return new objects, so they are safe
 to share between threads.
+
+Sampled computations specialize q to a residue modulo the prime PRIME and
+work in GF(PRIME) with ModP elements.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ class ZeroDenominatorError(QScalarError, ZeroDivisionError):
 
 class PoleError(QScalarError, ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
+
+
+PRIME = 2 ** 61 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +244,12 @@ class LaurentPoly:
             total += c * q0 ** e
         return total
 
+    def evaluate_mod(self, x: int) -> int:
+        """Residue mod PRIME of the value at q = x (x a residue mod PRIME)."""
+        if not x % PRIME:
+            raise PoleError("cannot evaluate a Laurent polynomial at q = 0")
+        return sum(c * pow(x, e, PRIME) for e, c in self.coeffs.items()) % PRIME
+
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -378,6 +390,16 @@ class RatFunc:
             raise PoleError(f"pole at q = {q0}")
         return self.num.evaluate(q0) / d
 
+    def evaluate_mod(self, x: int) -> "ModP":
+        """Value in GF(PRIME) at q = x; raises PoleError at poles mod PRIME."""
+        n = self.num.evaluate_mod(x)
+        if self.den is _LP_ONE:
+            return _modp(n)
+        d = self.den.evaluate_mod(x)
+        if not d:
+            raise PoleError(f"pole at q = {x} mod {PRIME}")
+        return _modp(n * pow(d, -1, PRIME) % PRIME)
+
     def __str__(self):
         if self.den.coeffs == {0: 1}:
             return str(self.num)
@@ -419,7 +441,74 @@ QINV = RatFunc.q_power(-1)
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields: RatFunc for exact mode, Fraction for evaluated mode
+# the prime field GF(PRIME)
+# ---------------------------------------------------------------------------
+
+def mod_p(q0) -> int:
+    """The residue n * d^-1 mod PRIME of a rational q0 = n/d; raises
+    PoleError when PRIME divides d."""
+    q0 = Fraction(q0)
+    if not q0.denominator % PRIME:
+        raise PoleError(f"q = {q0} has no image mod {PRIME}")
+    return q0.numerator * pow(q0.denominator, -1, PRIME) % PRIME
+
+
+class ModP:
+    """An element of GF(PRIME), held as its least nonnegative residue v."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v % PRIME
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.v == other % PRIME
+        if not isinstance(other, ModP):
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __add__(self, other):
+        return _modp((self.v + other.v) % PRIME)
+
+    def __sub__(self, other):
+        return _modp((self.v - other.v) % PRIME)
+
+    def __neg__(self):
+        return _modp(-self.v % PRIME)
+
+    def __mul__(self, other):
+        return _modp(self.v * other.v % PRIME)
+
+    def __truediv__(self, other):
+        if not other.v:
+            raise ZeroDenominatorError("division by zero in GF(p)")
+        return _modp(self.v * pow(other.v, -1, PRIME) % PRIME)
+
+    def __str__(self):
+        # the representative of least absolute value
+        v = self.v
+        return str(v - PRIME if v > PRIME // 2 else v)
+
+    def __repr__(self):
+        return f"ModP({self})"
+
+
+def _modp(v):
+    # internal: v is already reduced
+    r = object.__new__(ModP)
+    r.v = v
+    return r
+
+
+# ---------------------------------------------------------------------------
+# coefficient fields: RatFunc for exact mode, ModP for sampled mode
 # ---------------------------------------------------------------------------
 
 class RatFuncField:
@@ -442,20 +531,16 @@ class RatFuncField:
         return str(c)
 
 
-class FractionField:
-    """Field handle for plain rational coefficients (evaluated mode)."""
+class PrimeField:
+    """Field handle for GF(PRIME) coefficients (sampled mode)."""
 
-    name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    name = "GF(p)"
+    zero = _modp(0)
+    one = _modp(1)
 
     @staticmethod
     def from_int(n):
-        return Fraction(n)
-
-    @staticmethod
-    def parse(text):
-        return Fraction(text)
+        return ModP(n)
 
     @staticmethod
     def to_str(c):
@@ -463,7 +548,7 @@ class FractionField:
 
 
 QQ_Q = RatFuncField()
-QQ = FractionField()
+GFP = PrimeField()
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ class RewriteSystem:
 
     def add(self, rule: Rule):
         self.rules[rule.lhs] = rule
-        self.lengths = tuple(sorted({len(w) for w in self.rules}))
+        if len(rule.lhs) not in self.lengths:
+            self.lengths = tuple(sorted(self.lengths + (len(rule.lhs),)))
         self._redex_cache.clear()
 
     def __iter__(self):
@@ -220,29 +221,36 @@ def orient_relations(P: Presentation) -> RewriteSystem:
     """Solve the quadratic relations for their leading monomials.
 
     The reduced echelon basis of the relation span yields one rule per
-    pivot word.  Cross-copy relations are exchange blocks: they may only
-    rewrite "wrong-order" words (a later-copy generator passing an
-    earlier-copy one) downwards.  When the exchange coefficient matrix is
-    singular, solving the system forces a rule for an ascending cross-copy
-    word that no given relation led with; that is the unsolvable case
-    reported as OrientationError (permuting the generator precedence may
-    help).  A relation explicitly written with an ascending leading word
-    is taken at face value and oriented as given.
+    pivot word.  A pruned presentation stores exactly that basis, so its
+    rules are read off the stored relations, each with provenance the
+    relation itself; otherwise the span is solved here.  Cross-copy
+    relations are exchange blocks: they may only rewrite "wrong-order"
+    words (a later-copy generator passing an earlier-copy one) downwards.
+    When the exchange coefficient matrix is singular, solving the system
+    forces a rule for an ascending cross-copy word that no given relation
+    led with; that is the unsolvable case reported as OrientationError
+    (permuting the generator precedence may help).  A relation explicitly
+    written with an ascending leading word is taken at face value and
+    oriented as given.
     """
     cached = P._cache.get("rules")
     if cached is not None:
         return cached
     order = P.order
     source_leads = {order.leading_word(r) for r in P.source_relations if r}
-    ech = SparseEchelon(order.key)
-    for r in P.relations:
-        if r:
-            ech.insert(dict(r.terms))
+    if P.pruned:
+        rows = [r.terms for r in P.relations]
+    else:
+        ech = SparseEchelon(order.key)
+        for r in P.relations:
+            if r:
+                ech.insert(dict(r.terms))
+        rows = ech.canonical()
     copy_rank = {}
     for g in P.roster:
         copy_rank.setdefault(g.copy, len(copy_rank))
     rules = []
-    for row in ech.canonical():
+    for i, row in enumerate(rows):
         lead = max(row, key=order.key)
         g, h = lead
         if copy_rank[g.copy] < copy_rank[h.copy] and lead not in source_leads:
@@ -251,7 +259,8 @@ def orient_relations(P: Presentation) -> RewriteSystem:
                 f"is singular (forced a rule for the ascending cross-copy "
                 f"word {word_str(lead)})")
         rhs = NCPoly({w: -c for w, c in row.items() if w != lead})
-        prov = _provenance_for(row, lead, P)
+        prov = ((((), i, (), P.field.one),) if P.pruned
+                else _provenance_for(row, lead, P))
         rules.append(Rule(lead, rhs, prov))
     rs = RewriteSystem(P, rules)
     P._cache["rules"] = rs
@@ -259,12 +268,8 @@ def orient_relations(P: Presentation) -> RewriteSystem:
 
 
 def _provenance_for(row, lead, P: Presentation):
-    """Express a monic echelon row as a combination of stored relations.
-
-    Stored relations are themselves the canonical echelon basis, so the row
-    is a stored relation whenever its leading word matches; otherwise solve
-    the small degree-2 system against the stored basis.
-    """
+    """Express a monic echelon row as a combination of the stored
+    relations of an unpruned presentation."""
     order = P.order
     for i, r in enumerate(P.relations):
         if order.leading_word(r) == lead and dict(r.terms) == row:
@@ -318,9 +323,15 @@ class TruncatedGB:
                     if len(w) <= bound:
                         heapq.heappush(pending, (len(w), key(w), next(seq), w, r1, r2, ell))
 
+        # the oriented rules are quadratic, so r1 overlaps r2 exactly when
+        # r1's last generator is r2's first; pairs are enqueued in the
+        # order of a full scan, which fixes the order of equal overlap words
         rules0 = list(self.rs)
+        by_first = {}
+        for r in rules0:
+            by_first.setdefault(r.lhs[0], []).append(r)
         for r1 in rules0:
-            for r2 in rules0:
+            for r2 in by_first.get(r1.lhs[1], ()):
                 enqueue(r1, r2)
         while pending:
             _, _, _, w, r1, r2, ell = heapq.heappop(pending)

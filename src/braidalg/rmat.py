@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
 from . import qscalar
 from .linalg import SingularMatrixError, dense_inverse
-from .qscalar import QQ, QQ_Q
+from .qscalar import GFP, QQ_Q
 
 
 class RMatrixDocumentError(ValueError):
@@ -59,11 +58,10 @@ class RMatrix:
         return RMatrix(self.dim, {k: c * v for k, v in self.entries.items()},
                        self.field)
 
-    def evaluate(self, q0) -> "RMatrix":
-        """Numeric specialization at q = q0; raises PoleError at poles."""
-        q0 = Fraction(q0)
-        vals = {k: v.evaluate(q0) for k, v in self.entries.items()}
-        return RMatrix(self.dim, vals, field=QQ)
+    def evaluate_mod(self, x) -> "RMatrix":
+        """Specialization at q = x in GF(p); raises PoleError at poles mod p."""
+        vals = {k: v.evaluate_mod(x) for k, v in self.entries.items()}
+        return RMatrix(self.dim, vals, field=GFP)
 
     # -- dense views --------------------------------------------------------
 
@@ -202,16 +200,17 @@ def ybe_check(R: RMatrix):
 def _invert_dense(m, field):
     if field is QQ_Q:
         return dense_inverse(m)
-    # evaluated mode: plain exact Gauss-Jordan over Fraction
+    # specialized mode: plain Gauss-Jordan over the field
     n = len(m)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    one, zero = field.one, field.zero
+    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, n) if a[i][c]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
+        inv = one / a[r][c]
         a[r] = [x * inv for x in a[r]]
         for i in range(n):
             if i != r and a[i][c]:

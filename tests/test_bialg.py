@@ -1,8 +1,17 @@
 """Coproduct data and the degree-bounded bialgebra verification pipeline."""
 
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+from fractions import Fraction
+
 import pytest
 
 from braidalg import qscalar as qs
+from braidalg.cli import main
 from braidalg.bialg import (CoproductError, CoproductSpec, matrix_coproduct,
                             sample_points, verify_bialgebra, verify_coassoc,
                             verify_counit, verify_homomorphism)
@@ -10,7 +19,8 @@ from braidalg.ideals import substitute_generators
 from braidalg.ncalg import NCPoly, parse_poly
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square)
-from braidalg.rmat import RMatrix, flip_rmatrix, glq2_rmatrix, identity_rmatrix
+from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix, identity_rmatrix,
+                           save_rmatrix)
 
 ONE = qs.ONE
 
@@ -267,6 +277,87 @@ def test_probabilistic_seed_changes_points():
                          mode="probabilistic", seed=2)
     assert a.points != b.points
     assert a.passed and b.passed
+
+
+# (argv, exit code, stdout length, stdout SHA-256) of exact verify runs made
+# in a directory holding the perturbed R-matrix as pert2.json; every exact
+# document, certificates included, must stay byte-identical
+GOLDEN = (
+    (("verify", "bm", "glq2", "-D", "4"), 0, 23153,
+     "88d7a0a234fedcbe349178b4e2d4c903955922a221db333144bc35b45a70cefc"),
+    (("verify", "chain", "glq2", "-n", "2", "-D", "4"), 0, 124215,
+     "6d5415b8dc1962ca034ec621c6661319e7137d076d0e0d3d42f3a0809234f924"),
+    (("verify", "chain", "pert2.json", "-n", "2", "-D", "4"), 1, 460193,
+     "b18c1f8560d7167d5cd516184f23c615edc6db4862aef1e33e58acb6fa73f581"),
+)
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """Runs main(argv) in a directory holding pert2.json, once per argv;
+    returns (exit code, stdout)."""
+    work = tmp_path_factory.mktemp("verify")
+    (work / "pert2.json").write_text(save_rmatrix(perturbed_rmatrix()))
+    done = {}
+
+    def run(argv):
+        if argv not in done:
+            out = io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(work)
+            try:
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(list(argv))
+            finally:
+                os.chdir(cwd)
+            done[argv] = (code, out.getvalue())
+        return done[argv]
+    return run
+
+
+GOLDEN_IDS = ("bm-glq2", "chain-glq2-n2", "chain-pert2-n2")
+
+
+@pytest.mark.parametrize("argv, code, length, sha256", GOLDEN, ids=GOLDEN_IDS)
+def test_exact_documents_are_pinned(cli_run, argv, code, length, sha256):
+    got_code, out = cli_run(argv)
+    data = out.encode()
+    assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)
+
+
+@pytest.mark.parametrize("argv", [g[0] for g in GOLDEN], ids=GOLDEN_IDS)
+def test_sampled_reports_give_the_exact_verdicts(cli_run, argv):
+    exact_code, exact_out = cli_run(argv)
+    code, out = cli_run(argv + ("--mode", "probabilistic"))
+    exact, sampled = json.loads(exact_out), json.loads(out)
+    skip = ("relations", "square_relations", "points", "mode")
+    assert code == exact_code
+    assert {k: v for k, v in sampled.items() if k not in skip} == \
+        {k: v for k, v in exact.items() if k not in skip}
+    assert [(v["relation"], v["verdict"]) for v in sampled["relations"]] == \
+        [(v["relation"], v["verdict"]) for v in exact["relations"]]
+    assert len(sampled["points"]) == 3
+
+
+def test_sample_points_skip_denominators_divisible_by_the_prime(monkeypatch):
+    monkeypatch.setattr(qs, "PRIME", 7)
+
+    def first_draw(seed):
+        # the first point sample_points draws for this seed
+        rng = random.Random(seed)
+        q0 = Fraction(rng.randint(2, 19), rng.randint(1, 7))
+        return -q0 if rng.random() < 0.5 else q0
+
+    seed = next(s for s in range(1000) if first_draw(s).denominator == 7)
+    R = glq2_rmatrix()
+    points = sample_points(R, seed, 3)
+    assert points == sample_points(R, seed, 3)
+    assert first_draw(seed) not in points
+    assert all(p.denominator % 7 and p.numerator % 7 for p in points)
+    rep = verify_bialgebra(R, preset="bm", bound=4, mode="probabilistic", seed=seed)
+    assert rep.points == [str(p) for p in points]
+    assert rep.passed
 
 
 # -- q -> 1 specialization ---------------------------------------------------------

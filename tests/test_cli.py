@@ -143,6 +143,20 @@ def test_square_iso(capsys):
     assert "equal: yes" in out
 
 
+def test_hilbert_negative_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "hilbert", "bm", "glq2", "-D", "-3")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "nonnegative" in err
+
+
+def test_square_iso_negative_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "square-iso", "glq2", "-D", "-1")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "nonnegative" in err
+
+
 def test_unknown_rmatrix_is_usage_error(capsys):
     code, _, err = run(capsys, "ybe", "nosuchthing")
     assert code == 2

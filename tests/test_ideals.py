@@ -12,7 +12,7 @@ from braidalg.ideals import (MissingImageError,
                              ideal_membership_sampled, reduce_mod_ideal,
                              relation_span_equal, substitute_generators)
 from braidalg.ncalg import (Generator, NCPoly, Presentation, RosterMismatchError,
-                            parse_poly)
+                            parse_poly, word_str)
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, cross_block, frt_algebra,
                                matrix_roster)
@@ -162,6 +162,52 @@ def test_non_confluent_input_surfaces_completion_and_engines_agree():
         for lw, idx, rw, c in rule.provenance:
             total = total + Pp.relations[idx].sandwich(lw, rw).scale(c)
         assert total == element
+
+
+# adjoined rules of the perturbed presets at D = 4, in the order completion
+# adjoins them; the order in which overlaps are visited decides both
+PERTURBED_ADJOINED = {
+    "bm": ["u[1,1]*u[1,1]*u[2,2]", "u[1,1]*u[2,2]*u[2,2]"],
+    "chain": [
+        "u1[1,1]*u1[1,1]*u1[2,2]", "u1[1,1]*u1[2,2]*u1[2,2]", "u1[1,2]*u2[1,1]*u2[1,1]",
+        "u1[2,2]*u2[1,1]*u2[1,1]", "u1[2,1]*u2[1,1]*u2[1,1]", "u2[1,1]*u2[1,1]*u2[2,2]",
+        "u1[1,2]*u1[1,2]*u2[1,1]", "u1[1,2]*u1[2,1]*u2[1,1]", "u1[1,1]*u1[2,2]*u2[1,1]",
+        "u1[2,2]*u1[2,2]*u2[1,1]", "u1[2,1]*u2[1,2]*u2[1,2]", "u1[2,2]*u2[1,2]*u2[1,2]",
+        "u1[2,2]*u2[1,2]*u2[2,1]", "u1[2,1]*u1[2,1]*u2[1,1]", "u2[1,1]*u2[2,2]*u2[2,2]",
+        "u1[2,1]*u2[1,2]*u2[2,1]", "u1[2,2]*u2[1,1]*u2[2,2]", "u1[2,2]*u2[2,1]*u2[2,1]",
+        "u1[1,2]*u1[2,1]*u2[1,2]", "u1[2,1]*u1[2,1]*u2[1,2]", "u1[1,1]*u1[2,2]*u2[1,2]",
+        "u1[2,2]*u1[2,2]*u2[1,2]", "u1[1,1]*u1[2,2]*u2[2,1]", "u1[2,2]*u1[2,2]*u2[2,1]",
+        "u1[1,2]*u2[1,1]*u2[2,2]", "u1[2,1]*u2[1,1]*u2[2,2]",
+    ],
+    "square": [
+        "L.u[1,1]*L.u[1,1]*L.u[2,2]", "L.u[1,1]*L.u[2,2]*L.u[2,2]",
+        "L.u[1,2]*L.u[1,2]*R.u[2,1]", "L.u[1,2]*L.u[2,1]*R.u[2,1]",
+        "L.u[1,1]*L.u[2,2]*R.u[2,1]", "L.u[2,2]*L.u[2,2]*R.u[2,1]",
+        "L.u[1,2]*R.u[1,2]*R.u[2,1]", "L.u[2,2]*R.u[1,2]*R.u[2,1]",
+        "L.u[1,2]*R.u[2,1]*R.u[2,1]", "L.u[2,2]*R.u[2,1]*R.u[2,1]",
+        "R.u[1,1]*R.u[1,1]*R.u[2,2]", "L.u[1,2]*L.u[1,2]*R.u[2,2]",
+        "L.u[1,2]*L.u[2,1]*R.u[2,2]", "L.u[1,1]*L.u[2,2]*R.u[2,2]",
+        "L.u[2,2]*L.u[2,2]*R.u[2,2]", "L.u[1,2]*R.u[1,1]*R.u[2,2]",
+        "L.u[2,2]*R.u[1,1]*R.u[2,2]", "L.u[1,2]*R.u[2,2]*R.u[2,2]",
+        "L.u[2,2]*R.u[2,2]*R.u[2,2]", "R.u[1,1]*R.u[2,2]*R.u[2,2]",
+        "L.u[1,2]*L.u[2,1]*L.u[2,1]*R.u[2,1]", "L.u[1,2]*L.u[2,1]*R.u[1,2]*R.u[2,1]",
+        "L.u[1,2]*L.u[2,1]*L.u[2,1]*R.u[2,2]", "L.u[1,2]*L.u[2,1]*R.u[1,1]*R.u[2,2]",
+        "L.u[1,2]*R.u[1,2]*R.u[1,2]*R.u[2,1]", "L.u[2,2]*R.u[1,2]*R.u[1,2]*R.u[2,1]",
+    ],
+}
+
+
+def test_perturbed_completion_adjoins_the_recorded_rules():
+    from braidalg.presents import build_preset
+    from braidalg.rmat import RMatrix
+    R = glq2_rmatrix()
+    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    counts = {}
+    for preset, n in (("bm", 1), ("chain", 2), ("square", 1)):
+        gb = truncated_gb(build_preset(preset, Rp, n), 4)
+        counts[preset] = len(gb.added_rules)
+        assert [word_str(r.lhs) for r in gb.added_rules] == PERTURBED_ADJOINED[preset]
+    assert counts == {"bm": 2, "chain": 26, "square": 26}
 
 
 def test_shipped_presets_confluent_at_degree_4():

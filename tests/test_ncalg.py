@@ -180,6 +180,23 @@ def test_orientation_solvable_for_glq2_presets():
         assert len(rules) == len(P.relations)
 
 
+def test_rules_read_off_pruned_relations_match_the_general_solve():
+    # a pruned presentation's rules are read off its stored relations; the
+    # unpruned copy of the same relations goes through the echelon solve
+    from braidalg.presents import braided_chain, braided_tensor_square
+    from braidalg.rmat import RMatrix
+    R = glq2_rmatrix()
+    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    for P in (braided_matrices(R), braided_chain(R, 2),
+              braided_tensor_square(braided_matrices(Rp), Rp).presentation):
+        unpruned = Presentation(P.dim, P.roster, P.relations, field=P.field,
+                                name=P.name, prune=False)
+        read = [(r.lhs, r.rhs, r.provenance) for r in orient_relations(P)]
+        solved = [(r.lhs, r.rhs, r.provenance) for r in orient_relations(unpruned)]
+        assert read == solved, P.name
+        assert all(prov == (((), i, (), qs.ONE),) for i, (_, _, prov) in enumerate(read))
+
+
 # -- normal form --------------------------------------------------------------
 
 def test_normal_form_kills_relations():

@@ -1,11 +1,13 @@
 """Exact arithmetic in Q(q): canonical forms, parsing, field laws."""
 
+import contextlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidalg import qscalar as qs
 from braidalg.qscalar import (LaurentPoly, PoleError, RatFunc, ScalarParseError,
                               ZeroDenominatorError, parse_scalar)
 
@@ -118,3 +120,62 @@ def test_canonical_equality_is_structural():
     assert a == b
     assert hash(a) == hash(b)
     assert a.num == b.num and a.den == b.den
+
+
+# -- the prime field GF(PRIME) -------------------------------------------------
+
+PRIMES = (qs.PRIME, 7, 101)
+fractions = st.fractions(max_denominator=50).filter(lambda f: abs(f.numerator) < 10 ** 30)
+
+
+@contextlib.contextmanager
+def modulus(p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qs, "PRIME", p)
+        yield
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=150, deadline=None)
+@given(fractions, fractions)
+def test_modp_arithmetic_agrees_with_fractions(p, a, b):
+    with modulus(p):
+        if a.denominator % p == 0 or b.denominator % p == 0:
+            return
+        x, y = qs.ModP(qs.mod_p(a)), qs.ModP(qs.mod_p(b))
+        assert x + y == qs.ModP(qs.mod_p(a + b))
+        assert x - y == qs.ModP(qs.mod_p(a - b))
+        assert -x == qs.ModP(qs.mod_p(-a))
+        assert x * y == qs.ModP(qs.mod_p(a * b))
+        assert bool(y) == bool(qs.mod_p(b))
+        if y:
+            assert x / y == qs.ModP(qs.mod_p(a / b))
+        else:
+            with pytest.raises(ZeroDenominatorError):
+                x / y
+        # printed as the representative of least absolute value
+        assert abs(int(str(x))) <= p // 2 and qs.ModP(int(str(x))) == x
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=150, deadline=None)
+@given(ratfuncs(), fractions.filter(bool))
+def test_evaluate_mod_is_evaluate_reduced_mod_p(p, a, q0):
+    with modulus(p):
+        if q0.numerator % p == 0 or q0.denominator % p == 0:
+            return
+        x = qs.mod_p(q0)
+        # the denominator is a polynomial, so its rational value has a
+        # denominator prime to p and a residue mod p
+        if qs.mod_p(a.den.evaluate(q0)) == 0:
+            with pytest.raises(PoleError):
+                a.evaluate_mod(x)
+        else:
+            assert a.evaluate_mod(x) == qs.ModP(qs.mod_p(a.evaluate(q0)))
+
+
+def test_mod_p_rejects_denominators_divisible_by_p():
+    with modulus(7):
+        assert qs.mod_p(Fraction(3, 2)) == 5
+        with pytest.raises(PoleError):
+            qs.mod_p(Fraction(3, 14))
