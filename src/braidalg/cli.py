@@ -14,12 +14,16 @@ Subcommands:
 <R> is a builtin name (glq2, identity:N, flip:N) or a path to an R-matrix
 document.  Output is deterministic: identical invocations produce
 byte-identical documents (timings go to stderr).  Exit codes: 0 pass,
-1 computational failure or failed verdict, 2 usage error.
+1 computational failure or failed verdict, 2 usage error.  A document is
+rendered in memory and emitted only when the subcommand returns; -o
+replaces its target atomically, so a failed run leaves it untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
 import sys
 from pathlib import Path
@@ -284,16 +288,54 @@ def build_parser():
     return ap
 
 
+class _Document(list):
+    """An emitted document, held in memory as its written chunks."""
+
+    write = list.append
+
+
+def _check_output_target(path: str):
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"no directory {parent!r} for output {path!r}")
+    if os.path.isdir(path):
+        raise UsageError(f"output {path!r} is a directory")
+
+
+def _write_output(path: str, doc: _Document):
+    """Write doc to a new file beside path, then rename it over path: the
+    target either keeps its old contents or holds the whole document."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.writelines(doc)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    output = getattr(args, "output", None)
+    doc = _Document()
     try:
         if getattr(args, "n", 1) < 1:
             raise UsageError("-n must be at least 1")
-        if getattr(args, "output", None):
-            with open(args.output, "w") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        if output:
+            _check_output_target(output)
+        rc = args.func(args, doc)
+        if output:
+            try:
+                _write_output(output, doc)
+            except OSError as e:
+                raise UsageError(f"cannot write output {output!r}: {e}") from None
+        else:
+            sys.stdout.writelines(doc)
+        return rc
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

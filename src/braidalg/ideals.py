@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .linalg import SparseEchelon
 from .ncalg import NCAlgError, NCPoly, Presentation, RosterMismatchError
 from .qscalar import mod_p
-from .rewrite import expand_steps, truncated_gb
+from .rewrite import accumulate_terms, sorted_terms, truncated_gb
 
 
 class MissingImageError(NCAlgError):
@@ -44,17 +44,9 @@ class MembershipCertificate:
 
 def _merge_cert(steps) -> MembershipCertificate:
     acc = {}
-    for lw, idx, rw, c in expand_steps(steps):
-        k = (lw, idx, rw)
-        v = acc.get(k)
-        v = c if v is None else v + c
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
-    terms = tuple((lw, idx, rw, c) for (lw, idx, rw), c in
-                  sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])))
-    return MembershipCertificate(terms)
+    for left, rule, right, c in steps:
+        accumulate_terms(acc, rule.provenance, c, left, right)
+    return MembershipCertificate(sorted_terms(acc))
 
 
 def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int, collect=True):
@@ -140,16 +132,8 @@ def _membership_by_span(p: NCPoly, P: Presentation, bound: int):
         residue, aux = ech.reduce(dict(part.terms), aux={})
         if residue:
             return (False, None)
-        for k, c in aux.items():
-            v = cert_acc.get(k)
-            v = -c if v is None else v - c
-            if v:
-                cert_acc[k] = v
-            else:
-                cert_acc.pop(k, None)
-    terms = tuple((lw, i, rw, c) for (lw, i, rw), c in
-                  sorted(cert_acc.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])))
-    return (True, MembershipCertificate(terms))
+        accumulate_terms(cert_acc, (k + (c,) for k, c in aux.items()), -P.field.one)
+    return (True, MembershipCertificate(sorted_terms(cert_acc)))
 
 
 def span_rank(P: Presentation, degree: int) -> int:

@@ -1,21 +1,25 @@
-"""Exact linear algebra: sparse reduced echelon forms and fraction-free
-dense elimination.
+"""Exact linear algebra over a coefficient field: sparse reduced echelon
+forms and dense Gauss-Jordan elimination.
 
-The sparse engine works over any exact field whose elements support
-+ - * / and truth-testing (RatFunc, Fraction); rows are dicts keyed by
-arbitrary hashable column labels, ordered by a caller-supplied key
-function (the column with the largest key is the pivot).  Each row may
-carry an auxiliary dict that mirrors every row operation; span builders
-use it to track how echelon rows combine the original generators.
+Both engines work over any exact field whose elements support + - * /
+and truth-testing: Q(q) (RatFunc) in symbolic mode and GF(p) (ModP) in
+sampled mode.
 
-The dense engine is a one-step fraction-free (Bareiss) elimination over
-integer Laurent polynomials, used for the small R-matrix inverses and
-partial-transpose ranks where exactness matters more than asymptotics.
+The sparse engine keeps rows as dicts keyed by arbitrary hashable column
+labels, ordered by a caller-supplied key function (the column with the
+largest key is the pivot).  Each row may carry an auxiliary dict that
+mirrors every row operation; span builders use it to track how echelon
+rows combine the original generators.
+
+The dense engine is one Gauss-Jordan elimination over the field; it
+serves the R-matrix inverses and the partial-transpose ranks.  Every
+RatFunc is a reduced canonical fraction after each operation, so plain
+field elimination stays exact with no fraction-free bookkeeping.
 """
 
 from __future__ import annotations
 
-from .qscalar import LaurentPoly, RatFunc, _poly_div_exact
+from .qscalar import QQ_Q, RatFunc
 
 
 class SingularMatrixError(ValueError):
@@ -50,9 +54,6 @@ class SparseEchelon:
     @property
     def rank(self):
         return len(self.rows)
-
-    def pivots(self):
-        return set(self.rows)
 
     def _lead(self, row):
         return max(row, key=self.key)
@@ -107,10 +108,6 @@ class SparseEchelon:
         self.rows[lead] = (row, aux)
         return lead
 
-    def insert_all(self, rows):
-        for row in rows:
-            self.insert(row)
-
     def canonical(self):
         """Rows as a list ordered by descending pivot key (a canonical form)."""
         return [self.rows[p][0] for p in sorted(self.rows, key=self.key, reverse=True)]
@@ -132,142 +129,50 @@ def _field_one(c):
     return type(c)(1)
 
 
-def span_equal(rows_a, rows_b, key) -> bool:
-    """Whether two collections of sparse rows span the same subspace."""
-    ea = SparseEchelon(key)
-    ea.insert_all(rows_a)
-    eb = SparseEchelon(key)
-    eb.insert_all(rows_b)
-    if ea.pivots() != eb.pivots():
-        return False
-    return ea.canonical() == eb.canonical()
-
-
 # ---------------------------------------------------------------------------
-# dense fraction-free elimination over integer Laurent polynomials
+# dense Gauss-Jordan elimination
 # ---------------------------------------------------------------------------
 
-def _lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a.is_zero():
-        return LaurentPoly()
-    return LaurentPoly.from_dense(
-        _poly_div_exact(a.dense(), b.dense()), a.min_exp() - b.min_exp())
-
-
-def _clear_row(row):
-    """Scale a row of RatFunc by a common multiple of the denominators,
-    returning integer Laurent polynomials (valid up to a nonzero scalar)."""
-    mult = RatFunc.from_int(1)
-    for x in row:
-        if not x.den.is_zero() and x.den.coeffs != {0: 1}:
-            # mult := lcm(mult, x.den) computed through the canonical fraction
-            mult = mult * RatFunc(x.den) / _ratfunc_gcd_den(mult, x.den)
-    out = []
-    for x in row:
-        y = x * mult
-        assert y.den.coeffs in ({0: 1},) or y.is_zero()
-        out.append(y.num)
-    return out
-
-
-def _ratfunc_gcd_den(mult: RatFunc, den: LaurentPoly) -> RatFunc:
-    from .qscalar import _poly_gcd
-    g = _poly_gcd(mult.num.dense(), den.dense())
-    return RatFunc(LaurentPoly.from_dense(g))
-
-
-def _bareiss_forward(m, track=None):
-    """In-place fraction-free forward elimination with column pivoting.
-
-    m: list of rows of LaurentPoly. Returns list of (row_index, col_index)
-    pivots; after the call m is upper triangular w.r.t. that pivot order.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    prev = LaurentPoly.const(1)
-    pivots = []
+def _gauss_jordan(a, ncols, field):
+    """Reduce the rows a (lists, changed in place) to reduced row echelon
+    form, pivoting in the first ncols columns; returns the pivot count."""
+    one = field.one
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not m[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
             continue
-        if pr != r:
-            m[pr], m[r] = m[r], m[pr]
-            if track is not None:
-                track[pr], track[r] = track[r], track[pr]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(ncols):
-                if j == c:
-                    row_i[j] = LaurentPoly()
-                    continue
-                row_i[j] = _lp_div_exact(piv * row_i[j] - mic * row_r[j], prev)
-            if track is not None:
-                ti, tr = track[i], track[r]
-                for j in range(len(ti)):
-                    ti[j] = _lp_div_exact(piv * ti[j] - mic * tr[j], prev)
-        pivots.append((r, c))
-        prev = piv
+        a[r], a[piv] = a[piv], a[r]
+        inv = one / a[r][c]
+        a[r] = [x * inv if x else x for x in a[r]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f:
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         r += 1
-        if r == nrows:
+        if r == len(a):
             break
-    return pivots
+    return r
 
 
-def dense_rank(matrix) -> int:
-    """Exact rank of a dense matrix of RatFunc entries."""
+def dense_rank(matrix, field=QQ_Q) -> int:
+    """Exact rank of a dense matrix over field."""
     if not matrix:
         return 0
-    m = [_clear_row([x for x in row]) for row in matrix]
-    m = [_shift_row(row) for row in m]
-    return len(_bareiss_forward(m))
+    return _gauss_jordan([list(row) for row in matrix], len(matrix[0]), field)
 
 
-def _shift_row(row):
-    shift = min((p.min_exp() for p in row if not p.is_zero()), default=0)
-    if shift >= 0:
-        return row
-    return [p.shift(-shift) for p in row]
-
-
-def dense_inverse(matrix):
-    """Exact inverse of a square matrix of RatFunc entries.
-
-    Fraction-free forward pass, then back substitution in the field.
-    Raises SingularMatrixError if the matrix is singular.
-    """
+def dense_inverse(matrix, field=QQ_Q):
+    """Exact inverse of a square matrix over field: Gauss-Jordan on the
+    matrix augmented with the identity.  Raises SingularMatrixError if
+    the matrix is singular."""
     n = len(matrix)
-    m = []
-    track = []
+    one, zero = field.one, field.zero
+    a = []
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix is not square")
-        aug = list(row) + [RatFunc.from_int(1 if j == i else 0) for j in range(n)]
-        cleared = _shift_row(_clear_row(aug))
-        m.append(cleared[:n])
-        track.append(cleared[n:])
-    pivots = _bareiss_forward(m, track)
-    if len(pivots) < n:
+        a.append(list(row) + [one if j == i else zero for j in range(n)])
+    if _gauss_jordan(a, n, field) < n:
         raise SingularMatrixError("matrix is singular")
-    # rows are triangular: pivot of row r sits in column pivots[r][1]
-    inv_cols = [[None] * n for _ in range(n)]
-    for rhs in range(n):
-        sol = [None] * n
-        for r in range(n - 1, -1, -1):
-            _, c = pivots[r]
-            acc = RatFunc(track[r][rhs])
-            for r2 in range(r + 1, n):
-                _, c2 = pivots[r2]
-                coef = m[r][c2]
-                if not coef.is_zero():
-                    acc = acc - RatFunc(coef) * sol[c2]
-            sol[c] = acc / RatFunc(m[r][c])
-        for i in range(n):
-            inv_cols[i][rhs] = sol[i]
-    return inv_cols
+    return [row[n:] for row in a]

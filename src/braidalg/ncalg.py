@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qscalar import GFP, QQ_Q
+from .qscalar import GFP, QQ_Q, DescentParser, bounded_pow, read_int
 
 
 class NCAlgError(ValueError):
@@ -304,11 +304,8 @@ def _poly_tokenize(text):
         if ch.isspace():
             i += 1
         elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
+            v, i = read_int(text, i, PolyParseError)
+            toks.append(("int", v))
         elif ch in "+-*/^()[],":
             toks.append((ch, ch))
             i += 1
@@ -324,85 +321,32 @@ def _poly_tokenize(text):
     return toks
 
 
-class _PolyParser:
+class _PolyParser(DescentParser):
     """Recursive-descent parser producing an NCPoly over a roster."""
 
+    error = PolyParseError
+
     def __init__(self, text, roster, field):
-        self.toks = _poly_tokenize(text)
-        self.pos = 0
-        self.text = text
+        super().__init__(_poly_tokenize(text), text)
         self.field = field
         self.gens = {(g.copy, g.row, g.col): g for g in roster}
 
-    def peek(self):
-        return self.toks[self.pos][0]
+    def divide(self, v, w):
+        c = _as_scalar(w, self.field)
+        if c is None:
+            raise PolyParseError("division by a non-scalar")
+        if not c:
+            raise PolyParseError("division by zero")
+        return v.scale(self.field.one / c)
 
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind):
-        t = self.next()
-        if t[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, got {t[0]!r} in {self.text!r}")
-        return t
-
-    def parse(self) -> NCPoly:
-        v = self.expr()
-        if self.peek() != "end":
-            raise PolyParseError(f"trailing input in {self.text!r}")
-        return v
-
-    def expr(self):
-        v = self.term()
-        while self.peek() in "+-":
-            op = self.next()[0]
-            w = self.term()
-            v = v + w if op == "+" else v - w
-        return v
-
-    def term(self):
-        v = self.factor()
-        while self.peek() in "*/":
-            op = self.next()[0]
-            w = self.factor()
-            if op == "*":
-                v = v * w
-            else:
-                c = _as_scalar(w, self.field)
-                if c is None:
-                    raise PolyParseError("division by a non-scalar")
-                if not c:
-                    raise PolyParseError("division by zero")
-                v = v.scale(self.field.one / c)
-        return v
-
-    def factor(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.factor()
-        if self.peek() == "+":
-            self.next()
-            return self.factor()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            sign = 1
-            if self.peek() == "-":
-                self.next()
-                sign = -1
-            e = sign * self.expect("int")[1]
-            c = _as_scalar(base, self.field)
-            if c is None:
-                raise PolyParseError("'^' applies to scalars only")
-            if e < 0 and not c:
-                raise PolyParseError("division by zero")
-            return NCPoly.unit(self.field.one).scale(_pow_coeff(c, e, self.field))
-        return base
+    def raise_to(self, base, e):
+        c = _as_scalar(base, self.field)
+        if c is None:
+            raise PolyParseError("'^' applies to scalars only")
+        if e < 0 and not c:
+            raise PolyParseError("division by zero")
+        one = self.field.one
+        return NCPoly.unit(one).scale(bounded_pow(c, e, one, PolyParseError))
 
     def atom(self):
         kind, val = self.next()
@@ -423,9 +367,7 @@ class _PolyParser:
                 raise PolyParseError(f"unknown generator {val}[{row},{col}]")
             return NCPoly.gen(g, self.field.one)
         if kind == "(":
-            v = self.expr()
-            self.expect(")")
-            return v
+            return self.parenthesized()
         raise PolyParseError(f"unexpected token {kind!r} in {self.text!r}")
 
 
@@ -435,16 +377,6 @@ def _as_scalar(p: NCPoly, field):
     if set(p.terms) == {EMPTY_WORD}:
         return p.terms[EMPTY_WORD]
     return None
-
-
-def _pow_coeff(c, e, field):
-    if e < 0:
-        c = field.one / c
-        e = -e
-    out = field.one
-    for _ in range(e):
-        out = out * c
-    return out
 
 
 def parse_poly(text: str, presentation: Presentation) -> NCPoly:

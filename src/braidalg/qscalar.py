@@ -375,6 +375,11 @@ class RatFunc:
     def __rtruediv__(self, other):
         return RatFunc.from_int(other) / self
 
+    def degree_span(self):
+        """Width of the exponent ranges of num and den, summed."""
+        return (self.num.max_exp() - self.num.min_exp()
+                + self.den.max_exp() - self.den.min_exp())
+
     def inverse(self):
         if self.num.is_zero():
             raise ZeroDenominatorError("inverse of the zero function")
@@ -556,7 +561,26 @@ GFP = PrimeField()
 # ---------------------------------------------------------------------------
 #
 # grammar: integers, the symbol q, ^ with a (possibly negative) integer
-# exponent, binary + - * /, unary -, parentheses; whitespace ignored.
+# exponent, binary + - * /, unary + and -, parentheses; whitespace ignored.
+
+# Input bounds shared with the polynomial parser (ncalg).  A power costs
+# the size of its result, so |exponent| * max(1, degree span of the base)
+# is capped; each level of parentheses costs a few stack frames of
+# recursive descent, so nesting is capped well below the recursion limit.
+MAX_POWER_SPAN = 512
+MAX_NESTING = 100
+
+
+def read_int(text, i, error):
+    """The decimal integer starting at text[i], as (value, end position)."""
+    j = i
+    while j < len(text) and text[j].isdigit():
+        j += 1
+    try:
+        return int(text[i:j]), j
+    except ValueError:  # beyond the interpreter's integer-string limit
+        raise error(f"integer literal at position {i} is too long") from None
+
 
 def _tokenize(text):
     toks = []
@@ -566,11 +590,8 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
         elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j])))
-            i = j
+            v, i = read_int(text, i, ScalarParseError)
+            toks.append(("int", v))
         elif ch in "+-*/^()":
             toks.append((ch, ch))
             i += 1
@@ -583,11 +604,32 @@ def _tokenize(text):
     return toks
 
 
-class _ScalarParser:
-    def __init__(self, text):
-        self.toks = _tokenize(text)
+def bounded_pow(base, e, one, error):
+    """base^e by repeated multiplication (one is the field unit); raises
+    error when |e| * max(1, degree span of base) exceeds MAX_POWER_SPAN."""
+    span = base.degree_span() if isinstance(base, RatFunc) else 0
+    if abs(e) * max(1, span) > MAX_POWER_SPAN:
+        raise error(f"power ^{e} exceeds the bound of {MAX_POWER_SPAN} degrees")
+    if e < 0:
+        base = one / base
+        e = -e
+    out = one
+    for _ in range(e):
+        out = out * base
+    return out
+
+
+class DescentParser:
+    """Recursive descent over a token list: sums of products of signed
+    powers of atoms.  Subclasses supply error, atom, divide and raise_to."""
+
+    error = ScalarParseError
+
+    def __init__(self, toks, text):
+        self.toks = toks
         self.pos = 0
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos][0]
@@ -600,13 +642,13 @@ class _ScalarParser:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise ScalarParseError(f"expected {kind!r}, got {t[0]!r} in {self.text!r}")
+            raise self.error(f"expected {kind!r}, got {t[0]!r} in {self.text!r}")
         return t
 
     def parse(self):
         v = self.expr()
         if self.peek() != "end":
-            raise ScalarParseError(f"trailing input in {self.text!r}")
+            raise self.error(f"trailing input in {self.text!r}")
         return v
 
     def expr(self):
@@ -622,33 +664,47 @@ class _ScalarParser:
         while self.peek() in "*/":
             op = self.next()[0]
             w = self.factor()
-            v = v * w if op == "*" else v / w
+            v = v * w if op == "*" else self.divide(v, w)
         return v
 
     def factor(self):
-        if self.peek() == "-":
-            self.next()
-            return -self.factor()
-        if self.peek() == "+":
-            self.next()
-            return self.factor()
-        return self.power()
+        neg = False
+        while self.peek() in "+-":
+            neg ^= self.next()[0] == "-"
+        v = self.power()
+        return -v if neg else v
 
     def power(self):
         base = self.atom()
-        if self.peek() == "^":
-            self.next()
-            e = self.exponent()
-            return _rat_pow(base, e)
-        return base
-
-    def exponent(self):
+        if self.peek() != "^":
+            return base
+        self.next()
         sign = 1
         if self.peek() == "-":
             self.next()
             sign = -1
-        t = self.expect("int")
-        return sign * t[1]
+        return self.raise_to(base, sign * self.expect("int")[1])
+
+    def parenthesized(self):
+        """The expression after an opening parenthesis, through its ')'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
+        v = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return v
+
+
+class _ScalarParser(DescentParser):
+    def __init__(self, text):
+        super().__init__(_tokenize(text), text)
+
+    def divide(self, v, w):
+        return v / w
+
+    def raise_to(self, base, e):
+        return bounded_pow(base, e, ONE, ScalarParseError)
 
     def atom(self):
         kind, val = self.next()
@@ -657,20 +713,8 @@ class _ScalarParser:
         if kind == "q":
             return Q
         if kind == "(":
-            v = self.expr()
-            self.expect(")")
-            return v
+            return self.parenthesized()
         raise ScalarParseError(f"unexpected token {kind!r} in {self.text!r}")
-
-
-def _rat_pow(base: RatFunc, e: int) -> RatFunc:
-    if e < 0:
-        base = base.inverse()
-        e = -e
-    out = ONE
-    for _ in range(e):
-        out = out * base
-    return out
 
 
 def parse_scalar(text: str) -> RatFunc:

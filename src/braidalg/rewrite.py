@@ -204,15 +204,6 @@ def _negkey(k):
     return (-length, tuple(-x for x in prec))
 
 
-def expand_steps(steps):
-    """Flatten reduction steps into certificate terms over stored relations."""
-    cert = []
-    for left, rule, right, c in steps:
-        for lw, idx, rw, cc in rule.provenance:
-            cert.append((left + lw, idx, rw + right, c * cc))
-    return cert
-
-
 # ---------------------------------------------------------------------------
 # orientation
 # ---------------------------------------------------------------------------
@@ -347,16 +338,16 @@ class TruncatedGB:
             if not residue:
                 continue
             prov = {}
-            _prov_accumulate(prov, r2.provenance, prefix, (), one)
-            _prov_accumulate(prov, r1.provenance, (), suffix, -one)
+            accumulate_terms(prov, r2.provenance, one, prefix)
+            accumulate_terms(prov, r1.provenance, -one, (), suffix)
             for left, rule, right, c in steps:
-                _prov_accumulate(prov, rule.provenance, left, right, -c)
+                accumulate_terms(prov, rule.provenance, -c, left, right)
             lead = P.order.leading_word(residue)
             lc = residue.terms[lead]
             inv = one / lc
             rhs = NCPoly({ww: -c * inv for ww, c in residue.terms.items() if ww != lead})
             new = Rule(lead, rhs, tuple((lw, i, rw, c * inv)
-                                        for (lw, i, rw), c in sorted_prov(prov)))
+                                        for lw, i, rw, c in sorted_terms(prov)))
             self.rs.add(new)
             self.added_rules.append(new)
             for r in list(self.rs):
@@ -372,19 +363,25 @@ class TruncatedGB:
         return self.rs.reduce(p, collect=collect)
 
 
-def _prov_accumulate(prov: dict, provenance, left, right, c):
-    for lw, idx, rw, cc in provenance:
+def accumulate_terms(acc: dict, terms, c, left=(), right=()):
+    """Add c * left * term * right for each certificate term
+    (lw, idx, rw, cc) into acc, keyed (left + lw, idx, rw + right);
+    zero sums are dropped."""
+    for lw, idx, rw, cc in terms:
         k = (left + lw, idx, rw + right)
-        v = prov.get(k)
+        v = acc.get(k)
         v = c * cc if v is None else v + c * cc
         if v:
-            prov[k] = v
+            acc[k] = v
         else:
-            prov.pop(k, None)
+            acc.pop(k, None)
 
 
-def sorted_prov(prov: dict):
-    return sorted(prov.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2]))
+def sorted_terms(acc: dict) -> tuple:
+    """Accumulated terms as (left, idx, right, coeff) ordered by
+    (idx, left, right), the canonical order of certificates."""
+    return tuple((lw, i, rw, c) for (lw, i, rw), c in
+                 sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])))
 
 
 def truncated_gb(P: Presentation, bound: int) -> TruncatedGB:

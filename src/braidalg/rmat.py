@@ -10,7 +10,8 @@ columns.  R_21 is never stored; it is produced by embedding R on legs
 Operators on higher tensor powers (leg embeddings, Yang-Baxter products)
 are handled by TensorOperator, whose indices are full tuples of leg
 values.  Everything is exact; entries are RatFunc in symbolic mode or
-Fraction after evaluation at a numeric q.
+GF(p) ModP after specialization at q = x mod p (evaluate_mod).  Inverses
+come from linalg.dense_inverse over the R-matrix's own field.
 """
 
 from __future__ import annotations
@@ -23,8 +24,18 @@ from .linalg import SingularMatrixError, dense_inverse
 from .qscalar import GFP, QQ_Q
 
 
+# Largest dim accepted from a document or a builtin name: the dense view
+# has N^4 entries and each preset has at least N^2 generators.
+MAX_DIM = 16
+
+
 class RMatrixDocumentError(ValueError):
     """Malformed R-matrix document."""
+
+
+def _check_dim(dim):
+    if not 1 <= dim <= MAX_DIM:
+        raise RMatrixDocumentError(f"dim must be between 1 and {MAX_DIM} (got {dim})")
 
 
 class RMatrix:
@@ -108,7 +119,8 @@ class TensorOperator:
         self.rows = rows
 
     def matmul(self, other: "TensorOperator") -> "TensorOperator":
-        assert self.dim == other.dim and self.arity == other.arity
+        if self.dim != other.dim or self.arity != other.arity:
+            raise ValueError("operators act on different tensor spaces")
         rows = {}
         for out, mids in self.rows.items():
             acc = {}
@@ -197,32 +209,9 @@ def ybe_check(R: RMatrix):
     return (diff is None), diff
 
 
-def _invert_dense(m, field):
-    if field is QQ_Q:
-        return dense_inverse(m)
-    # specialized mode: plain Gauss-Jordan over the field
-    n = len(m)
-    one, zero = field.one, field.zero
-    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if a[i][c]), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[r], a[piv] = a[piv], a[r]
-        inv = one / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return [row[n:] for row in a]
-
-
 def invert(R: RMatrix) -> RMatrix:
     """Exact inverse as an operator on the twofold space."""
-    inv = _invert_dense(R.as_dense(), R.field)
+    inv = dense_inverse(R.as_dense(), R.field)
     return RMatrix.from_dense(R.dim, inv, R.field)
 
 
@@ -281,8 +270,11 @@ def load_rmatrix(text: str) -> RMatrix:
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise RMatrixDocumentError("document must have fields 'dim' and 'entries'")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise RMatrixDocumentError("'dim' must be a positive integer")
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise RMatrixDocumentError("'dim' must be an integer")
+    _check_dim(dim)
+    if not isinstance(doc["entries"], list):
+        raise RMatrixDocumentError("'entries' must be a list")
     entries = {}
     for rec in doc["entries"]:
         try:
@@ -290,6 +282,8 @@ def load_rmatrix(text: str) -> RMatrix:
             coeff = rec["coeff"]
         except (KeyError, TypeError):
             raise RMatrixDocumentError(f"bad entry record: {rec!r}") from None
+        if not isinstance(coeff, str):
+            raise RMatrixDocumentError(f"coeff must be a string: {rec!r}")
         for x in idx:
             if not isinstance(x, int) or not 1 <= x <= dim:
                 raise RMatrixDocumentError(f"index {idx} out of range for dim {dim}")
@@ -349,7 +343,6 @@ def builtin_rmatrix(name: str):
                 n = int(name[len(prefix):])
             except ValueError:
                 raise RMatrixDocumentError(f"bad builtin name {name!r}") from None
-            if n < 1:
-                raise RMatrixDocumentError(f"bad builtin name {name!r}")
+            _check_dim(n)
             return builder(n)
     return None

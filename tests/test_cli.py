@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism, round-trips."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidalg import qscalar as qs
 from braidalg.cli import (format_presentation_document, main,
@@ -187,3 +193,150 @@ def test_rmatrix_file_loading_roundtrip(tmp_path, capsys):
     assert load_rmatrix(path.read_text()) == glq2_rmatrix()
     code, out, _ = run(capsys, "ybe", str(path))
     assert code == 0 and out == "YBE: PASS\n"
+
+
+# -- output files and hostile input --------------------------------------------
+
+def test_usage_error_keeps_existing_output(tmp_path, capsys):
+    keep = tmp_path / "keep.txt"
+    keep.write_text("previous contents\n")
+    code, out, err = run(capsys, "verify", "frt", "glq2", "-o", str(keep))
+    assert code == 2 and out == "" and "usage error" in err
+    assert keep.read_text() == "previous contents\n"
+    assert os.listdir(tmp_path) == ["keep.txt"]
+
+
+def test_output_replaces_existing_file_on_success(tmp_path, capsys):
+    target = tmp_path / "doc.txt"
+    target.write_text("stale\n")
+    code, out, _ = run(capsys, "biinv", "flip:2", "-o", str(target))
+    assert code == 1 and out == ""
+    assert target.read_text() == "invertible: yes\nsecond_inverse: absent\n"
+    assert os.listdir(tmp_path) == ["doc.txt"]
+
+
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "ybe", "glq2", "-o", str(tmp_path / "nodir" / "x.txt"))
+    assert code == 2 and out == "" and "no directory" in err
+    assert not (tmp_path / "nodir").exists()
+    code, _, err = run(capsys, "ybe", "glq2", "-o", str(tmp_path))
+    assert code == 2 and "is a directory" in err
+
+
+def _entry(coeff):
+    return {"i": 1, "j": 1, "k": 1, "l": 1, "coeff": coeff}
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "entries": 7},
+    {"dim": 2, "entries": [_entry(5)]},
+    {"dim": 17, "entries": []},
+    {"dim": 1, "entries": [_entry("(1+q)^1600")]},
+    {"dim": 1, "entries": [_entry("(" * 5000 + "q" + ")" * 5000)]},
+    {"dim": 1, "entries": [_entry("9" * 5000)]},
+])
+def test_bad_documents_are_usage_errors(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "ybe", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: bad R-matrix document")
+
+
+@pytest.mark.parametrize("name", ["identity:17", "flip:1000000000"])
+def test_builtin_dimension_bound_is_usage_error(capsys, name):
+    code, out, err = run(capsys, "ybe", name)
+    assert code == 2 and out == "" and "dim must be between 1 and 16" in err
+
+
+@pytest.mark.parametrize("poly", ["(1+q)^1600 * u[1,1]",
+                                  "(" * 5000 + "u[1,1]" + ")" * 5000])
+def test_nf_bounds_are_usage_errors(capsys, poly):
+    code, out, err = run(capsys, "nf", "bm", "glq2", poly)
+    assert code == 2 and out == "" and "bad polynomial" in err
+
+
+_DIMS = st.sampled_from([-1, 0, 1, 2, 17, 10 ** 6, "2", 2.0])
+_VALID_COEFFS = st.sampled_from(["1", "q", "q - q^-1", "q^-1", "-2", "0", "1 + q"])
+_COEFFS = st.one_of(st.text(alphabet="q0123+-*/^() ", max_size=6),
+                    st.integers(-3, 3), st.none(), st.lists(st.just("q"), max_size=1))
+_JUNK = st.one_of(st.integers(), st.text(max_size=3),
+                  st.dictionaries(st.text(max_size=1), st.integers(), max_size=2))
+
+
+@st.composite
+def _documents(draw):
+    """A valid R-matrix document (dim 1 or 2, half the time), then at most
+    one mutation: a bad coefficient, index, record, entries list or dim."""
+    dim = draw(st.one_of(st.sampled_from([1, 2]), _DIMS))
+    index = st.integers(1, dim if dim in (1, 2) else 2)
+    cells = draw(st.dictionaries(st.tuples(index, index, index, index), _VALID_COEFFS,
+                                 max_size=8))
+    entries = [{"i": i, "j": j, "k": k, "l": l, "coeff": c}
+               for (i, j, k, l), c in sorted(cells.items())]
+    doc = {"dim": dim, "entries": entries}
+    mutation = draw(st.sampled_from(["none"] * 4 + ["coeff", "index", "record", "entries",
+                                                      "doc"]))
+    if mutation == "coeff" and entries:
+        draw(st.sampled_from(entries))["coeff"] = draw(_COEFFS)
+    elif mutation == "index" and entries:
+        rec = draw(st.sampled_from(entries))
+        rec[draw(st.sampled_from("ijkl"))] = draw(st.sampled_from([0, 3, -1, "1", 1.0, None]))
+    elif mutation == "record":
+        entries.append(draw(st.one_of(_JUNK, st.just(dict(entries[0])) if entries else _JUNK)))
+    elif mutation == "entries":
+        doc["entries"] = draw(_JUNK)
+    elif mutation == "doc":
+        doc = draw(st.one_of(_JUNK, st.lists(st.integers(), max_size=2)))
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=_documents(), command=st.sampled_from([["ybe"], ["biinv"], ["present", "bm"]]),
+       output=st.sampled_from([None, "existing", "missing"]))
+def test_fuzz_main_on_mutated_documents(doc, command, output):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "r.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = command + [path]
+        target = None
+        if output == "existing":
+            target = os.path.join(tmp, "keep.txt")
+            with open(target, "w") as fh:
+                fh.write("kept\n")
+            argv += ["-o", target]
+        elif output == "missing":
+            argv += ["-o", os.path.join(tmp, "nodir", "out.txt")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if output == "missing":
+            assert code == 2
+        if target is not None:
+            with open(target) as fh:
+                kept = fh.read() == "kept\n"
+            # a run that ends in an error leaves the target as it was; a
+            # verdict (exit 0 or 1) replaces it with the document
+            failed = err.getvalue().startswith(("usage error", "error:"))
+            assert kept == failed
+            if code == 2:
+                assert kept
+            assert out.getvalue() == ""
+            assert sorted(os.listdir(tmp)) == ["keep.txt", "r.json"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly=st.text(alphabet="u[1,2]*q^-+/() 0", max_size=24),
+       preset=st.sampled_from(["bm", "frt", "square", "chain"]))
+def test_fuzz_nf_polynomials(poly, preset):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["nf", preset, "glq2", poly])
+        except SystemExit as e:  # argparse reads a leading '-' as an option
+            code = e.code
+    assert code in (0, 2)
+    assert (out.getvalue() != "") == (code == 0)

@@ -75,6 +75,32 @@ def test_parse_rejects_unknown_generator_and_bad_syntax():
         parse_poly("1/x[1,1]", P)
 
 
+def test_parse_poly_bounds():
+    P = two_gen_presentation()
+    x = NCPoly.gen(P.roster[0], ONE)
+    depth = qs.MAX_NESTING
+    assert parse_poly("(" * depth + "x[1,1]" + ")" * depth, P) == x
+    assert parse_poly("-" * 5001 + "x[1,1]", P) == -x
+    assert parse_poly(f"(1+q)^{qs.MAX_POWER_SPAN} * x[1,1]", P) == x.scale(
+        qs.parse_scalar(f"(1+q)^{qs.MAX_POWER_SPAN}"))
+    for bad in ("(" * (depth + 1) + "x[1,1]" + ")" * (depth + 1),
+                "(" * 5000 + "x[1,1]" + ")" * 5000,
+                f"(1+q)^{qs.MAX_POWER_SPAN + 1} * x[1,1]",
+                "(1+q)^1600",
+                "2^100000",
+                "9" * 5000 + " * x[1,1]"):
+        with pytest.raises(PolyParseError):
+            parse_poly(bad, P)
+
+
+def test_parse_poly_power_over_gf_p():
+    P = two_gen_presentation().evaluate_mod(qs.mod_p(3))
+    x = NCPoly.gen(P.roster[0], P.field.one)
+    assert parse_poly("2^-3 * x[1,1]", P) == x.scale(qs.ModP(1) / qs.ModP(8))
+    with pytest.raises(PolyParseError):
+        parse_poly("0^-1", P)
+
+
 def test_presentation_rejects_bad_relations():
     P = two_gen_presentation()
     x = NCPoly.gen(P.roster[0], ONE)

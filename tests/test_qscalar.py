@@ -40,6 +40,38 @@ def test_parse_syntax_errors():
             parse_scalar(bad)
 
 
+def test_parse_power_bound():
+    bound = qs.MAX_POWER_SPAN
+    # the bound counts |e| times the degree span of the base (at least 1)
+    assert parse_scalar(f"(1+q)^{bound}") == parse_scalar("1+q") * parse_scalar(
+        f"(1+q)^{bound - 1}")
+    assert parse_scalar(f"q^-{bound}") == RatFunc.q_power(-bound)
+    # (q^2+1)/q is q + q^-1, of span 2; 1/(1+q) has span 1 in its denominator
+    assert parse_scalar(f"((q^2+1)/q)^{bound // 2}").degree_span() == bound
+    assert parse_scalar(f"(1/(1+q))^-{bound}") == parse_scalar(f"(1+q)^{bound}")
+    for bad in (f"(1+q)^{bound + 1}", "(1+q)^1600", f"q^{bound + 1}", f"2^-{bound + 1}",
+                f"((q^2+1)/q)^{bound // 2 + 1}", f"(1/(1+q))^{bound + 1}",
+                "q^" + "9" * 40):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(bad)
+
+
+def test_parse_nesting_bound():
+    depth = qs.MAX_NESTING
+    assert parse_scalar("(" * depth + "q" + ")" * depth) == qs.Q
+    for n in (depth + 1, 5000):
+        with pytest.raises(ScalarParseError):
+            parse_scalar("(" * n + "q" + ")" * n)
+    # signs are read in a loop, so long sign chains neither recurse nor fail
+    assert parse_scalar("-" * 5001 + "q") == -qs.Q
+    assert parse_scalar("+-" * 5000 + "q^2") == parse_scalar("q^2")
+
+
+def test_parse_overlong_integer_literal():
+    with pytest.raises(ScalarParseError):
+        parse_scalar("9" * 5000)
+
+
 def test_add_cancels_to_monomial():
     assert parse_scalar("q - q^-1") + parse_scalar("q^-1") == parse_scalar("q")
 

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from braidalg import qscalar as qs
-from braidalg.linalg import SingularMatrixError, dense_rank
-from braidalg.rmat import (RMatrix, RMatrixDocumentError, flip_rmatrix,
+from braidalg.bialg import sample_points
+from braidalg.linalg import SingularMatrixError, dense_inverse, dense_rank
+from braidalg.rmat import (MAX_DIM, RMatrix, RMatrixDocumentError,
+                           builtin_rmatrix, flip_rmatrix,
                            glq2_rmatrix, identity_rmatrix, invert, leg_embed,
                            load_rmatrix, partial_transpose2, save_rmatrix,
                            second_inverse, second_inverse_identities_hold,
@@ -18,6 +20,20 @@ def perturbed_rmatrix():
     entries = dict(R.entries)
     entries[(1, 2, 2, 1)] = qs.parse_scalar("1 + q")
     return RMatrix(2, entries)
+
+
+def glq_rmatrix(N):
+    """The standard GL_q(N) R-matrix, built from its defining entries."""
+    entries = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i == j:
+                entries[(i, i, i, i)] = qs.Q
+            else:
+                entries[(i, j, i, j)] = qs.ONE
+                if i < j:
+                    entries[(i, j, j, i)] = qs.Q - qs.QINV
+    return RMatrix(N, entries)
 
 
 def random_sparse(N, rng, density=0.5):
@@ -54,6 +70,30 @@ def test_document_errors():
         load_rmatrix('{"dim": 2, "entries": [{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": "zz"}]}')
     with pytest.raises(RMatrixDocumentError):
         load_rmatrix("not json")
+
+
+def test_document_rejects_bad_entries_coeff_and_dim():
+    rec = '{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": %s}'
+    for text in ('{"dim": 2, "entries": 7}',
+                 '{"dim": 2, "entries": {"i": 1}}',
+                 '{"dim": 2, "entries": [%s]}' % (rec % "5"),
+                 '{"dim": 2, "entries": [%s]}' % (rec % "null"),
+                 '{"dim": 2, "entries": [%s]}' % (rec % '["q"]'),
+                 '{"dim": %d, "entries": []}' % (MAX_DIM + 1),
+                 '{"dim": 0, "entries": []}',
+                 '{"dim": true, "entries": []}',
+                 '{"dim": 2.0, "entries": []}',
+                 '{"dim": "2", "entries": []}'):
+        with pytest.raises(RMatrixDocumentError):
+            load_rmatrix(text)
+    assert load_rmatrix('{"dim": %d, "entries": []}' % MAX_DIM).dim == MAX_DIM
+
+
+def test_builtin_dimension_bound():
+    assert builtin_rmatrix(f"identity:{MAX_DIM}").dim == MAX_DIM
+    for name in (f"identity:{MAX_DIM + 1}", "flip:1000000000", "flip:0", "identity:-2"):
+        with pytest.raises(RMatrixDocumentError):
+            builtin_rmatrix(name)
 
 
 def test_identity_and_flip_documents():
@@ -183,6 +223,67 @@ def test_invert_twice_is_identity():
             continue
         found += 1
         assert invert(Rinv) == R
+
+
+def _matmul(a, b, field):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), field.zero)
+             for j in range(n)] for i in range(n)]
+
+
+def _is_identity(m, field):
+    return all(m[i][j] == (field.one if i == j else field.zero)
+               for i in range(len(m)) for j in range(len(m)))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_dense_inverse_glq_r_and_partial_transpose(N):
+    R = glq_rmatrix(N)
+    for M in (R.as_dense(), partial_transpose2(R).as_dense()):
+        inv = dense_inverse(M, qs.QQ_Q)
+        assert _is_identity(_matmul(M, inv, qs.QQ_Q), qs.QQ_Q)
+        assert _is_identity(_matmul(inv, M, qs.QQ_Q), qs.QQ_Q)
+
+
+def test_dense_inverse_rejects_non_square():
+    with pytest.raises(ValueError):
+        dense_inverse([[qs.ONE, qs.ZERO]], qs.QQ_Q)
+
+
+@pytest.mark.parametrize("R", [glq2_rmatrix(), glq_rmatrix(3), perturbed_rmatrix()])
+def test_specialization_commutes_with_inversion(R):
+    for q0 in sample_points(R, 91, 2):
+        x = qs.mod_p(q0)
+        assert invert(R.evaluate_mod(x)) == invert(R).evaluate_mod(x)
+        assert (second_inverse(R.evaluate_mod(x))
+                == second_inverse(R).evaluate_mod(x))
+
+
+def test_dense_rank_over_both_fields():
+    q, one = qs.Q, qs.ONE
+    x = 12345
+    # rank 2 over Q(q) but rank 1 at q = x, where the rows become equal
+    m = [[one, q], [one, qs.RatFunc.from_int(x)]]
+    assert dense_rank(m, qs.QQ_Q) == 2
+    mx = [[c.evaluate_mod(x) for c in row] for row in m]
+    assert dense_rank(mx, qs.GFP) == 1
+    # rectangular, with a zero column ahead of the pivots
+    rect = [[qs.ZERO, one, q, q * q], [qs.ZERO, q, q * q, q * q * q]]
+    assert dense_rank(rect, qs.QQ_Q) == 1
+    assert dense_rank([], qs.QQ_Q) == 0
+    # the flip's partial transpose has rank 1 over either field; GL_q(3) is full
+    T, G = partial_transpose2(flip_rmatrix(3)), glq_rmatrix(3)
+    for field_of in (lambda A: A, lambda A: A.evaluate_mod(x)):
+        assert dense_rank(field_of(T).as_dense(), field_of(T).field) == 1
+        assert dense_rank(field_of(G).as_dense(), field_of(G).field) == 9
+
+
+def test_dense_inverse_singular_mod_p_only():
+    x = 12345
+    m = [[qs.ONE, qs.Q], [qs.ONE, qs.RatFunc.from_int(x)]]
+    dense_inverse(m, qs.QQ_Q)
+    with pytest.raises(SingularMatrixError):
+        dense_inverse([[c.evaluate_mod(x) for c in row] for row in m], qs.GFP)
 
 
 def test_invert_singular_raises():
