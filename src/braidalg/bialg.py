@@ -2,7 +2,9 @@
 
 The matrix coproduct sends u[i,j] to sum_k L.u[i,k] * R.u[k,j] inside the
 braided tensor square (left factor below the right factor in the monomial
-order), with counit u[i,j] -> delta_ij.  verify_bialgebra drives the whole
+order), with counit u[i,j] -> delta_ij.  Square position s is base
+generator s % n of the left factor when s < n and of the right factor
+otherwise, n being the base's generator count.  verify_bialgebra drives the whole
 claim check for a preset: Yang-Baxter and biinvertibility status of R,
 orientation of the presentation, then
 
@@ -37,7 +39,7 @@ from fractions import Fraction
 from . import presents, qscalar
 from .ideals import reduce_mod_ideal, substitute_generators
 from .linalg import SingularMatrixError
-from .ncalg import Generator, NCPoly, Presentation, format_poly, word_str
+from .ncalg import NCPoly, Presentation, format_poly, word_str
 from .presents import TensorSquare
 from .qscalar import PoleError, mod_p
 from .rewrite import OrientationError
@@ -55,8 +57,8 @@ class CoproductError(ValueError):
 class CoproductSpec:
     """Generator images in a braided tensor square, plus the counit."""
 
-    images: dict     # base generator -> NCPoly over square.presentation
-    counit: dict     # base generator -> coefficient
+    images: dict     # base position -> NCPoly over square.presentation
+    counit: dict     # base position -> coefficient
 
 
 def matrix_coproduct(P: Presentation, square: TensorSquare) -> CoproductSpec:
@@ -65,16 +67,15 @@ def matrix_coproduct(P: Presentation, square: TensorSquare) -> CoproductSpec:
         raise CoproductError("square was not built over this presentation")
     one = P.field.one
     zero = P.field.zero
+    n = P.ngens
     images = {}
     counit = {}
-    for g in P.roster:
+    for s, g in enumerate(P.roster):
         terms = {}
         for k in range(1, P.dim + 1):
-            lg = square.left[Generator(g.copy, g.row, k)]
-            rg = square.right[Generator(g.copy, k, g.col)]
-            terms[(lg, rg)] = one
-        images[g] = NCPoly(terms)
-        counit[g] = one if g.row == g.col else zero
+            terms[(P.gen(g.copy, g.row, k), n + P.gen(g.copy, k, g.col))] = one
+        images[s] = NCPoly(terms)
+        counit[s] = one if g.row == g.col else zero
     return CoproductSpec(images, counit)
 
 
@@ -116,35 +117,19 @@ def verify_homomorphism(P: Presentation, spec: CoproductSpec,
     return verdicts, warning
 
 
-def _factor_split(square: TensorSquare):
-    left_inv = {v: k for k, v in square.left.items()}
-    right_inv = {v: k for k, v in square.right.items()}
-    return left_inv, right_inv
-
-
 def _apply_counit_side(image: NCPoly, spec: CoproductSpec,
-                       square: TensorSquare, side: str, field) -> NCPoly:
+                       square: TensorSquare, side: str) -> NCPoly:
     """(eps (x) id) for side "left", (id (x) eps) for side "right"."""
-    left_inv, right_inv = _factor_split(square)
+    n = square.base.ngens
     out = NCPoly.zero()
     for w, c in image.terms.items():
         coeff = c
         word = []
-        for g in w:
-            if g in left_inv:
-                base = left_inv[g]
-                if side == "left":
-                    coeff = coeff * spec.counit[base]
-                else:
-                    word.append(base)
-            elif g in right_inv:
-                base = right_inv[g]
-                if side == "right":
-                    coeff = coeff * spec.counit[base]
-                else:
-                    word.append(base)
+        for s in w:
+            if (s < n) == (side == "left"):
+                coeff = coeff * spec.counit[s % n]
             else:
-                raise CoproductError(f"image generator {g} is in neither factor")
+                word.append(s % n)
         if coeff:
             out = out + NCPoly.term(tuple(word), coeff)
     return out
@@ -156,13 +141,13 @@ def verify_counit(P: Presentation, spec: CoproductSpec, square: TensorSquare):
     Returns (passed, detail) with detail naming the first failure.
     """
     field = P.field
-    for g in P.roster:
+    for g in range(P.ngens):
         image = spec.images[g]
-        gname = str(g)
-        lhs = _apply_counit_side(image, spec, square, "left", field)
+        gname = str(P.roster[g])
+        lhs = _apply_counit_side(image, spec, square, "left")
         if lhs != NCPoly.gen(g, field.one):
             return False, f"(eps (x) id) Delta {gname} = {format_poly(lhs, P)} != {gname}"
-        rhs = _apply_counit_side(image, spec, square, "right", field)
+        rhs = _apply_counit_side(image, spec, square, "right")
         if rhs != NCPoly.gen(g, field.one):
             return False, f"(id (x) eps) Delta {gname} = {format_poly(rhs, P)} != {gname}"
     for i, r in enumerate(P.relations):
@@ -181,38 +166,36 @@ def verify_coassoc(P: Presentation, spec: CoproductSpec, square: TensorSquare):
     """(Delta (x) id) Delta = (id (x) Delta) Delta as formal sums.
 
     Images must be sums of (left generator)*(right generator) words; the two
-    sides are expanded into the free algebra on three relabeled copies and
-    compared symbol by symbol (no relations are involved).
+    sides are expanded into the free algebra on three copies of the base,
+    leg t holding base generator i as t*n + i, and compared symbol by
+    symbol (no relations are involved).
     """
-    left_inv, right_inv = _factor_split(square)
+    n = square.base.ngens
 
     def pair_terms(g):
         image = spec.images[g]
         pairs = []
         for w, c in image.terms.items():
-            if len(w) != 2 or w[0] not in left_inv or w[1] not in right_inv:
+            if len(w) != 2 or not (w[0] < n <= w[1] < 2 * n):
                 raise CoproductError(
-                    f"image of {g} is not a sum of left*right words")
-            pairs.append((left_inv[w[0]], right_inv[w[1]], c))
+                    f"image of {P.roster[g]} is not a sum of left*right words")
+            pairs.append((w[0], w[1] - n, c))
         return pairs
 
-    def tag(g, t):
-        return Generator(f"T{t}.{g.copy}", g.row, g.col)
-
-    for g in P.roster:
+    for g in range(n):
         lhs = {}
         rhs = {}
         for a, b, c in pair_terms(g):
             for a1, a2, c2 in pair_terms(a):     # Delta applied to the left leg
-                w = (tag(a1, 1), tag(a2, 2), tag(b, 3))
+                w = (a1, n + a2, 2 * n + b)
                 lhs[w] = lhs.get(w, P.field.zero) + c * c2
             for b1, b2, c2 in pair_terms(b):     # Delta applied to the right leg
-                w = (tag(a, 1), tag(b1, 2), tag(b2, 3))
+                w = (a, n + b1, 2 * n + b2)
                 rhs[w] = rhs.get(w, P.field.zero) + c * c2
         lhs = {w: c for w, c in lhs.items() if c}
         rhs = {w: c for w, c in rhs.items() if c}
         if lhs != rhs:
-            return False, f"coassociativity fails on {g}"
+            return False, f"coassociativity fails on {P.roster[g]}"
     return True, None
 
 
@@ -246,6 +229,7 @@ class VerificationReport:
     failure: str = None
     passed: bool = False
     wall_time_s: float = 0.0           # informational; not serialized
+    square_roster: tuple = ()          # prints certificate words; not serialized
 
     def to_document(self) -> str:
         doc = {
@@ -270,8 +254,8 @@ class VerificationReport:
                     "relation": v.relation,
                     "verdict": "pass" if v.passed else "fail",
                     **({"certificate": [
-                        {"left": word_str(lw), "relation": idx,
-                         "right": word_str(rw), "coeff": str(c)}
+                        {"left": word_str(lw, self.square_roster), "relation": idx,
+                         "right": word_str(rw, self.square_roster), "coeff": str(c)}
                         for lw, idx, rw, c in v.certificate]}
                        if v.certificate is not None else {}),
                     **({"residue": v.residue} if v.residue is not None else {}),
@@ -314,8 +298,7 @@ def _evaluate_mod(x: int, P: Presentation, square: TensorSquare,
         return c.evaluate_mod(x)
 
     P_x = P.evaluate_mod(x)
-    square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x,
-                            square.left, square.right)
+    square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x)
     spec_x = CoproductSpec({g: img.map_coefficients(ev) for g, img in spec.images.items()},
                            {g: ev(c) for g, c in spec.counit.items()})
     return P_x, spec_x, square_x
@@ -430,6 +413,7 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
             v.relation = format_poly(r, P)
     else:
         verdicts, counit, coassoc, warning = _check(P, spec, square, bound, collect=True)
+        report.square_roster = square.presentation.roster
         report.square_relations = [
             format_poly(r, square.presentation) for r in square.presentation.relations]
 

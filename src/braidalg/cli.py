@@ -14,7 +14,8 @@ Subcommands:
 <R> is a builtin name (glq2, identity:N, flip:N) or a path to an R-matrix
 document.  Output is deterministic: identical invocations produce
 byte-identical documents (timings go to stderr).  Exit codes: 0 pass,
-1 computational failure or failed verdict, 2 usage error.  A document is
+1 computational failure or failed verdict, 2 usage error; a degree bound
+above MAX_DEGREE is a usage error.  A document is
 rendered in memory and emitted only when the subcommand returns; -o
 replaces its target atomically, so a failed run leaves it untouched.
 """
@@ -32,8 +33,12 @@ from . import bialg, ideals, presents, rmat
 from .linalg import SingularMatrixError
 from .ncalg import (NCAlgError, Presentation, format_poly, parse_poly)
 from .qscalar import QScalarError
-from .rewrite import OrientationError, orient_relations
+from .rewrite import OrientationError, truncated_gb
 from .rmat import RMatrixDocumentError
+
+# The largest degree bound (-D) and nf polynomial degree accepted; far
+# above any practical bound, far below what would run without end.
+MAX_DEGREE = 64
 
 CONVENTION_LINE = ("# index convention: R^{ij}_{kl}; upper indices are outputs, "
                    "index pairs flattened row-major as (i-1)*N+(j-1)")
@@ -170,19 +175,26 @@ def cmd_nf(args, out):
         p = parse_poly(args.poly, P)
     except NCAlgError as e:
         raise UsageError(f"bad polynomial: {e}") from None
-    rules = orient_relations(P)
-    residue, _ = rules.reduce(p)
+    degree = p.degree()
+    if degree > MAX_DEGREE:
+        raise UsageError(f"polynomial degree {degree} exceeds {MAX_DEGREE}")
+    gb = truncated_gb(P, max(2, degree))
+    if gb.added_rules:
+        print(f"note: completion adjoined {len(gb.added_rules)} rules "
+              f"(quadratic system not confluent)", file=sys.stderr)
+    residue, _ = gb.reduce(p)
     out.write(format_poly(residue, P) + "\n")
     return 0
 
 
-def _require_nonnegative_degree(args):
-    if args.degree < 0:
-        raise UsageError(f"degree bound must be nonnegative (got {args.degree})")
+def _require_degree_in_range(args):
+    if not 0 <= args.degree <= MAX_DEGREE:
+        raise UsageError(f"degree bound must be nonnegative and at most "
+                         f"{MAX_DEGREE} (got {args.degree})")
 
 
 def cmd_hilbert(args, out):
-    _require_nonnegative_degree(args)
+    _require_degree_in_range(args)
     R, rlabel = resolve_rmatrix(args.rmatrix)
     P = _build(args.preset, R, args.n)
     dims = ideals.hilbert_dims(P, args.degree)
@@ -200,6 +212,7 @@ def cmd_verify(args, out):
         raise UsageError("verify supports the bm and chain presets")
     if args.preset != "chain" and args.n != 1:
         raise UsageError("-n applies to the chain preset only")
+    _require_degree_in_range(args)
     if args.degree < 4:
         raise UsageError("verify needs a degree bound of at least 4 "
                          "(the coproduct of a quadratic relation is quartic)")
@@ -212,7 +225,7 @@ def cmd_verify(args, out):
 
 
 def cmd_square_iso(args, out):
-    _require_nonnegative_degree(args)
+    _require_degree_in_range(args)
     R, rlabel = resolve_rmatrix(args.rmatrix)
     rep = presents.square_iso_witness(R, args.degree)
     out.write(CONVENTION_LINE + "\n")

@@ -110,7 +110,7 @@ def _span_echelon(P: Presentation, degree: int) -> SparseEchelon:
         else:
             prev = _span_echelon(P, degree - 1)
             for row, aux in prev.canonical_with_aux():
-                for g in P.roster:
+                for g in range(P.ngens):
                     ech.insert({(g,) + w: c for w, c in row.items()},
                                aux={((g,) + lw, i, rw): c for (lw, i, rw), c in aux.items()})
                     ech.insert({w + (g,): c for w, c in row.items()},
@@ -170,8 +170,9 @@ def substitute_generators(p: NCPoly, images: dict, target: Presentation,
                           bound=None, reduce=False) -> NCPoly:
     """Multiplicative extension of a generator-image map.
 
-    images maps each generator to an NCPoly over the target presentation.
-    With reduce=True the result is taken to normal form in the target;
+    images maps each generator position to an NCPoly over the target
+    presentation.  With reduce=True the result is taken to its canonical
+    normal form in the target, through the completion at its degree;
     otherwise it is returned raw (as needed for membership checking).
     """
     one = target.field.one
@@ -181,13 +182,12 @@ def substitute_generators(p: NCPoly, images: dict, target: Presentation,
         for g in w:
             img = images.get(g)
             if img is None:
-                raise MissingImageError(f"no image for generator {g}")
+                raise MissingImageError(f"no image for generator position {g}")
             prod = prod * img
         out = out + prod.scale(c)
     if bound is not None and out.degree() > bound:
         raise ValueError(f"substituted degree {out.degree()} exceeds bound {bound}")
     if reduce:
-        from .rewrite import orient_relations
-        residue, _ = orient_relations(target).reduce(out)
+        residue, _ = truncated_gb(target, max(2, out.degree())).reduce(out)
         return residue
     return out

@@ -2,14 +2,17 @@
 
 Generators are matrix entries: a copy label (such as "u", "u2", or a
 tensor-factor tag like "L.u") together with a row and column index, printed
-label[row,col].  A monomial is a word, i.e. a tuple of generators; the
-empty word is the unit.  A polynomial is a dict {word: coefficient} with no
-zero coefficients stored.
+label[row,col].  A presentation lists its generators in a roster, and a
+monomial is a word: a tuple of roster positions (ints); the empty word is
+the unit.  Generator objects appear only where text is parsed or printed.
+A polynomial is a dict {word: coefficient} with no zero coefficients
+stored.
 
-The monomial order is degree-lexicographic: longer words are larger, and
-words of equal length compare by generator precedence, which is roster
-position.  Builders list later chain copies (and the right tensor factor)
-after earlier ones, so "later copy passes earlier copy" words are leading.
+The monomial order is degree-lexicographic with key (len(word), word):
+longer words are larger, and words of equal length compare as tuples of
+roster positions.  Builders list later chain copies (and the right tensor
+factor) after earlier ones, so "later copy passes earlier copy" words are
+leading.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -45,8 +48,8 @@ class Generator(NamedTuple):
 EMPTY_WORD = ()
 
 
-def word_str(word) -> str:
-    return "*".join(str(g) for g in word) if word else "1"
+def word_str(word, roster) -> str:
+    return "*".join(str(roster[g]) for g in word) if word else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,7 @@ class NCPoly:
         return cls._raw({EMPTY_WORD: one})
 
     @classmethod
-    def gen(cls, g: Generator, one):
+    def gen(cls, g: int, one):
         return cls._raw({(g,): one})
 
     @classmethod
@@ -175,7 +178,7 @@ class NCPoly:
     def __repr__(self):
         if not self.terms:
             return "NCPoly(0)"
-        body = " + ".join(f"({c})*{word_str(w)}" for w, c in self.terms.items())
+        body = " + ".join(f"({c})*{w}" for w, c in self.terms.items())
         return f"NCPoly({body})"
 
 
@@ -184,24 +187,17 @@ class NCPoly:
 # ---------------------------------------------------------------------------
 
 class DegLexOrder:
-    """Degree-lexicographic order with precedence by roster position."""
+    """Degree-lexicographic order on words of roster positions."""
 
-    __slots__ = ("precedence",)
-
-    def __init__(self, roster):
-        self.precedence = {g: i for i, g in enumerate(roster)}
+    __slots__ = ()
 
     def key(self, word):
-        prec = self.precedence
-        return (len(word), tuple(prec[g] for g in word))
+        return (len(word), word)
 
     def leading_word(self, p: NCPoly):
         if not p.terms:
             return None
         return max(p.terms, key=self.key)
-
-    def sorted_words(self, words, reverse=True):
-        return sorted(words, key=self.key, reverse=reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +218,11 @@ class Presentation:
         self.roster = tuple(roster)
         if len(set(self.roster)) != len(self.roster):
             raise NCAlgError("duplicate generators in roster")
+        self.positions = {g: i for i, g in enumerate(self.roster)}
         self.field = field
         self.name = name
-        self.order = DegLexOrder(self.roster)
-        gens = set(self.roster)
+        self.order = DegLexOrder()
+        gens = set(range(len(self.roster)))
         for r in relations:
             if not r.is_homogeneous(2):
                 raise NCAlgError("relations must be homogeneous of degree 2")
@@ -243,14 +240,12 @@ class Presentation:
     def ngens(self):
         return len(self.roster)
 
-    def gen(self, copy, row, col) -> Generator:
+    def gen(self, copy, row, col) -> int:
+        """The roster position of copy[row,col]."""
         g = Generator(copy, row, col)
-        if g not in self.order.precedence:
+        if g not in self.positions:
             raise NCAlgError(f"{g} is not a roster generator")
-        return g
-
-    def poly(self, terms) -> NCPoly:
-        return NCPoly(terms)
+        return self.positions[g]
 
     def evaluate_mod(self, x) -> "Presentation":
         """The specialization q -> x in GF(p), x a residue mod p; raises
@@ -266,15 +261,13 @@ class Presentation:
         return P
 
     def relabel(self, mapping, name=None) -> "Presentation":
-        """New presentation with copy labels renamed by mapping (a dict)."""
-        def m(g):
-            return Generator(mapping.get(g.copy, g.copy), g.row, g.col)
-
-        roster = [m(g) for g in self.roster]
-        rels = [NCPoly({tuple(m(g) for g in w): c for w, c in r.terms.items()})
-                for r in self.relations]
-        return Presentation(self.dim, roster, rels, self.field,
-                            self.name if name is None else name, prune=False)
+        """New presentation with copy labels renamed by mapping (a dict);
+        relation words are positions, so the relations are kept as they are."""
+        roster = [Generator(mapping.get(g.copy, g.copy), g.row, g.col) for g in self.roster]
+        P = Presentation(self.dim, roster, self.relations, self.field,
+                         self.name if name is None else name, prune=False)
+        P.pruned = self.pruned
+        return P
 
     def __repr__(self):
         return (f"Presentation({self.name or 'anonymous'}: {self.ngens} generators, "
@@ -326,10 +319,10 @@ class _PolyParser(DescentParser):
 
     error = PolyParseError
 
-    def __init__(self, text, roster, field):
+    def __init__(self, text, presentation):
         super().__init__(_poly_tokenize(text), text)
-        self.field = field
-        self.gens = {(g.copy, g.row, g.col): g for g in roster}
+        self.field = presentation.field
+        self.positions = presentation.positions
 
     def divide(self, v, w):
         c = _as_scalar(w, self.field)
@@ -362,7 +355,7 @@ class _PolyParser(DescentParser):
             self.expect(",")
             col = self.expect("int")[1]
             self.expect("]")
-            g = self.gens.get((val, row, col))
+            g = self.positions.get(Generator(val, row, col))
             if g is None:
                 raise PolyParseError(f"unknown generator {val}[{row},{col}]")
             return NCPoly.gen(g, self.field.one)
@@ -380,31 +373,26 @@ def _as_scalar(p: NCPoly, field):
 
 
 def parse_poly(text: str, presentation: Presentation) -> NCPoly:
-    return _PolyParser(text, presentation.roster, presentation.field).parse()
+    return _PolyParser(text, presentation).parse()
 
 
-def format_coeff(c) -> str:
-    return str(c)
-
-
-def _term_str(word, c, field):
+def _term_str(word, c, presentation):
     """One term as (sign, body) with the sign split off for joining."""
-    cs = format_coeff(c)
+    cs = str(c)
     neg = cs.startswith("-")
-    if neg:
-        cs_abs = format_coeff(-c)
-    else:
-        cs_abs = cs
+    cs_abs = str(-c) if neg else cs
     if not word:
         body = cs_abs if _scalar_is_simple(cs_abs) else f"({cs_abs})"
         return neg, body
-    if c == field.one:
-        return False, word_str(word)
-    if c == -field.one:
-        return True, word_str(word)
+    one = presentation.field.one
+    ws = word_str(word, presentation.roster)
+    if c == one:
+        return False, ws
+    if c == -one:
+        return True, ws
     if not _scalar_is_simple(cs_abs):
         cs_abs = f"({cs_abs})"
-    return neg, f"{cs_abs} * {word_str(word)}"
+    return neg, f"{cs_abs} * {ws}"
 
 
 def _scalar_is_simple(s: str) -> bool:
@@ -416,11 +404,9 @@ def format_poly(p: NCPoly, presentation: Presentation) -> str:
     """Deterministic rendering: terms in descending monomial order."""
     if not p.terms:
         return "0"
-    field = presentation.field
-    order = presentation.order
     parts = []
-    for w in order.sorted_words(p.terms):
-        neg, body = _term_str(w, p.terms[w], field)
+    for w in sorted(p.terms, key=presentation.order.key, reverse=True):
+        neg, body = _term_str(w, p.terms[w], presentation)
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

@@ -3,7 +3,9 @@
 All relation blocks are index expansions of products of N^2 x N^2 matrices:
 scalar factors come from leg embeddings of the R-matrix (so the index
 convention has a single source), generator factors are the matrices u1 =
-u (x) 1 and u2 = 1 (x) u with noncommutative entries.  A block is the
+u (x) 1 and u2 = 1 (x) u with noncommutative entries.  A copy of u is
+named by its offset in the roster: entry u[i,j] is the roster position
+offset + (i-1)*N + (j-1).  A block is the
 entrywise difference of two such products, enumerated row-major over the
 free indices; zero and linearly dependent relations are pruned before
 storage, so equal spans store equal relation lists.
@@ -48,8 +50,9 @@ def _scalar_matrix(R: RMatrix, legs):
     return m
 
 
-def _gen_matrix(copy: str, leg: int, N: int, one):
-    """u1 = u (x) 1 (leg 1) or u2 = 1 (x) u (leg 2) with entries u[i,j]."""
+def _gen_matrix(offset: int, leg: int, N: int, one):
+    """u1 = u (x) 1 (leg 1) or u2 = 1 (x) u (leg 2) for the copy of u at
+    offset in the roster."""
     size = N * N
     m = [[NCPoly.zero()] * size for _ in range(size)]
     for i in range(1, N + 1):
@@ -58,10 +61,10 @@ def _gen_matrix(copy: str, leg: int, N: int, one):
                 for l in range(1, N + 1):
                     if leg == 1 and j == l:
                         m[_flat(i, j, N)][_flat(k, l, N)] = \
-                            NCPoly.gen(Generator(copy, i, k), one)
+                            NCPoly.gen(offset + _flat(i, k, N), one)
                     elif leg == 2 and i == k:
                         m[_flat(i, j, N)][_flat(k, l, N)] = \
-                            NCPoly.gen(Generator(copy, j, l), one)
+                            NCPoly.gen(offset + _flat(j, l, N), one)
     return m
 
 
@@ -111,18 +114,19 @@ def matrix_roster(copy: str, N: int):
 # relation blocks
 # ---------------------------------------------------------------------------
 
-def self_block(R: RMatrix, copy: str):
-    """R21 u1 R u2 - u2 R21 u1 R for one copy of braided matrices."""
+def self_block(R: RMatrix, offset: int = 0):
+    """R21 u1 R u2 - u2 R21 u1 R for the copy of braided matrices at offset."""
     one = R.field.one
     r = _scalar_matrix(R, (1, 2))
     r21 = _scalar_matrix(R, (2, 1))
-    u1 = _gen_matrix(copy, 1, R.dim, one)
-    u2 = _gen_matrix(copy, 2, R.dim, one)
+    u1 = _gen_matrix(offset, 1, R.dim, one)
+    u2 = _gen_matrix(offset, 2, R.dim, one)
     return _block([r21, u1, r, u2], [u2, r21, u1, r])
 
 
-def cross_block(R: RMatrix, v_copy: str, u_copy: str, form="r21"):
-    """Exchange block between a higher copy v and a lower copy u.
+def cross_block(R: RMatrix, v_offset: int, u_offset: int, form="r21"):
+    """Exchange block between a higher copy v and a lower copy u, each
+    given by its roster offset.
 
     form "r21":        R21 v1 R u2 = u2 R21 v1 R   (chain cross relations)
     form "statistics": R^-1 v1 R u2 = u2 R^-1 v1 R (braid statistics)
@@ -132,8 +136,8 @@ def cross_block(R: RMatrix, v_copy: str, u_copy: str, form="r21"):
     one = R.field.one
     N = R.dim
     r = _scalar_matrix(R, (1, 2))
-    v1 = _gen_matrix(v_copy, 1, N, one)
-    u2 = _gen_matrix(u_copy, 2, N, one)
+    v1 = _gen_matrix(v_offset, 1, N, one)
+    u2 = _gen_matrix(u_offset, 2, N, one)
     if form == "r21":
         r21 = _scalar_matrix(R, (2, 1))
         return _block([r21, v1, r, u2], [u2, r21, v1, r])
@@ -156,8 +160,8 @@ def frt_algebra(R: RMatrix) -> Presentation:
     invert(R)  # singular R is an error
     one = R.field.one
     r = _scalar_matrix(R, (1, 2))
-    t1 = _gen_matrix("t", 1, R.dim, one)
-    t2 = _gen_matrix("t", 2, R.dim, one)
+    t1 = _gen_matrix(0, 1, R.dim, one)
+    t2 = _gen_matrix(0, 2, R.dim, one)
     rels = _block([r, t1, t2], [t2, t1, r])
     return Presentation(R.dim, matrix_roster("t", R.dim), rels,
                         field=R.field, name="frt")
@@ -166,18 +170,18 @@ def frt_algebra(R: RMatrix) -> Presentation:
 def braided_matrices(R: RMatrix, copy: str = "u", name: str = "bm") -> Presentation:
     """Braided matrices B(R): generators u, relations R21 u1 R u2 = u2 R21 u1 R."""
     invert(R)
-    return Presentation(R.dim, matrix_roster(copy, R.dim), self_block(R, copy),
+    return Presentation(R.dim, matrix_roster(copy, R.dim), self_block(R),
                         field=R.field, name=name)
 
 
 @dataclass
 class TensorSquare:
-    """A braided tensor square with its coproduct target metadata."""
+    """A braided tensor square of base: square position s < base.ngens is
+    base generator s in the left factor, and s + base.ngens is base
+    generator s in the right factor."""
 
     presentation: Presentation
     base: Presentation
-    left: dict    # base generator -> left-factor generator
-    right: dict   # base generator -> right-factor generator
 
 
 def _copy_labels(P: Presentation):
@@ -203,21 +207,20 @@ def braided_tensor_square(base: Presentation, R: RMatrix,
         expected.extend(matrix_roster(c, base.dim))
     if list(base.roster) != expected:
         raise ValueError("base roster is not a row-major matrix roster")
-    lmap = {c: f"{left_label}.{c}" for c in labels}
-    rmap = {c: f"{right_label}.{c}" for c in labels}
-    left = base.relabel(lmap)
-    right = base.relabel(rmap)
-    roster = list(left.roster) + list(right.roster)
-    rels = list(left.relations) + list(right.relations)
-    for cv in labels:
-        for cu in labels:
-            rels.extend(cross_block(R, rmap[cv], lmap[cu], form="statistics"))
+    n = base.ngens
+    roster = [Generator(f"{t}.{g.copy}", g.row, g.col)
+              for t in (left_label, right_label) for g in base.roster]
+    rels = list(base.relations)
+    rels.extend(NCPoly({tuple(g + n for g in w): c for w, c in r.terms.items()})
+                for r in base.relations)
+    offsets = range(0, n, base.dim * base.dim)
+    for v in offsets:
+        for u in offsets:
+            rels.extend(cross_block(R, n + v, u, form="statistics"))
     P = Presentation(base.dim, roster, rels, field=base.field,
                      name=f"square({base.name})" if base.name else "square")
     orient_relations(P)  # fail fast when the statistics block is singular
-    lgen = {g: Generator(lmap[g.copy], g.row, g.col) for g in base.roster}
-    rgen = {g: Generator(rmap[g.copy], g.row, g.col) for g in base.roster}
-    return TensorSquare(P, base, lgen, rgen)
+    return TensorSquare(P, base)
 
 
 def braided_chain(R: RMatrix, n: int) -> Presentation:
@@ -227,13 +230,13 @@ def braided_chain(R: RMatrix, n: int) -> Presentation:
     invert(R)
     roster = []
     rels = []
-    labels = [f"u{i}" for i in range(1, n + 1)]
-    for c in labels:
-        roster.extend(matrix_roster(c, R.dim))
-        rels.extend(self_block(R, c))
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            rels.extend(cross_block(R, labels[i - 1], labels[j - 1], form="r21"))
+    size = R.dim * R.dim
+    for i in range(n):
+        roster.extend(matrix_roster(f"u{i + 1}", R.dim))
+        rels.extend(self_block(R, i * size))
+    for i in range(n):
+        for j in range(i):
+            rels.extend(cross_block(R, i * size, j * size, form="r21"))
     P = Presentation(R.dim, roster, rels, field=R.field, name=f"chain{n}")
     if n > 1:
         orient_relations(P)  # fail fast when a cross block is singular

@@ -20,6 +20,7 @@ work in GF(PRIME) with ModP elements.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 
@@ -40,6 +41,17 @@ class PoleError(QScalarError, ZeroDivisionError):
 
 
 PRIME = 2 ** 61 - 1
+
+
+def int_str(n: int) -> str:
+    """Decimal text of n.  Every integer printed here goes through this: an
+    integer beyond the interpreter's int-to-str digit limit is refused
+    with a QScalarError, not a ValueError."""
+    try:
+        return str(n)
+    except ValueError:
+        raise QScalarError(f"cannot print an integer of more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +269,10 @@ class LaurentPoly:
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
             if e == 0:
-                body = str(abs(c))
+                body = int_str(abs(c))
             else:
-                qpow = "q" if e == 1 else f"q^{e}"
-                body = qpow if abs(c) == 1 else f"{abs(c)}*{qpow}"
+                qpow = "q" if e == 1 else f"q^{int_str(e)}"
+                body = qpow if abs(c) == 1 else f"{int_str(abs(c))}*{qpow}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -499,7 +511,7 @@ class ModP:
     def __str__(self):
         # the representative of least absolute value
         v = self.v
-        return str(v - PRIME if v > PRIME // 2 else v)
+        return int_str(v - PRIME if v > PRIME // 2 else v)
 
     def __repr__(self):
         return f"ModP({self})"

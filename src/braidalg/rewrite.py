@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from operator import neg
 
 from .linalg import SparseEchelon
 from .ncalg import NCPoly, Presentation, word_str
@@ -55,7 +56,7 @@ class Rule:
         return NCPoly.term(self.lhs, one) - self.rhs
 
     def __repr__(self):
-        return f"Rule({word_str(self.lhs)} -> ...)"
+        return f"Rule({self.lhs} -> ...)"
 
 
 class RewriteSystem:
@@ -63,7 +64,6 @@ class RewriteSystem:
 
     def __init__(self, presentation: Presentation, rules):
         self.presentation = presentation
-        self.order = presentation.order
         self.rules = {}
         self.lengths = ()
         self._redex_cache = {}
@@ -110,15 +110,14 @@ class RewriteSystem:
         """
         terms = dict(p.terms)
         steps = [] if collect else None
-        key = self.order.key
-        # lazy-deletion max-heap over reducible words
+        # lazy-deletion max-heap over reducible words: the min-heap key
+        # (-len(w), -w) is the deg-lex key (len(w), w) negated
         heap = []
-        seq = itertools.count()
         for w in terms:
             if self.find_redex(w):
-                heapq.heappush(heap, (_negkey(key(w)), next(seq), w))
+                heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
         while heap:
-            _, _, w = heapq.heappop(heap)
+            w = heapq.heappop(heap)[2]
             c = terms.get(w)
             if not c:
                 continue
@@ -137,7 +136,7 @@ class RewriteSystem:
                 if s:
                     terms[nw] = s
                     if not had and self.find_redex(nw):
-                        heapq.heappush(heap, (_negkey(key(nw)), next(seq), nw))
+                        heapq.heappush(heap, (-len(nw), tuple(map(neg, nw)), nw))
                 else:
                     terms.pop(nw, None)
             if collect:
@@ -146,8 +145,7 @@ class RewriteSystem:
 
     def normal_words(self, degree):
         """All words of the given degree containing no rule left side."""
-        gens = self.presentation.roster
-        maxlen = self.lengths[-1] if self.lengths else 0
+        gens = range(self.presentation.ngens)
         out = []
 
         def extend(word, d):
@@ -160,29 +158,19 @@ class RewriteSystem:
                     continue
                 extend(w2, d + 1)
 
-        if maxlen == 0:
-            # free algebra
-            def free(word, d):
-                if d == degree:
-                    out.append(word)
-                    return
-                for g in gens:
-                    free(word + (g,), d + 1)
-            free((), 0)
-        else:
-            extend((), 0)
+        extend((), 0)
         return out
 
     def count_normal_words(self, degree):
         if not self.lengths:
-            return len(self.presentation.roster) ** degree
+            return self.presentation.ngens ** degree
         if self.lengths == (2,):
             return self._count_quadratic(degree)
         return len(self.normal_words(degree))
 
     def _count_quadratic(self, degree):
         # transfer-matrix count: normal words are walks avoiding bad pairs
-        gens = self.presentation.roster
+        gens = range(self.presentation.ngens)
         if degree == 0:
             return 1
         vec = {g: 1 for g in gens}
@@ -197,11 +185,6 @@ class RewriteSystem:
                     nxt[g] = n
             vec = nxt
         return sum(vec.values())
-
-
-def _negkey(k):
-    length, prec = k
-    return (-length, tuple(-x for x in prec))
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +223,16 @@ def orient_relations(P: Presentation) -> RewriteSystem:
     copy_rank = {}
     for g in P.roster:
         copy_rank.setdefault(g.copy, len(copy_rank))
+    rank = [copy_rank[g.copy] for g in P.roster]
     rules = []
     for i, row in enumerate(rows):
         lead = max(row, key=order.key)
         g, h = lead
-        if copy_rank[g.copy] < copy_rank[h.copy] and lead not in source_leads:
+        if rank[g] < rank[h] and lead not in source_leads:
             raise OrientationError(
                 f"cannot orient for this order: exchange coefficient matrix "
                 f"is singular (forced a rule for the ascending cross-copy "
-                f"word {word_str(lead)})")
+                f"word {word_str(lead, P.roster)})")
         rhs = NCPoly({w: -c for w, c in row.items() if w != lead})
         prov = ((((), i, (), P.field.one),) if P.pruned
                 else _provenance_for(row, lead, P))
@@ -302,7 +286,6 @@ class TruncatedGB:
         base = orient_relations(P)
         self.rs = RewriteSystem(P, list(base))
         self.added_rules = []
-        key = P.order.key
         pending = []
         seq = itertools.count()
 
@@ -312,7 +295,7 @@ class TruncatedGB:
                 if r1.lhs[n1 - ell:] == r2.lhs[:ell]:
                     w = r1.lhs + r2.lhs[ell:]
                     if len(w) <= bound:
-                        heapq.heappush(pending, (len(w), key(w), next(seq), w, r1, r2, ell))
+                        heapq.heappush(pending, (len(w), w, next(seq), r1, r2))
 
         # the oriented rules are quadratic, so r1 overlaps r2 exactly when
         # r1's last generator is r2's first; pairs are enqueued in the
@@ -325,7 +308,7 @@ class TruncatedGB:
             for r2 in by_first.get(r1.lhs[1], ()):
                 enqueue(r1, r2)
         while pending:
-            _, _, _, w, r1, r2, ell = heapq.heappop(pending)
+            _, w, _, r1, r2 = heapq.heappop(pending)
             one = P.field.one
             suffix = w[len(r1.lhs):]
             prefix = w[:len(w) - len(r2.lhs)]

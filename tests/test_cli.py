@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidalg import qscalar as qs
-from braidalg.cli import (format_presentation_document, main,
+from braidalg.cli import (MAX_DEGREE, format_presentation_document, main,
                           parse_presentation_document)
+from braidalg.ncalg import NCPoly, format_poly
+from braidalg.presents import braided_matrices
+from braidalg.rewrite import truncated_gb
 from braidalg.rmat import RMatrix, glq2_rmatrix, load_rmatrix, save_rmatrix
 
 
@@ -150,17 +153,60 @@ def test_square_iso(capsys):
 
 
 def test_hilbert_negative_bound_is_usage_error(capsys):
-    code, out, err = run(capsys, "hilbert", "bm", "glq2", "-D", "-3")
-    assert code == 2
-    assert out == ""
-    assert "usage error" in err and "nonnegative" in err
+    for degree in ("-3", "1000000"):
+        code, out, err = run(capsys, "hilbert", "bm", "glq2", "-D", degree)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "nonnegative" in err
 
 
 def test_square_iso_negative_bound_is_usage_error(capsys):
-    code, out, err = run(capsys, "square-iso", "glq2", "-D", "-1")
-    assert code == 2
-    assert out == ""
-    assert "usage error" in err and "nonnegative" in err
+    for degree in ("-1", "1000000"):
+        code, out, err = run(capsys, "square-iso", "glq2", "-D", degree)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "nonnegative" in err
+
+
+def test_degree_over_the_bound_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "bm", "glq2", "-D", str(MAX_DEGREE + 1))
+    assert code == 2 and out == "" and f"at most {MAX_DEGREE}" in err
+    poly = "*".join(["u[1,1]"] * (MAX_DEGREE + 1))
+    code, out, err = run(capsys, "nf", "bm", "glq2", poly)
+    assert code == 2 and out == "" and f"exceeds {MAX_DEGREE}" in err
+    code, out, _ = run(capsys, "nf", "bm", "glq2", "*".join(["u[1,1]"] * 8))
+    assert code == 0 and out == "*".join(["u[1,1]"] * 8) + "\n"
+
+
+def test_nf_is_canonical_on_non_confluent_input(capsys, perturbed_doc):
+    # over the perturbed R, completion adjoins a cubic rule to bm; lhs - rhs
+    # of that rule lies in the ideal, so its canonical normal form is 0
+    P = braided_matrices(load_rmatrix(open(perturbed_doc).read()))
+    rule = truncated_gb(P, 3).added_rules[0]
+    assert format_poly(NCPoly.term(rule.lhs, qs.ONE), P) == "u[1,1]*u[1,1]*u[2,2]"
+    code, out, err = run(capsys, "nf", "bm", perturbed_doc,
+                         format_poly(rule.element(qs.ONE), P))
+    assert code == 0 and out == "0\n"
+    assert err.count("note:") == 1 and "completion adjoined" in err
+
+
+def test_unprintable_integer_is_an_error(tmp_path, capsys):
+    # a 3000-digit coefficient parses, but the Yang-Baxter residue has more
+    # digits than the interpreter prints; that is an error, not a traceback
+    R = glq2_rmatrix()
+    big = RMatrix(2, dict(R.entries) | {(1, 1, 1, 1): qs.parse_scalar("7" * 3000)})
+    path = tmp_path / "big.json"
+    path.write_text(save_rmatrix(big))
+    code, out, err = run(capsys, "ybe", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: QScalarError") and err.count("\n") == 1
+    assert "Traceback" not in err
+    keep = tmp_path / "keep.txt"
+    keep.write_text("kept\n")
+    code, out, err = run(capsys, "ybe", str(path), "-o", str(keep))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert keep.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["big.json", "keep.txt"]
 
 
 def test_unknown_rmatrix_is_usage_error(capsys):

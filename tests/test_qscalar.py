@@ -211,3 +211,12 @@ def test_mod_p_rejects_denominators_divisible_by_p():
         assert qs.mod_p(Fraction(3, 2)) == 5
         with pytest.raises(PoleError):
             qs.mod_p(Fraction(3, 14))
+
+
+def test_printing_an_integer_beyond_the_digit_limit_is_a_qscalar_error():
+    huge = 10 ** 5000
+    for value in (LaurentPoly({0: huge}), LaurentPoly({3: -huge}),
+                  RatFunc(LaurentPoly({1: 1}), LaurentPoly({0: huge, 1: 1}))):
+        with pytest.raises(qs.QScalarError):
+            str(value)
+    assert str(LaurentPoly({0: 10 ** 4000, 2: -1})) == "1" + "0" * 4000 + " - q^2"
