@@ -22,11 +22,10 @@ from .ncalg import (DegLexOrder, Generator, NCAlgError, NCPoly, PolyParseError,
                     Presentation, RosterMismatchError, format_poly, parse_poly,
                     word_str)
 from .rewrite import (OrientationError, RewriteSystem, Rule, TruncatedGB,
-                      normal_form, orient_relations, truncated_gb)
+                      orient_relations, truncated_gb)
 from .ideals import (MembershipCertificate, MissingImageError, hilbert_dims,
-                     ideal_membership, ideal_membership_sampled,
-                     reduce_mod_ideal, relation_span_equal, span_rank,
-                     substitute_generators)
+                     ideal_membership, reduce_mod_ideal,
+                     relation_span_equal, span_rank, substitute_generators)
 from .presents import (SquareIsoReport, TensorSquare, braided_chain,
                        braided_matrices, braided_tensor_square, build_preset,
                        cross_block, frt_algebra, matrix_roster,

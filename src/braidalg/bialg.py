@@ -158,7 +158,7 @@ def verify_counit(P: Presentation, spec: CoproductSpec, square: TensorSquare):
                 v = v * spec.counit[g]
             total = total + v
         if total:
-            return False, f"eps(relation {i}) = {field.to_str(total)} != 0"
+            return False, f"eps(relation {i}) = {total} != 0"
     return True, None
 
 
@@ -291,8 +291,8 @@ def _evaluate_mod(x: int, P: Presentation, square: TensorSquare,
                   spec: CoproductSpec):
     """(P, spec, square) specialized at q = x in GF(p).
 
-    Relations are specialized in place, never re-solved, so verdicts stay
-    aligned with the symbolic relation list.
+    Specialized relations keep the order of the symbolic relation list
+    (Presentation.evaluate_mod), so verdicts stay aligned with it.
     """
     def ev(c):
         return c.evaluate_mod(x)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .linalg import SparseEchelon
 from .ncalg import NCAlgError, NCPoly, Presentation, RosterMismatchError
-from .qscalar import mod_p
 from .rewrite import accumulate_terms, sorted_terms, truncated_gb
 
 
@@ -74,20 +73,6 @@ def ideal_membership(p: NCPoly, P: Presentation, bound: int, method="rewrite"):
     if method == "span":
         return _membership_by_span(p, P, bound)
     raise ValueError(f"unknown method {method!r}")
-
-
-def ideal_membership_sampled(p: NCPoly, P: Presentation, bound: int, points):
-    """Membership tested at rational values of q, each taken into GF(p) as
-    n * d^-1 mod p for q0 = n/d.  Fast but NON-CERTIFYING: agreement at
-    finitely many points does not prove membership over Q(q).  Raises
-    PoleError at a point that is a pole mod p.  Returns a bare bool."""
-    for q0 in points:
-        x = mod_p(q0)
-        pq = p.map_coefficients(lambda c: c.evaluate_mod(x))
-        residue, _, _ = reduce_mod_ideal(pq, P.evaluate_mod(x), bound, collect=False)
-        if not residue.is_zero():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exact linear algebra over a coefficient field: sparse reduced echelon
 forms and dense Gauss-Jordan elimination.
 
-Both engines work over any exact field whose elements support + - * /
-and truth-testing: Q(q) (RatFunc) in symbolic mode and GF(p) (ModP) in
-sampled mode.
+Both engines work over any exact field whose elements support + - * /,
+inverse(), truth-testing and comparison with the integer 1: Q(q)
+(RatFunc) in symbolic mode and GF(p) (ModP) in sampled mode.
 
 The sparse engine keeps rows as dicts keyed by arbitrary hashable column
 labels, ordered by a caller-supplied key function (the column with the
@@ -19,7 +19,7 @@ field elimination stays exact with no fraction-free bookkeeping.
 
 from __future__ import annotations
 
-from .qscalar import QQ_Q, RatFunc
+from .qscalar import QQ_Q
 
 
 class SingularMatrixError(ValueError):
@@ -47,9 +47,6 @@ class SparseEchelon:
     def __init__(self, key):
         self.key = key          # column label -> sort key; max key = pivot
         self.rows = {}          # pivot label -> (monic row dict, aux dict)
-
-    def __len__(self):
-        return len(self.rows)
 
     @property
     def rank(self):
@@ -93,8 +90,8 @@ class SparseEchelon:
             return None
         lead = self._lead(row)
         c = row[lead]
-        if not _is_one(c):
-            inv = _field_one(c) / c
+        if c != 1:
+            inv = c.inverse()
             row = {k: v * inv for k, v in row.items()}
             if aux is not None:
                 aux = {k: v * inv for k, v in aux.items()}
@@ -114,19 +111,6 @@ class SparseEchelon:
 
     def canonical_with_aux(self):
         return [self.rows[p] for p in sorted(self.rows, key=self.key, reverse=True)]
-
-
-def _is_one(c):
-    try:
-        return c.is_one()
-    except AttributeError:
-        return c == 1
-
-
-def _field_one(c):
-    if isinstance(c, RatFunc):
-        return RatFunc.from_int(1)
-    return type(c)(1)
 
 
 # ---------------------------------------------------------------------------

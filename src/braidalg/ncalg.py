@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qscalar import GFP, QQ_Q, DescentParser, bounded_pow, read_int
+from .qscalar import GFP, Q, QQ_Q, DescentParser, bounded_pow, read_int
 
 
 class NCAlgError(ValueError):
@@ -207,13 +207,13 @@ class DegLexOrder:
 class Presentation:
     """Generator roster plus homogeneous quadratic relation set.
 
-    relations are stored as the canonical reduced echelon basis of their
-    span (monic leading words, fully reduced), ordered by descending
-    leading word, so equal spans give equal stored relation lists.  With
-    prune=False they are stored as given, and pruned is False.
+    relations are always stored as the canonical reduced echelon basis of
+    their span (monic leading words, fully reduced), ordered by descending
+    leading word, so equal spans give equal stored relation lists;
+    source_relations keeps the nonzero relations as given.
     """
 
-    def __init__(self, dim, roster, relations, field=QQ_Q, name="", prune=True):
+    def __init__(self, dim, roster, relations, field=QQ_Q, name=""):
         self.dim = dim
         self.roster = tuple(roster)
         if len(set(self.roster)) != len(self.roster):
@@ -229,10 +229,9 @@ class Presentation:
             if not r.generators() <= gens:
                 raise NCAlgError("relation uses generators outside the roster")
         self.source_relations = tuple(r for r in relations if r)
-        self.pruned = prune
-        if prune:
-            self.relations = tuple(_prune(self.source_relations, self.order))
-        else:
+        self.relations = tuple(_prune(self.source_relations, self.order))
+        if self.relations == self.source_relations:
+            # already canonical (a specialization): keep one copy in memory
             self.relations = self.source_relations
         self._cache = {}
 
@@ -252,22 +251,11 @@ class Presentation:
         PoleError at a pole of a relation coefficient.
 
         Specialization keeps every monic leading term and every zero, so
-        stored relations that form the canonical echelon basis still do and
-        are not reduced again.
+        the specialized relations are still a canonical echelon basis:
+        pruning them again is a no-op, and they keep the symbolic order.
         """
         rels = [r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in self.relations]
-        P = Presentation(self.dim, self.roster, rels, GFP, self.name, prune=False)
-        P.pruned = self.pruned
-        return P
-
-    def relabel(self, mapping, name=None) -> "Presentation":
-        """New presentation with copy labels renamed by mapping (a dict);
-        relation words are positions, so the relations are kept as they are."""
-        roster = [Generator(mapping.get(g.copy, g.copy), g.row, g.col) for g in self.roster]
-        P = Presentation(self.dim, roster, self.relations, self.field,
-                         self.name if name is None else name, prune=False)
-        P.pruned = self.pruned
-        return P
+        return Presentation(self.dim, self.roster, rels, GFP, self.name)
 
     def __repr__(self):
         return (f"Presentation({self.name or 'anonymous'}: {self.ngens} generators, "
@@ -349,7 +337,7 @@ class _PolyParser(DescentParser):
             if val == "q" and self.peek() != "[":
                 if self.field is not QQ_Q:
                     raise PolyParseError("symbolic q in an evaluated-mode polynomial")
-                return NCPoly.unit(self.field.one).scale(self.field.parse("q"))
+                return NCPoly.unit(self.field.one).scale(Q)
             self.expect("[")
             row = self.expect("int")[1]
             self.expect(",")

@@ -1,14 +1,17 @@
 """Builders expanding matrix relations into concrete presentations.
 
-All relation blocks are index expansions of products of N^2 x N^2 matrices:
-scalar factors come from leg embeddings of the R-matrix (so the index
-convention has a single source), generator factors are the matrices u1 =
-u (x) 1 and u2 = 1 (x) u with noncommutative entries.  A copy of u is
-named by its offset in the roster: entry u[i,j] is the roster position
-offset + (i-1)*N + (j-1).  A block is the
-entrywise difference of two such products, enumerated row-major over the
-free indices; zero and linearly dependent relations are pruned before
-storage, so equal spans store equal relation lists.
+All relation blocks are index expansions of products of sparse operators
+on the twofold tensor space (rmat.TensorOperator), multiplied with the
+same TensorOperator.matmul that checks the Yang-Baxter equation: scalar
+factors are leg embeddings of the R-matrix (so the index convention has a
+single source) with constant polynomial entries, and generator factors
+are u1 = u (x) 1 and u2 = 1 (x) u, each with N^3 generator entries.  A
+copy of u is named by its offset in the roster: entry u[i,j] is the
+roster position offset + (i-1)*N + (j-1).  A block is the list of nonzero
+entry differences of two such products (TensorOperator.differences), in
+row-major order of the (output, input) index pairs.  Presentation stores
+the canonical echelon basis of the blocks, so equal spans store equal
+relation lists.
 
 Builders:
 
@@ -22,88 +25,43 @@ Builders:
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .ncalg import Generator, NCPoly, Presentation
 from .rewrite import orient_relations
-from .rmat import RMatrix, invert, leg_embed
+from .rmat import RMatrix, TensorOperator, invert, leg_embed
 from . import ideals
 
 
 # ---------------------------------------------------------------------------
-# matrices with noncommutative entries
+# operators with noncommutative entries
 # ---------------------------------------------------------------------------
 
-def _flat(i, j, N):
-    return (i - 1) * N + (j - 1)
-
-
-def _scalar_matrix(R: RMatrix, legs):
-    """Dense N^2 x N^2 matrix of constant polynomials from a leg embedding."""
-    N = R.dim
+def _scalars(R: RMatrix, legs) -> TensorOperator:
+    """The leg embedding of R on the twofold space, entries as constants."""
     op = leg_embed(R, legs, 2)
-    size = N * N
-    m = [[NCPoly.zero()] * size for _ in range(size)]
-    for out, row in op.rows.items():
-        for src, c in row.items():
-            m[_flat(out[0], out[1], N)][_flat(src[0], src[1], N)] = NCPoly({(): c})
-    return m
+    return TensorOperator(R.dim, 2, {out: {src: NCPoly({(): c}) for src, c in row.items()}
+                                     for out, row in op.rows.items()})
 
 
-def _gen_matrix(offset: int, leg: int, N: int, one):
+def _generators(offset: int, leg: int, N: int, one) -> TensorOperator:
     """u1 = u (x) 1 (leg 1) or u2 = 1 (x) u (leg 2) for the copy of u at
-    offset in the roster."""
-    size = N * N
-    m = [[NCPoly.zero()] * size for _ in range(size)]
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            for k in range(1, N + 1):
-                for l in range(1, N + 1):
-                    if leg == 1 and j == l:
-                        m[_flat(i, j, N)][_flat(k, l, N)] = \
-                            NCPoly.gen(offset + _flat(i, k, N), one)
-                    elif leg == 2 and i == k:
-                        m[_flat(i, j, N)][_flat(k, l, N)] = \
-                            NCPoly.gen(offset + _flat(j, l, N), one)
-    return m
-
-
-def _matmul(A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(n):
-            acc = NCPoly.zero()
-            for k in range(n):
-                a = Ai[k]
-                b = B[k][j]
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _product(factors):
-    m = factors[0]
-    for f in factors[1:]:
-        m = _matmul(m, f)
-    return m
+    offset in the roster; entry u[a,b] maps (b,c) to (a,c) on leg 1 and
+    (c,b) to (c,a) on leg 2."""
+    rows = {}
+    for a, b, c in itertools.product(range(1, N + 1), repeat=3):
+        out, src = ((a, c), (b, c)) if leg == 1 else ((c, a), (c, b))
+        rows.setdefault(out, {})[src] = NCPoly.gen(offset + (a - 1) * N + (b - 1), one)
+    return TensorOperator(N, 2, rows)
 
 
 def _block(lhs_factors, rhs_factors):
-    """Entrywise difference of two matrix products, row-major, zeros kept out."""
-    L = _product(lhs_factors)
-    R = _product(rhs_factors)
-    rels = []
-    for i in range(len(L)):
-        for j in range(len(L)):
-            d = L[i][j] - R[i][j]
-            if d:
-                rels.append(d)
-    return rels
+    """Nonzero entry differences of two operator products, row-major."""
+    lhs = functools.reduce(TensorOperator.matmul, lhs_factors)
+    rhs = functools.reduce(TensorOperator.matmul, rhs_factors)
+    return [d for _, _, d in lhs.differences(rhs)]
 
 
 def matrix_roster(copy: str, N: int):
@@ -117,10 +75,10 @@ def matrix_roster(copy: str, N: int):
 def self_block(R: RMatrix, offset: int = 0):
     """R21 u1 R u2 - u2 R21 u1 R for the copy of braided matrices at offset."""
     one = R.field.one
-    r = _scalar_matrix(R, (1, 2))
-    r21 = _scalar_matrix(R, (2, 1))
-    u1 = _gen_matrix(offset, 1, R.dim, one)
-    u2 = _gen_matrix(offset, 2, R.dim, one)
+    r = _scalars(R, (1, 2))
+    r21 = _scalars(R, (2, 1))
+    u1 = _generators(offset, 1, R.dim, one)
+    u2 = _generators(offset, 2, R.dim, one)
     return _block([r21, u1, r, u2], [u2, r21, u1, r])
 
 
@@ -135,18 +93,18 @@ def cross_block(R: RMatrix, v_offset: int, u_offset: int, form="r21"):
     """
     one = R.field.one
     N = R.dim
-    r = _scalar_matrix(R, (1, 2))
-    v1 = _gen_matrix(v_offset, 1, N, one)
-    u2 = _gen_matrix(u_offset, 2, N, one)
+    r = _scalars(R, (1, 2))
+    v1 = _generators(v_offset, 1, N, one)
+    u2 = _generators(u_offset, 2, N, one)
     if form == "r21":
-        r21 = _scalar_matrix(R, (2, 1))
+        r21 = _scalars(R, (2, 1))
         return _block([r21, v1, r, u2], [u2, r21, v1, r])
     if form == "statistics":
-        rinv = _scalar_matrix(invert(R), (1, 2))
+        rinv = _scalars(invert(R), (1, 2))
         return _block([rinv, v1, r, u2], [u2, rinv, v1, r])
     if form == "rearranged":
-        r21 = _scalar_matrix(R, (2, 1))
-        r21inv = _scalar_matrix(invert(R), (2, 1))
+        r21 = _scalars(R, (2, 1))
+        r21inv = _scalars(invert(R), (2, 1))
         return _block([v1, r, u2], [r21inv, u2, r21, v1, r])
     raise ValueError(f"unknown cross block form {form!r}")
 
@@ -159,9 +117,9 @@ def frt_algebra(R: RMatrix) -> Presentation:
     """The quantum-matrix bialgebra presentation: R t1 t2 = t2 t1 R."""
     invert(R)  # singular R is an error
     one = R.field.one
-    r = _scalar_matrix(R, (1, 2))
-    t1 = _gen_matrix(0, 1, R.dim, one)
-    t2 = _gen_matrix(0, 2, R.dim, one)
+    r = _scalars(R, (1, 2))
+    t1 = _generators(0, 1, R.dim, one)
+    t2 = _generators(0, 2, R.dim, one)
     rels = _block([r, t1, t2], [t2, t1, r])
     return Presentation(R.dim, matrix_roster("t", R.dim), rels,
                         field=R.field, name="frt")

@@ -325,9 +325,6 @@ class RatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def is_one(self):
-        return self.num.coeffs == {0: 1} and self.den.coeffs == {0: 1}
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
@@ -504,9 +501,12 @@ class ModP:
         return _modp(self.v * other.v % PRIME)
 
     def __truediv__(self, other):
-        if not other.v:
+        return self * other.inverse()
+
+    def inverse(self):
+        if not self.v:
             raise ZeroDenominatorError("division by zero in GF(p)")
-        return _modp(self.v * pow(other.v, -1, PRIME) % PRIME)
+        return _modp(pow(self.v, -1, PRIME))
 
     def __str__(self):
         # the representative of least absolute value
@@ -531,7 +531,6 @@ def _modp(v):
 class RatFuncField:
     """Field handle for Q(q) coefficients."""
 
-    name = "Q(q)"
     zero = ZERO
     one = ONE
 
@@ -539,29 +538,16 @@ class RatFuncField:
     def from_int(n):
         return RatFunc.from_int(n)
 
-    @staticmethod
-    def parse(text):
-        return parse_scalar(text)
-
-    @staticmethod
-    def to_str(c):
-        return str(c)
-
 
 class PrimeField:
     """Field handle for GF(PRIME) coefficients (sampled mode)."""
 
-    name = "GF(p)"
     zero = _modp(0)
     one = _modp(1)
 
     @staticmethod
     def from_int(n):
         return ModP(n)
-
-    @staticmethod
-    def to_str(c):
-        return str(c)
 
 
 QQ_Q = RatFuncField()

@@ -2,7 +2,8 @@
 
 orient_relations solves a homogeneous quadratic relation set for its
 leading monomials: the reduced echelon basis of the relation span (with
-respect to the presentation's monomial order) gives rules
+respect to the presentation's monomial order), which every Presentation
+stores as its relations, gives rules
 
     leading word  ->  combination of strictly smaller words,
 
@@ -29,7 +30,6 @@ import heapq
 import itertools
 from operator import neg
 
-from .linalg import SparseEchelon
 from .ncalg import NCPoly, Presentation, word_str
 
 
@@ -195,75 +195,40 @@ def orient_relations(P: Presentation) -> RewriteSystem:
     """Solve the quadratic relations for their leading monomials.
 
     The reduced echelon basis of the relation span yields one rule per
-    pivot word.  A pruned presentation stores exactly that basis, so its
-    rules are read off the stored relations, each with provenance the
-    relation itself; otherwise the span is solved here.  Cross-copy
-    relations are exchange blocks: they may only rewrite "wrong-order"
-    words (a later-copy generator passing an earlier-copy one) downwards.
-    When the exchange coefficient matrix is singular, solving the system
-    forces a rule for an ascending cross-copy word that no given relation
-    led with; that is the unsolvable case reported as OrientationError
-    (permuting the generator precedence may help).  A relation explicitly
-    written with an ascending leading word is taken at face value and
-    oriented as given.
+    pivot word.  A presentation stores exactly that basis, so the rules
+    are read off the stored relations, each with provenance the relation
+    itself.  Cross-copy relations are exchange blocks: they may only
+    rewrite "wrong-order" words (a later-copy generator passing an
+    earlier-copy one) downwards.  When the exchange coefficient matrix is
+    singular, solving the system forces a rule for an ascending cross-copy
+    word that no given relation led with; that is the unsolvable case
+    reported as OrientationError (permuting the generator precedence may
+    help).  A relation explicitly written with an ascending leading word
+    is taken at face value and oriented as given.
     """
     cached = P._cache.get("rules")
     if cached is not None:
         return cached
     order = P.order
-    source_leads = {order.leading_word(r) for r in P.source_relations if r}
-    if P.pruned:
-        rows = [r.terms for r in P.relations]
-    else:
-        ech = SparseEchelon(order.key)
-        for r in P.relations:
-            if r:
-                ech.insert(dict(r.terms))
-        rows = ech.canonical()
+    source_leads = {order.leading_word(r) for r in P.source_relations}
     copy_rank = {}
     for g in P.roster:
         copy_rank.setdefault(g.copy, len(copy_rank))
     rank = [copy_rank[g.copy] for g in P.roster]
     rules = []
-    for i, row in enumerate(rows):
-        lead = max(row, key=order.key)
+    for i, r in enumerate(P.relations):
+        lead = order.leading_word(r)
         g, h = lead
         if rank[g] < rank[h] and lead not in source_leads:
             raise OrientationError(
                 f"cannot orient for this order: exchange coefficient matrix "
                 f"is singular (forced a rule for the ascending cross-copy "
                 f"word {word_str(lead, P.roster)})")
-        rhs = NCPoly({w: -c for w, c in row.items() if w != lead})
-        prov = ((((), i, (), P.field.one),) if P.pruned
-                else _provenance_for(row, lead, P))
-        rules.append(Rule(lead, rhs, prov))
+        rhs = NCPoly({w: -c for w, c in r.terms.items() if w != lead})
+        rules.append(Rule(lead, rhs, (((), i, (), P.field.one),)))
     rs = RewriteSystem(P, rules)
     P._cache["rules"] = rs
     return rs
-
-
-def _provenance_for(row, lead, P: Presentation):
-    """Express a monic echelon row as a combination of the stored
-    relations of an unpruned presentation."""
-    order = P.order
-    for i, r in enumerate(P.relations):
-        if order.leading_word(r) == lead and dict(r.terms) == row:
-            return ((), i, (), P.field.one),
-    ech = SparseEchelon(order.key)
-    for i, r in enumerate(P.relations):
-        ech.insert(dict(r.terms), aux={i: P.field.one})
-    residue, aux = ech.reduce(dict(row), aux={})
-    if residue:
-        raise OrientationError("oriented rule escapes the stored relation span")
-    return tuple(((), i, (), -c) for i, c in sorted(aux.items()))
-
-
-def normal_form(p: NCPoly, rules: RewriteSystem, degree_cap=None) -> NCPoly:
-    """Iterated leftmost-outermost rewriting to an irreducible polynomial."""
-    if degree_cap is not None and p.degree() > degree_cap:
-        raise ValueError(f"degree {p.degree()} exceeds cap {degree_cap}")
-    residue, _ = rules.reduce(p)
-    return residue
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,13 @@ columns.  R_21 is never stored; it is produced by embedding R on legs
 
 Operators on higher tensor powers (leg embeddings, Yang-Baxter products)
 are handled by TensorOperator, whose indices are full tuples of leg
-values.  Everything is exact; entries are RatFunc in symbolic mode or
-GF(p) ModP after specialization at q = x mod p (evaluate_mod).  Inverses
-come from linalg.dense_inverse over the R-matrix's own field.
+values.  Its matmul is the one operator product of the package (the
+presentation builders multiply operators with polynomial entries through
+it too), and differences lists the nonzero entry differences of two
+operators in sorted index order.  Everything is exact; entries are
+RatFunc in symbolic mode or GF(p) ModP after specialization at q = x mod
+p (evaluate_mod).  Inverses come from linalg.dense_inverse over the
+R-matrix's own field.
 """
 
 from __future__ import annotations
@@ -140,11 +144,12 @@ class TensorOperator:
                 rows[out] = acc
         return TensorOperator(self.dim, self.arity, rows)
 
-    def first_difference(self, other: "TensorOperator"):
-        """Smallest differing position as (out, in, residue), or None.
+    def differences(self, other: "TensorOperator"):
+        """Yield (out, in, residue) for every position where the entries
+        differ, in sorted index order.
 
         residue is the exact entry difference (an element of the
-        coefficient field), nonzero by construction.
+        coefficient ring), nonzero by construction.
         """
         keys = set()
         for out, row in self.rows.items():
@@ -154,15 +159,13 @@ class TensorOperator:
         for out, src in sorted(keys):
             a = self.rows.get(out, {}).get(src)
             b = other.rows.get(out, {}).get(src)
-            if a is None and b is None:
-                continue
-            if a is None:
-                a = b - b
-            if b is None:
-                b = a - a
-            if a != b:
-                return (out, src, a - b)
-        return None
+            d = -b if a is None else a if b is None else a - b
+            if d:
+                yield out, src, d
+
+    def first_difference(self, other: "TensorOperator"):
+        """Smallest differing position as (out, in, residue), or None."""
+        return next(self.differences(other), None)
 
     def __eq__(self, other):
         return self.first_difference(other) is None

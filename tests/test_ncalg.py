@@ -9,10 +9,13 @@ from braidalg import qscalar as qs
 from braidalg.ncalg import (Generator, NCAlgError, NCPoly, PolyParseError,
                             Presentation, format_poly, parse_poly)
 from braidalg.cli import format_presentation_document, parse_presentation_document
-from braidalg.rewrite import OrientationError, normal_form, orient_relations
+from braidalg.bialg import DEFAULT_SEED, sample_points
+from braidalg.ideals import reduce_mod_ideal
+from braidalg.linalg import SparseEchelon
+from braidalg.rewrite import OrientationError, orient_relations
 from braidalg.rmat import RMatrix, glq2_rmatrix, identity_rmatrix
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
-                               frt_algebra)
+                               build_preset, frt_algebra)
 
 ONE = qs.ONE
 
@@ -237,20 +240,36 @@ def test_orientation_solvable_for_glq2_presets():
 
 
 def test_rules_read_off_pruned_relations_match_the_general_solve():
-    # a pruned presentation's rules are read off its stored relations; the
-    # unpruned copy of the same relations goes through the echelon solve
-    from braidalg.presents import braided_chain, braided_tensor_square
-    from braidalg.rmat import RMatrix
+    # rules are read off the stored relations; the reference solves the
+    # relations as given for their leading words with an echelon basis
     R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    Rp = perturbed_rmatrix()
     for P in (braided_matrices(R), braided_chain(R, 2),
               braided_tensor_square(braided_matrices(Rp), Rp).presentation):
-        unpruned = Presentation(P.dim, P.roster, P.relations, field=P.field,
-                                name=P.name, prune=False)
-        read = [(r.lhs, r.rhs, r.provenance) for r in orient_relations(P)]
-        solved = [(r.lhs, r.rhs, r.provenance) for r in orient_relations(unpruned)]
-        assert read == solved, P.name
-        assert all(prov == (((), i, (), qs.ONE),) for i, (_, _, prov) in enumerate(read))
+        ech = SparseEchelon(P.order.key)
+        for r in P.source_relations:
+            ech.insert(dict(r.terms))
+        solved = []
+        for row in ech.canonical():
+            lead = max(row, key=P.order.key)
+            solved.append((lead, NCPoly({w: -c for w, c in row.items() if w != lead})))
+        rules = list(orient_relations(P))
+        assert [(r.lhs, r.rhs) for r in rules] == solved, P.name
+        assert all(r.provenance == (((), i, (), ONE),) for i, r in enumerate(rules))
+
+
+@pytest.mark.parametrize("preset, n", [("bm", 1), ("chain", 2), ("square", 1)])
+@pytest.mark.parametrize("rmatrix", [glq2_rmatrix, perturbed_rmatrix], ids=["glq2", "pert2"])
+def test_specialized_relations_are_the_entrywise_specialization(rmatrix, preset, n):
+    # evaluate_mod prunes the specialized relations again; that must keep
+    # each relation as it is and in its place, so verdicts stay aligned
+    R = rmatrix()
+    P = build_preset(preset, R, n)
+    dens = {c.den for r in P.relations for c in r.terms.values()}
+    for q0 in sample_points(R, DEFAULT_SEED, 3, dens):
+        x = qs.mod_p(q0)
+        want = tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in P.relations)
+        assert P.evaluate_mod(x).relations == want, (preset, q0)
 
 
 # -- normal form --------------------------------------------------------------
@@ -259,20 +278,20 @@ def test_normal_form_kills_relations():
     P = braided_matrices(glq2_rmatrix())
     rules = orient_relations(P)
     for r in P.relations:
-        assert normal_form(r, rules).is_zero()
+        assert rules.reduce(r)[0].is_zero()
 
 
 def test_normal_form_of_unit():
     P = braided_matrices(glq2_rmatrix())
     rules = orient_relations(P)
-    assert normal_form(NCPoly.unit(ONE), rules) == NCPoly.unit(ONE)
+    assert rules.reduce(NCPoly.unit(ONE))[0] == NCPoly.unit(ONE)
 
 
 def test_normal_form_ba():
     P = braided_matrices(glq2_rmatrix())
     rules = orient_relations(P)
     ba = parse_poly("u[1,2]*u[1,1]", P)
-    assert normal_form(ba, rules) == parse_poly("q^2 * u[1,1]*u[1,2]", P)
+    assert rules.reduce(ba)[0] == parse_poly("q^2 * u[1,1]*u[1,2]", P)
 
 
 def test_normal_form_idempotent_on_random_inputs():
@@ -285,13 +304,12 @@ def test_normal_form_idempotent_on_random_inputs():
             w = tuple(rng.randrange(P.ngens) for _ in range(rng.randint(0, 3)))
             terms[w] = qs.RatFunc.from_int(rng.randint(-3, 3))
         p = NCPoly(terms)
-        nf = normal_form(p, rules)
-        assert normal_form(nf, rules) == nf
+        nf = rules.reduce(p)[0]
+        assert rules.reduce(nf)[0] == nf
 
 
 def test_normal_form_degree_cap():
     P = braided_matrices(glq2_rmatrix())
-    rules = orient_relations(P)
     p = parse_poly("u[1,1]*u[1,1]*u[1,1]", P)
     with pytest.raises(ValueError):
-        normal_form(p, rules, degree_cap=2)
+        reduce_mod_ideal(p, P, 2)

@@ -1,8 +1,14 @@
 """Presentation builders: FRT, braided matrices, tensor squares, chains."""
 
+import contextlib
+import hashlib
+import io
+import os
+
 import pytest
 
 from braidalg import qscalar as qs
+from braidalg.cli import main
 from braidalg.ideals import hilbert_dims, ideal_membership, relation_span_equal
 from braidalg.ncalg import NCPoly, Presentation
 from braidalg.presents import (braided_chain, braided_matrices,
@@ -10,7 +16,8 @@ from braidalg.presents import (braided_chain, braided_matrices,
                                frt_algebra, matrix_roster, square_iso_witness)
 from braidalg.rewrite import orient_relations
 from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix,
-                           identity_rmatrix, second_inverse, ybe_check)
+                           identity_rmatrix, save_rmatrix, second_inverse,
+                           ybe_check)
 from braidalg.linalg import SingularMatrixError
 
 ONE = qs.ONE
@@ -146,8 +153,7 @@ def test_square_requires_matrix_roster():
 
 def test_chain_one_copy_equals_braided_matrices():
     R = glq2_rmatrix()
-    c1 = braided_chain(R, 1)
-    assert relation_span_equal(c1.relabel({"u1": "u"}), braided_matrices(R))
+    assert braided_chain(R, 1).relations == braided_matrices(R).relations
 
 
 def test_chain_three_copies_block_structure():
@@ -212,3 +218,62 @@ def test_build_preset_dispatch():
     assert build_preset("chain", R, 3).name == "chain3"
     with pytest.raises(ValueError):
         build_preset("nope", R)
+
+
+# -- pinned presentation documents ------------------------------------------------
+
+def glq_rmatrix(N):
+    """The standard GL_q(N) R-matrix, built from its defining entries."""
+    entries = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i == j:
+                entries[(i, i, i, i)] = qs.Q
+            else:
+                entries[(i, j, i, j)] = ONE
+                if i < j:
+                    entries[(i, j, j, i)] = qs.Q - qs.QINV
+    return RMatrix(N, entries)
+
+
+# (argv, exit code, stdout length, stdout SHA-256) of present runs made in a
+# directory holding glq3.json and pert2.json; the relation blocks of every
+# preset, N = 3 included, must give byte-identical documents
+PRESENT_GOLDEN = (
+    (("present", "frt", "glq3.json"), 0, 2038,
+     "9beafa78221cdfd4536b042d8ae6999bfcfa27d4c14c100b23d931b2a2186c52"),
+    (("present", "bm", "glq3.json"), 0, 3058,
+     "36c3d9fa43e88dd0e7f11abb7b30a5ceb5cdbca4be85ea25ba648fa82b3db506"),
+    (("present", "square", "glq3.json"), 0, 15664,
+     "8e088180e6bd165db5902d88a0d0b88fde24a03c836d5eecabe93d9ab11c86a1"),
+    (("present", "chain", "glq3.json", "-n", "3"), 0, 36957,
+     "3aa5b1774817fc11ec85e429416625ab224d23e77e0ec5e569604fc22bdbcfd5"),
+    (("present", "square", "pert2.json"), 0, 2424,
+     "60c69792f5a82f0ca2f1392d0ae55828aa72f04f1f043c9ce0d5a6790d5c19b3"),
+    (("present", "chain", "pert2.json", "-n", "3"), 0, 5659,
+     "d9d0f6d560c812f81d43bd47c258d715409ba5d36e476704fee78dc93164ded5"),
+)
+
+
+@pytest.fixture(scope="module")
+def present_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("present")
+    (work / "glq3.json").write_text(save_rmatrix(glq_rmatrix(3)))
+    (work / "pert2.json").write_text(save_rmatrix(perturbed_rmatrix()))
+    return work
+
+
+@pytest.mark.parametrize("argv, code, length, sha256", PRESENT_GOLDEN,
+                         ids=["frt-glq3", "bm-glq3", "square-glq3", "chain3-glq3",
+                              "square-pert2", "chain3-pert2"])
+def test_present_documents_are_pinned(present_dir, argv, code, length, sha256):
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(present_dir)
+    try:
+        with contextlib.redirect_stdout(out):
+            got_code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    data = out.getvalue().encode()
+    assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)
