@@ -21,8 +21,8 @@ from .rmat import (RMatrix, RMatrixDocumentError, TensorOperator,
 from .ncalg import (DegLexOrder, Generator, NCAlgError, NCPoly, PolyParseError,
                     Presentation, RosterMismatchError, format_poly, parse_poly,
                     word_str)
-from .rewrite import (OrientationError, RewriteSystem, Rule, TruncatedGB,
-                      orient_relations, truncated_gb)
+from .rewrite import (CompletionBudgetError, OrientationError, RewriteSystem,
+                      Rule, TruncatedGB, orient_relations, truncated_gb)
 from .ideals import (MembershipCertificate, MissingImageError, hilbert_dims,
                      ideal_membership, reduce_mod_ideal,
                      relation_span_equal, span_rank, substitute_generators)

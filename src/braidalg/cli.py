@@ -33,7 +33,7 @@ from . import bialg, ideals, presents, rmat
 from .linalg import SingularMatrixError
 from .ncalg import (NCAlgError, Presentation, format_poly, parse_poly)
 from .qscalar import QScalarError
-from .rewrite import OrientationError, truncated_gb
+from .rewrite import CompletionBudgetError, OrientationError, truncated_gb
 from .rmat import RMatrixDocumentError
 
 # The largest degree bound (-D) and nf polynomial degree accepted; far
@@ -352,7 +352,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (OrientationError, SingularMatrixError, QScalarError) as e:
+    except (OrientationError, SingularMatrixError, QScalarError,
+            CompletionBudgetError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except NCAlgError as e:

@@ -139,8 +139,7 @@ def hilbert_dims(P: Presentation, bound: int, method="rewrite"):
         return [g ** d - span_rank(P, d) for d in range(bound + 1)]
     if method != "rewrite":
         raise ValueError(f"unknown method {method!r}")
-    gb = truncated_gb(P, bound)
-    return [gb.rs.count_normal_words(d) for d in range(bound + 1)]
+    return truncated_gb(P, bound).normal_word_counts(bound)
 
 
 def relation_span_equal(P1: Presentation, P2: Presentation) -> bool:

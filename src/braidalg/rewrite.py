@@ -13,15 +13,25 @@ produces (see orient_relations).  Each rule carries a provenance: the
 exact combination of stored relations it equals, so every chain of
 rewrites can be replayed as an ideal-membership certificate.
 
+A RewriteSystem keeps the left sides in a trie (the goto part of an
+Aho-Corasick automaton) that find_redex walks from each position of a word
+and normal_word_counts walks degree by degree.  Invariant: the left sides
+form an antichain under the subword order, so at most one matches at any
+position and every trie leaf is a rule.  It holds because the quadratic
+left sides are distinct, an adjoined left side leads a fully reduced
+residue, and adjoined lengths never decrease.
+
 Because no confluence is guaranteed for quadratic rewrite systems in
 general, reduction alone only proves membership (residue zero), never
 non-membership.  TruncatedGB closes the gap exactly: it resolves every
 overlap ambiguity of composed degree <= D, adjoining the reduced residues
-as extra (provenance-carrying) rules.  After that, normal forms are
-canonical on all elements of degree <= D, so a nonzero residue is an
-exact witness of non-membership at that degree bound.  Any adjoined rule
-is reported as a completion warning: it witnesses that the quadratic
-system by itself was not confluent.
+as extra (provenance-carrying) rules; each rule, initial or adjoined, is
+paired on arrival with itself and every earlier rule.  After that, normal
+forms are canonical on all elements of degree <= D, so a nonzero residue
+is an exact witness of non-membership at that degree bound.  Any adjoined
+rule is reported as a completion warning: the quadratic system by itself
+was not confluent.  Completion needing over MAX_COMPLETION_WORK units (one
+per overlap reduction plus its steps) raises CompletionBudgetError.
 """
 
 from __future__ import annotations
@@ -32,9 +42,17 @@ from operator import neg
 
 from .ncalg import NCPoly, Presentation, word_str
 
+# far above the ~1.04e5 units of the largest benchmark job, far below a
+# completion without end
+MAX_COMPLETION_WORK = 500_000
+
 
 class OrientationError(ValueError):
     """The relation set cannot be solved for its leading monomials."""
+
+
+class CompletionBudgetError(RuntimeError):
+    """Completion needed more than MAX_COMPLETION_WORK units of work."""
 
 
 class Rule:
@@ -60,21 +78,22 @@ class Rule:
 
 
 class RewriteSystem:
-    """An indexed set of rules over one presentation's monomial order."""
+    """Rules over one presentation's order; the trie's inner nodes are
+    dicts from generator to child, its leaves the rules."""
 
     def __init__(self, presentation: Presentation, rules):
         self.presentation = presentation
         self.rules = {}
-        self.lengths = ()
-        self._redex_cache = {}
+        self._trie = {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule: Rule):
         self.rules[rule.lhs] = rule
-        if len(rule.lhs) not in self.lengths:
-            self.lengths = tuple(sorted(self.lengths + (len(rule.lhs),)))
-        self._redex_cache.clear()
+        node = self._trie
+        for g in rule.lhs[:-1]:
+            node = node.setdefault(g, {})
+        node[rule.lhs[-1]] = rule
 
     def __iter__(self):
         return iter(self.rules.values())
@@ -83,24 +102,16 @@ class RewriteSystem:
         return len(self.rules)
 
     def find_redex(self, word):
-        """Leftmost-outermost match: (position, rule) or None."""
-        hit = self._redex_cache.get(word)
-        if hit is not None:
-            return hit if hit != () else None
-        res = ()
-        n = len(word)
-        for pos in range(n):
-            for L in self.lengths:
-                if pos + L > n:
+        """Leftmost match: (position, rule) or None."""
+        for pos in range(len(word)):
+            node = self._trie
+            for g in word[pos:]:
+                node = node.get(g)
+                if node is None:
                     break
-                rule = self.rules.get(word[pos:pos + L])
-                if rule is not None:
-                    res = (pos, rule)
-                    break
-            if res:
-                break
-        self._redex_cache[word] = res if res else ()
-        return res if res else None
+                if type(node) is Rule:
+                    return pos, node
+        return None
 
     def reduce(self, p: NCPoly, collect=False):
         """Fully reduce p; returns (residue, steps).
@@ -110,81 +121,66 @@ class RewriteSystem:
         """
         terms = dict(p.terms)
         steps = [] if collect else None
-        # lazy-deletion max-heap over reducible words: the min-heap key
-        # (-len(w), -w) is the deg-lex key (len(w), w) negated
+        # lazy-deletion max-heap over reducible words and their redexes:
+        # the min-heap key (-len(w), -w) is the deg-lex key (len(w), w) negated
         heap = []
         for w in terms:
-            if self.find_redex(w):
-                heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w))
-        while heap:
-            w = heapq.heappop(heap)[2]
-            c = terms.get(w)
-            if not c:
-                continue
             hit = self.find_redex(w)
-            if hit is None:
+            if hit:
+                heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w, hit))
+        while heap:
+            _, _, w, (pos, rule) = heapq.heappop(heap)
+            c = terms.pop(w, None)
+            if c is None:
                 continue
-            pos, rule = hit
             left, right = w[:pos], w[pos + len(rule.lhs):]
-            del terms[w]
             for rw, rc in rule.rhs.terms.items():
                 nw = left + rw + right
                 v = c * rc
                 s = terms.get(nw)
-                had = nw in terms
-                s = v if s is None else s + v
-                if s:
+                if s is None:
+                    terms[nw] = v
+                    hit = self.find_redex(nw)
+                    if hit:
+                        heapq.heappush(heap, (-len(nw), tuple(map(neg, nw)), nw, hit))
+                elif s := s + v:
                     terms[nw] = s
-                    if not had and self.find_redex(nw):
-                        heapq.heappush(heap, (-len(nw), tuple(map(neg, nw)), nw))
                 else:
-                    terms.pop(nw, None)
+                    del terms[nw]
             if collect:
                 steps.append((left, rule, right, c))
         return NCPoly(terms), steps
 
-    def normal_words(self, degree):
-        """All words of the given degree containing no rule left side."""
-        gens = range(self.presentation.ngens)
-        out = []
+    def normal_word_counts(self, bound):
+        """Numbers of words of degrees 0..bound that contain no left side.
 
-        def extend(word, d):
-            if d == degree:
-                out.append(word)
-                return
-            for g in gens:
-                w2 = word + (g,)
-                if any(w2[-L:] in self.rules for L in self.lengths if L <= len(w2)):
-                    continue
-                extend(w2, d + 1)
-
-        extend((), 0)
-        return out
-
-    def count_normal_words(self, degree):
-        if not self.lengths:
-            return self.presentation.ngens ** degree
-        if self.lengths == (2,):
-            return self._count_quadratic(degree)
-        return len(self.normal_words(degree))
-
-    def _count_quadratic(self, degree):
-        # transfer-matrix count: normal words are walks avoiding bad pairs
-        gens = range(self.presentation.ngens)
-        if degree == 0:
-            return 1
-        vec = {g: 1 for g in gens}
-        for _ in range(degree - 1):
+        A state is the longest suffix read so far that is a proper prefix
+        of a left side: a trie inner node, numbered breadth-first.  goto[s][g]
+        is the state after reading g (None when that completes a left side)
+        and fail[s] < s the state of the longest proper suffix of s.
+        """
+        nodes, fail, goto = [self._trie], [0], []
+        for s, node in enumerate(nodes):
+            back = goto[fail[s]] if s else [0] * self.presentation.ngens
+            row = list(back)
+            for g, child in node.items():
+                if type(child) is Rule:
+                    row[g] = None
+                else:
+                    fail.append(back[g])
+                    row[g] = len(nodes)
+                    nodes.append(child)
+            goto.append(row)
+        counts, vec = [1], {0: 1}
+        for _ in range(bound):
             nxt = {}
-            for g in gens:
-                n = 0
-                for h in gens:
-                    if (g, h) not in self.rules:
-                        n += vec.get(h, 0)
-                if n:
-                    nxt[g] = n
+            for s, c in vec.items():
+                for t in goto[s]:
+                    if t is not None:
+                        nxt[t] = nxt.get(t, 0) + c
+            counts.append(sum(nxt.values()))
             vec = nxt
-        return sum(vec.values())
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +222,7 @@ def orient_relations(P: Presentation) -> RewriteSystem:
                 f"word {word_str(lead, P.roster)})")
         rhs = NCPoly({w: -c for w, c in r.terms.items() if w != lead})
         rules.append(Rule(lead, rhs, (((), i, (), P.field.one),)))
-    rs = RewriteSystem(P, rules)
-    P._cache["rules"] = rs
+    P._cache["rules"] = rs = RewriteSystem(P, rules)
     return rs
 
 
@@ -235,24 +230,23 @@ def orient_relations(P: Presentation) -> RewriteSystem:
 # degree-bounded completion
 # ---------------------------------------------------------------------------
 
-class TruncatedGB:
+class TruncatedGB(RewriteSystem):
     """Rewrite system completed on all overlaps of composed degree <= bound.
 
     After construction, reduction is confluent on every element of degree
     <= bound, so the residue decides ideal membership exactly in both
     directions.  added_rules lists the non-quadratic rules that had to be
     adjoined; a nonempty list is the completion warning surfaced to
-    callers (the quadratic system alone was not confluent).
+    callers (the quadratic system alone was not confluent).  Overlaps are
+    resolved smallest word first; equal words in the order they were paired.
     """
 
     def __init__(self, P: Presentation, bound: int):
-        self.presentation = P
+        super().__init__(P, ())
         self.bound = bound
-        base = orient_relations(P)
-        self.rs = RewriteSystem(P, list(base))
         self.added_rules = []
-        pending = []
-        seq = itertools.count()
+        pending, arrived, seq = [], [], itertools.count()
+        by_first, by_last = {}, {}
 
         def enqueue(r1: Rule, r2: Rule):
             n1, n2 = len(r1.lhs), len(r2.lhs)
@@ -262,27 +256,41 @@ class TruncatedGB:
                     if len(w) <= bound:
                         heapq.heappush(pending, (len(w), w, next(seq), r1, r2))
 
-        # the oriented rules are quadratic, so r1 overlaps r2 exactly when
-        # r1's last generator is r2's first; pairs are enqueued in the
-        # order of a full scan, which fixes the order of equal overlap words
-        rules0 = list(self.rs)
-        by_first = {}
-        for r in rules0:
-            by_first.setdefault(r.lhs[0], []).append(r)
-        for r1 in rules0:
-            for r2 in by_first.get(r1.lhs[1], ()):
-                enqueue(r1, r2)
+        def arrive(rule: Rule):
+            # pair rule with itself and, in arrival order, each earlier rule
+            # that ends in lhs[:-1] (a left overlap) or starts in lhs[1:]
+            self.add(rule)
+            n, lhs = len(arrived), rule.lhs
+            arrived.append(rule)
+            partners = {n}
+            for g in set(lhs[:-1]):
+                partners.update(by_last.get(g, ()))
+            for g in set(lhs[1:]):
+                partners.update(by_first.get(g, ()))
+            by_first.setdefault(lhs[0], []).append(n)
+            by_last.setdefault(lhs[-1], []).append(n)
+            for i in sorted(partners):
+                enqueue(arrived[i], rule)
+                if i != n:
+                    enqueue(rule, arrived[i])
+
+        for rule in orient_relations(P):
+            arrive(rule)
+        one = P.field.one
+        work = 0
         while pending:
             _, w, _, r1, r2 = heapq.heappop(pending)
-            one = P.field.one
             suffix = w[len(r1.lhs):]
             prefix = w[:len(w) - len(r2.lhs)]
-            p1 = r1.rhs.sandwich((), suffix)
-            p2 = r2.rhs.sandwich(prefix, ())
-            diff = p1 - p2
+            diff = r1.rhs.sandwich((), suffix) - r2.rhs.sandwich(prefix, ())
             if not diff:
                 continue
-            residue, steps = self.rs.reduce(diff, collect=True)
+            residue, steps = self.reduce(diff, collect=True)
+            work += 1 + len(steps)
+            if work > MAX_COMPLETION_WORK:
+                raise CompletionBudgetError(
+                    f"completion to degree {bound} needs more than "
+                    f"{MAX_COMPLETION_WORK} units of reduction work")
             if not residue:
                 continue
             prov = {}
@@ -291,24 +299,16 @@ class TruncatedGB:
             for left, rule, right, c in steps:
                 accumulate_terms(prov, rule.provenance, -c, left, right)
             lead = P.order.leading_word(residue)
-            lc = residue.terms[lead]
-            inv = one / lc
+            inv = one / residue.terms[lead]
             rhs = NCPoly({ww: -c * inv for ww, c in residue.terms.items() if ww != lead})
             new = Rule(lead, rhs, tuple((lw, i, rw, c * inv)
                                         for lw, i, rw, c in sorted_terms(prov)))
-            self.rs.add(new)
             self.added_rules.append(new)
-            for r in list(self.rs):
-                enqueue(r, new)
-                if r is not new:
-                    enqueue(new, r)
+            arrive(new)
 
     @property
     def completion_warning(self) -> bool:
         return bool(self.added_rules)
-
-    def reduce(self, p: NCPoly, collect=False):
-        return self.rs.reduce(p, collect=collect)
 
 
 def accumulate_terms(acc: dict, terms, c, left=(), right=()):

@@ -289,6 +289,10 @@ GOLDEN = (
      "6d5415b8dc1962ca034ec621c6661319e7137d076d0e0d3d42f3a0809234f924"),
     (("verify", "chain", "pert2.json", "-n", "2", "-D", "4"), 1, 460193,
      "b18c1f8560d7167d5cd516184f23c615edc6db4862aef1e33e58acb6fa73f581"),
+    # completion adjoins 41 rules; the certificates depend on the order in
+    # which overlaps are paired and resolved
+    (("verify", "bm", "pert2.json", "-D", "6"), 1, 55457,
+     "52798d463034d1b861384c8dba9ceea2199602bc3ea16e071f8e0b25879a1208"),
 )
 
 
@@ -316,11 +320,28 @@ def cli_run(tmp_path_factory):
     return run
 
 
-GOLDEN_IDS = ("bm-glq2", "chain-glq2-n2", "chain-pert2-n2")
+GOLDEN_IDS = ("bm-glq2", "chain-glq2-n2", "chain-pert2-n2", "bm-pert2-D6")
 
 
 @pytest.mark.parametrize("argv, code, length, sha256", GOLDEN, ids=GOLDEN_IDS)
 def test_exact_documents_are_pinned(cli_run, argv, code, length, sha256):
+    got_code, out = cli_run(argv)
+    data = out.encode()
+    assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)
+
+
+# dimension reports that count normal words through non-quadratic rules
+STRUCTURE_GOLDEN = (
+    (("hilbert", "square", "pert2.json", "-D", "12"), 0, 225,
+     "fae1741b32338acbf06b3602d5d42257592abba2ed5f9d466d66ed62f7331fdf"),
+    (("square-iso", "pert2.json", "-D", "8"), 1, 275,
+     "de5b7318872fecac15c9f6578e836a92897a83bc2766305d3bcd6affccb59390"),
+)
+
+
+@pytest.mark.parametrize("argv, code, length, sha256", STRUCTURE_GOLDEN,
+                         ids=("hilbert-square-pert2-D12", "square-iso-pert2-D8"))
+def test_dimension_reports_are_pinned(cli_run, argv, code, length, sha256):
     got_code, out = cli_run(argv)
     data = out.encode()
     assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)

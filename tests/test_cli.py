@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,21 @@ def test_nf_is_canonical_on_non_confluent_input(capsys, perturbed_doc):
                          format_poly(rule.element(qs.ONE), P))
     assert code == 0 and out == "0\n"
     assert err.count("note:") == 1 and "completion adjoined" in err
+
+
+def test_completion_over_its_work_budget_is_an_error(tmp_path, capsys, perturbed_doc):
+    # completion of the perturbed square grows without end in the degree
+    # bound; the work budget ends it with one error line, in bounded time
+    keep = tmp_path / "keep.txt"
+    keep.write_text("previous contents\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hilbert", "square", perturbed_doc, "-D", "64",
+                         "-o", str(keep))
+    assert time.perf_counter() - start < 60
+    assert code == 1 and out == ""
+    assert err.startswith("error: CompletionBudgetError:") and err.count("\n") == 1
+    assert keep.read_text() == "previous contents\n"
+    assert sorted(os.listdir(tmp_path)) == ["keep.txt", "perturbed.json"]
 
 
 def test_unprintable_integer_is_an_error(tmp_path, capsys):
