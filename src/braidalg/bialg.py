@@ -104,7 +104,7 @@ def verify_homomorphism(P: Presentation, spec: CoproductSpec,
     verdicts = []
     warning = False
     for i, r in enumerate(P.relations):
-        image = substitute_generators(r, spec.images, SQ, bound=bound)
+        image = substitute_generators(r, spec.images, SQ)
         residue, cert, warned = reduce_mod_ideal(image, SQ, bound, collect=collect)
         warning = warning or warned
         if residue.is_zero():
@@ -392,23 +392,14 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
     if sampled:
         points = sample_points(R, seed, num_points, _denominators(P, square, spec))
         report.points = [str(q0) for q0 in points]
-        verdicts = None
-        counit = (True, None)
-        coassoc = (True, None)
-        warning = False
-        for q0 in points:
-            vq, cq, aq, wq = _check(*_evaluate_mod(mod_p(q0), P, square, spec),
-                                    bound, collect=False)
-            warning = warning or wq
-            if verdicts is None:
-                verdicts = vq
-            else:
-                verdicts = [new if (old.passed and not new.passed) else old
-                            for old, new in zip(verdicts, vq)]
-            if counit[0] and not cq[0]:
-                counit = cq
-            if coassoc[0] and not aq[0]:
-                coassoc = aq
+        per_point, counits, coassocs, warned = zip(*(
+            _check(*_evaluate_mod(mod_p(q0), P, square, spec), bound, collect=False)
+            for q0 in points))
+        # each check's result at the first point where it fails, else at the first point
+        verdicts = [next((v for v in vs if not v.passed), vs[0]) for vs in zip(*per_point)]
+        counit = next((c for c in counits if not c[0]), counits[0])
+        coassoc = next((c for c in coassocs if not c[0]), coassocs[0])
+        warning = any(warned)
         for v, r in zip(verdicts, P.relations):
             v.relation = format_poly(r, P)
     else:

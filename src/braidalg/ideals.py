@@ -12,7 +12,8 @@ by a presentation's quadratic relations:
 
 Positive answers come with a replayable certificate: an explicit list of
 (left monomial, relation index, right monomial, coefficient) whose sum
-reproduces the polynomial exactly.
+reproduces the polynomial exactly.  The rewrite engine's certificates are
+expanded here from reduction steps and the sources of the rules they use.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .linalg import SparseEchelon
 from .ncalg import NCAlgError, NCPoly, Presentation, RosterMismatchError
-from .rewrite import accumulate_terms, sorted_terms, truncated_gb
+from .rewrite import TruncatedGB, truncated_gb
 
 
 class MissingImageError(NCAlgError):
@@ -41,11 +42,44 @@ class MembershipCertificate:
         return total
 
 
-def _merge_cert(steps) -> MembershipCertificate:
-    acc = {}
-    for left, rule, right, c in steps:
-        accumulate_terms(acc, rule.provenance, c, left, right)
-    return MembershipCertificate(sorted_terms(acc))
+def _add(acc: dict, key, v):
+    """acc[key] += v, dropping the key when the sum is zero."""
+    s = acc.get(key)
+    s = v if s is None else s + v
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def _sorted_certificate(acc: dict) -> MembershipCertificate:
+    """The certificate of {(idx, left, right): coeff}, its terms in the
+    canonical order of certificates: by (idx, left, right)."""
+    return MembershipCertificate(tuple((lw, i, rw, c) for (i, lw, rw), c in sorted(acc.items())))
+
+
+def _certificate(gb: TruncatedGB, steps) -> MembershipCertificate:
+    """The certificate of the reduction steps (left, rule, right, coeff).
+
+    A use of a rule read off relation i is a term.  The uses of each
+    adjoined rule are collected as {(left, right): coeff} and, latest rule
+    first, replaced by its source, which names only earlier rules.
+    """
+    acc, uses = {}, {}
+
+    def collect(terms, c=None, left=(), right=()):
+        for lw, rule, rw, cc in terms:
+            v = cc if c is None else c * cc
+            if type(rule.source) is int:
+                _add(acc, (rule.source, left + lw, rw + right), v)
+            else:
+                _add(uses.setdefault(rule, {}), (left + lw, rw + right), v)
+
+    collect(steps)
+    for rule in reversed(gb.added_rules):
+        for (left, right), c in uses.pop(rule, {}).items():
+            collect(rule.source, c, left, right)
+    return _sorted_certificate(acc)
 
 
 def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int, collect=True):
@@ -58,7 +92,7 @@ def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int, collect=True):
         raise ValueError(f"degree {p.degree()} exceeds bound {bound}")
     gb = truncated_gb(P, bound)
     residue, steps = gb.reduce(p, collect=collect)
-    cert = _merge_cert(steps) if collect else None
+    cert = _certificate(gb, steps) if collect else None
     return residue, cert, gb.completion_warning
 
 
@@ -117,8 +151,9 @@ def _membership_by_span(p: NCPoly, P: Presentation, bound: int):
         residue, aux = ech.reduce(dict(part.terms), aux={})
         if residue:
             return (False, None)
-        accumulate_terms(cert_acc, (k + (c,) for k, c in aux.items()), -P.field.one)
-    return (True, MembershipCertificate(sorted_terms(cert_acc)))
+        for (lw, i, rw), c in aux.items():
+            _add(cert_acc, (i, lw, rw), -c)
+    return (True, _sorted_certificate(cert_acc))
 
 
 def span_rank(P: Presentation, degree: int) -> int:
@@ -150,14 +185,12 @@ def relation_span_equal(P1: Presentation, P2: Presentation) -> bool:
     return list(P1.relations) == list(P2.relations)
 
 
-def substitute_generators(p: NCPoly, images: dict, target: Presentation,
-                          bound=None, reduce=False) -> NCPoly:
+def substitute_generators(p: NCPoly, images: dict, target: Presentation) -> NCPoly:
     """Multiplicative extension of a generator-image map.
 
     images maps each generator position to an NCPoly over the target
-    presentation.  With reduce=True the result is taken to its canonical
-    normal form in the target, through the completion at its degree;
-    otherwise it is returned raw (as needed for membership checking).
+    presentation.  The result is raw, not reduced modulo the target's
+    relations (reduce_mod_ideal does that).
     """
     one = target.field.one
     out = NCPoly.zero()
@@ -169,9 +202,4 @@ def substitute_generators(p: NCPoly, images: dict, target: Presentation,
                 raise MissingImageError(f"no image for generator position {g}")
             prod = prod * img
         out = out + prod.scale(c)
-    if bound is not None and out.degree() > bound:
-        raise ValueError(f"substituted degree {out.degree()} exceeds bound {bound}")
-    if reduce:
-        residue, _ = truncated_gb(target, max(2, out.degree())).reduce(out)
-        return residue
     return out

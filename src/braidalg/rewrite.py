@@ -9,9 +9,9 @@ stores as its relations, gives rules
 
 and orientation fails exactly when solving forces a rule whose left side
 is an ascending cross-copy word, which is what a singular exchange block
-produces (see orient_relations).  Each rule carries a provenance: the
-exact combination of stored relations it equals, so every chain of
-rewrites can be replayed as an ideal-membership certificate.
+produces (see orient_relations).  Each rule carries its source: the stored
+relation it was read off, or the derivation of an adjoined rule from
+earlier rules, which ideals expands into membership certificates.
 
 A RewriteSystem keeps the left sides in a trie (the goto part of an
 Aho-Corasick automaton) that find_redex walks from each position of a word
@@ -25,8 +25,8 @@ Because no confluence is guaranteed for quadratic rewrite systems in
 general, reduction alone only proves membership (residue zero), never
 non-membership.  TruncatedGB closes the gap exactly: it resolves every
 overlap ambiguity of composed degree <= D, adjoining the reduced residues
-as extra (provenance-carrying) rules; each rule, initial or adjoined, is
-paired on arrival with itself and every earlier rule.  After that, normal
+as extra rules derived by that reduction; each rule, initial or adjoined,
+is paired on arrival with itself and every earlier rule.  After that, normal
 forms are canonical on all elements of degree <= D, so a nonzero residue
 is an exact witness of non-membership at that degree bound.  Any adjoined
 rule is reported as a completion warning: the quadratic system by itself
@@ -56,18 +56,19 @@ class CompletionBudgetError(RuntimeError):
 
 
 class Rule:
-    """Rewrite rule lhs -> rhs with lhs - rhs a certified ideal element.
+    """Rewrite rule lhs -> rhs with lhs - rhs an ideal element.
 
-    provenance is a tuple of (left word, relation index, right word, coeff)
-    with  lhs - rhs = sum coeff * left * relation * right.
+    source is the index of the stored relation lhs - rhs was read off, or
+    for an adjoined rule a tuple of (left word, earlier rule, right word,
+    coeff) with  lhs - rhs = sum coeff * left * (rule.lhs - rule.rhs) * right.
     """
 
-    __slots__ = ("lhs", "rhs", "provenance")
+    __slots__ = ("lhs", "rhs", "source")
 
-    def __init__(self, lhs, rhs: NCPoly, provenance):
+    def __init__(self, lhs, rhs: NCPoly, source):
         self.lhs = tuple(lhs)
         self.rhs = rhs
-        self.provenance = tuple(provenance)
+        self.source = source
 
     def element(self, one) -> NCPoly:
         """lhs - rhs as a polynomial (one is the field unit)."""
@@ -192,8 +193,8 @@ def orient_relations(P: Presentation) -> RewriteSystem:
 
     The reduced echelon basis of the relation span yields one rule per
     pivot word.  A presentation stores exactly that basis, so the rules
-    are read off the stored relations, each with provenance the relation
-    itself.  Cross-copy relations are exchange blocks: they may only
+    are read off the stored relations, each with source the relation's
+    index.  Cross-copy relations are exchange blocks: they may only
     rewrite "wrong-order" words (a later-copy generator passing an
     earlier-copy one) downwards.  When the exchange coefficient matrix is
     singular, solving the system forces a rule for an ascending cross-copy
@@ -221,7 +222,7 @@ def orient_relations(P: Presentation) -> RewriteSystem:
                 f"is singular (forced a rule for the ascending cross-copy "
                 f"word {word_str(lead, P.roster)})")
         rhs = NCPoly({w: -c for w, c in r.terms.items() if w != lead})
-        rules.append(Rule(lead, rhs, (((), i, (), P.field.one),)))
+        rules.append(Rule(lead, rhs, i))
     P._cache["rules"] = rs = RewriteSystem(P, rules)
     return rs
 
@@ -293,43 +294,20 @@ class TruncatedGB(RewriteSystem):
                     f"{MAX_COMPLETION_WORK} units of reduction work")
             if not residue:
                 continue
-            prov = {}
-            accumulate_terms(prov, r2.provenance, one, prefix)
-            accumulate_terms(prov, r1.provenance, -one, (), suffix)
-            for left, rule, right, c in steps:
-                accumulate_terms(prov, rule.provenance, -c, left, right)
             lead = P.order.leading_word(residue)
             inv = one / residue.terms[lead]
-            rhs = NCPoly({ww: -c * inv for ww, c in residue.terms.items() if ww != lead})
-            new = Rule(lead, rhs, tuple((lw, i, rw, c * inv)
-                                        for lw, i, rw, c in sorted_terms(prov)))
+            ninv = -inv
+            rhs = NCPoly({ww: c * ninv for ww, c in residue.terms.items() if ww != lead})
+            # residue = prefix * r2 - r1 * suffix - sum c * left * rule * right
+            new = Rule(lead, rhs, ((prefix, r2, (), inv), ((), r1, suffix, ninv),
+                                   *((left, rule, right, c * ninv)
+                                     for left, rule, right, c in steps)))
             self.added_rules.append(new)
             arrive(new)
 
     @property
     def completion_warning(self) -> bool:
         return bool(self.added_rules)
-
-
-def accumulate_terms(acc: dict, terms, c, left=(), right=()):
-    """Add c * left * term * right for each certificate term
-    (lw, idx, rw, cc) into acc, keyed (left + lw, idx, rw + right);
-    zero sums are dropped."""
-    for lw, idx, rw, cc in terms:
-        k = (left + lw, idx, rw + right)
-        v = acc.get(k)
-        v = c * cc if v is None else v + c * cc
-        if v:
-            acc[k] = v
-        else:
-            acc.pop(k, None)
-
-
-def sorted_terms(acc: dict) -> tuple:
-    """Accumulated terms as (left, idx, right, coeff) ordered by
-    (idx, left, right), the canonical order of certificates."""
-    return tuple((lw, i, rw, c) for (lw, i, rw), c in
-                 sorted(acc.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])))
 
 
 def truncated_gb(P: Presentation, bound: int) -> TruncatedGB:

@@ -255,7 +255,7 @@ def test_rules_read_off_pruned_relations_match_the_general_solve():
             solved.append((lead, NCPoly({w: -c for w, c in row.items() if w != lead})))
         rules = list(orient_relations(P))
         assert [(r.lhs, r.rhs) for r in rules] == solved, P.name
-        assert all(r.provenance == (((), i, (), ONE),) for i, r in enumerate(rules))
+        assert all(r.source == i for i, r in enumerate(rules))
 
 
 @pytest.mark.parametrize("preset, n", [("bm", 1), ("chain", 2), ("square", 1)])
