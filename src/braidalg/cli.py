@@ -15,9 +15,10 @@ Subcommands:
 document.  Output is deterministic: identical invocations produce
 byte-identical documents (timings go to stderr).  Exit codes: 0 pass,
 1 computational failure or failed verdict, 2 usage error; a degree bound
-above MAX_DEGREE is a usage error.  A document is
-rendered in memory and emitted only when the subcommand returns; -o
-replaces its target atomically, so a failed run leaves it untouched.
+above MAX_DEGREE, or a roster above MAX_GENERATORS, is a usage error.  A
+document is rendered in memory and emitted only when the subcommand
+returns; -o replaces its target atomically, so a failed run leaves it
+untouched.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .rmat import RMatrixDocumentError
 # The largest degree bound (-D) and nf polynomial degree accepted; far
 # above any practical bound, far below what would run without end.
 MAX_DEGREE = 64
+
+# The most generators a command may build: n * N^2 for a preset, twice
+# that for the braided tensor square that verify and square-iso build.
+MAX_GENERATORS = 256
 
 CONVENTION_LINE = ("# index convention: R^{ij}_{kl}; upper indices are outputs, "
                    "index pairs flattened row-major as (i-1)*N+(j-1)")
@@ -71,11 +76,19 @@ def resolve_rmatrix(source: str):
         raise UsageError(f"bad R-matrix document {source!r}: {e}") from None
 
 
+def _require_roster_in_bound(copies: int, R):
+    ngens = copies * R.dim ** 2
+    if ngens > MAX_GENERATORS:
+        raise UsageError(f"this command would build {ngens} generators "
+                         f"(at most {MAX_GENERATORS})")
+
+
 def _build(preset: str, R, n: int) -> Presentation:
     if preset not in presents.PRESETS:
         raise UsageError(f"unknown preset {preset!r} (use one of {', '.join(presents.PRESETS)})")
     if preset != "chain" and n != 1:
         raise UsageError("-n applies to the chain preset only")
+    _require_roster_in_bound(2 if preset == "square" else n, R)
     return presents.build_preset(preset, R, n)
 
 
@@ -216,6 +229,7 @@ def cmd_verify(args, out):
     if args.degree < 4:
         raise UsageError("verify needs a degree bound of at least 4 "
                          "(the coproduct of a quadratic relation is quartic)")
+    _require_roster_in_bound(2 * args.n, R)
     report = bialg.verify_bialgebra(
         R, preset=args.preset, n=args.n, bound=args.degree, mode=args.mode,
         seed=args.seed, rmatrix_label=rlabel)
@@ -227,6 +241,7 @@ def cmd_verify(args, out):
 def cmd_square_iso(args, out):
     _require_degree_in_range(args)
     R, rlabel = resolve_rmatrix(args.rmatrix)
+    _require_roster_in_bound(2, R)
     rep = presents.square_iso_witness(R, args.degree)
     out.write(CONVENTION_LINE + "\n")
     out.write("report: square-iso\n")

@@ -114,7 +114,7 @@ def ideal_membership(p: NCPoly, P: Presentation, bound: int, method="rewrite"):
 # ---------------------------------------------------------------------------
 
 def _span_echelon(P: Presentation, degree: int) -> SparseEchelon:
-    """Echelon basis of the degree-d component of the ideal, with sandwich
+    """Semi-echelon basis of the degree-d component of the ideal, with sandwich
     tracking.  Built recursively: V_d = sum over generators g of
     g * V_{d-1} + V_{d-1} * g, seeded by V_2 = span(relations)."""
     cache = P._cache.setdefault("span", {})
@@ -128,7 +128,7 @@ def _span_echelon(P: Presentation, degree: int) -> SparseEchelon:
                 ech.insert(dict(r.terms), aux={((), i, ()): P.field.one})
         else:
             prev = _span_echelon(P, degree - 1)
-            for row, aux in prev.canonical_with_aux():
+            for row, aux in prev.rows.values():
                 for g in range(P.ngens):
                     ech.insert({(g,) + w: c for w, c in row.items()},
                                aux={((g,) + lw, i, rw): c for (lw, i, rw), c in aux.items()})

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .linalg import SparseEchelon
 from .qscalar import GFP, Q, QQ_Q, DescentParser, bounded_pow, read_int
 
 
@@ -264,12 +265,11 @@ class Presentation:
 
 def _prune(relations, order):
     """Canonical reduced echelon basis of the degree-2 relation span."""
-    from .linalg import SparseEchelon
     ech = SparseEchelon(order.key)
     for r in relations:
         if r:
             ech.insert(dict(r.terms))
-    return [NCPoly(row) for row in ech.canonical()]
+    return [NCPoly(row) for row, _ in ech.canonical()]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ presentation builders multiply operators with polynomial entries through
 it too), and differences lists the nonzero entry differences of two
 operators in sorted index order.  Everything is exact; entries are
 RatFunc in symbolic mode or GF(p) ModP after specialization at q = x mod
-p (evaluate_mod).  Inverses come from linalg.dense_inverse over the
-R-matrix's own field.
+p (evaluate_mod).  Inverses come from linalg.dense_inverse, which reads
+them off the reduced echelon form of [R | I] in the package's one
+elimination engine, over the R-matrix's own field.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidalg import qscalar as qs
-from braidalg.cli import (MAX_DEGREE, format_presentation_document, main,
-                          parse_presentation_document)
+from braidalg.cli import (MAX_DEGREE, MAX_GENERATORS, format_presentation_document,
+                          main, parse_presentation_document)
 from braidalg.ncalg import NCPoly, format_poly
 from braidalg.presents import braided_matrices
 from braidalg.rewrite import truncated_gb
@@ -177,6 +177,25 @@ def test_degree_over_the_bound_is_usage_error(capsys):
     assert code == 2 and out == "" and f"exceeds {MAX_DEGREE}" in err
     code, out, _ = run(capsys, "nf", "bm", "glq2", "*".join(["u[1,1]"] * 8))
     assert code == 0 and out == "*".join(["u[1,1]"] * 8) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["present", "chain", "glq2", "-n", "65"],
+                                  ["present", "chain", "glq2", "-n", "1000000000"],
+                                  ["verify", "bm", "identity:16"],
+                                  ["square-iso", "identity:16", "-D", "4"]])
+def test_roster_over_the_bound_is_usage_error(tmp_path, capsys, argv):
+    # each would build more than MAX_GENERATORS generators (verify and
+    # square-iso build a tensor square); it is refused before any block
+    keep = tmp_path / "keep.txt"
+    keep.write_text("kept\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "-o", str(keep))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert f"(at most {MAX_GENERATORS})" in err
+    assert keep.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["keep.txt"]
 
 
 def test_nf_is_canonical_on_non_confluent_input(capsys, perturbed_doc):

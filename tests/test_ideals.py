@@ -272,6 +272,7 @@ def test_hilbert_chain2_matches_commutative_counts():
 
 def test_hilbert_methods_agree(bm):
     assert hilbert_dims(bm, 3, method="span") == hilbert_dims(bm, 3)
+    assert hilbert_dims(bm, 5, method="span") == hilbert_dims(bm, 5)
     chain = braided_chain(glq2_rmatrix(), 2)
     assert hilbert_dims(chain, 2, method="span") == hilbert_dims(chain, 2)
 

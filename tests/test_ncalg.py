@@ -250,7 +250,7 @@ def test_rules_read_off_pruned_relations_match_the_general_solve():
         for r in P.source_relations:
             ech.insert(dict(r.terms))
         solved = []
-        for row in ech.canonical():
+        for row, _ in ech.canonical():
             lead = max(row, key=P.order.key)
             solved.append((lead, NCPoly({w: -c for w, c in row.items() if w != lead})))
         rules = list(orient_relations(P))
