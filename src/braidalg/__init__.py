@@ -6,13 +6,13 @@ braided tensor squares with braid statistics, and n-fold braided chains
 from any exactly given R-matrix; orient their quadratic relations into
 rewrite systems; and verify the braided-bialgebra axioms (coproduct
 homomorphism with replayable certificates, counit, coassociativity) to a
-configurable degree bound, over the field Q(q) or modulo a prime at sampled
-rational values of q.
+configurable degree bound, over the field Q(q) or, at sampled rational
+values of q, modulo one prime per value.
 """
 
-from .qscalar import (GFP, LaurentPoly, ModP, PoleError, Q, QINV, QQ_Q,
-                      RatFunc, ScalarParseError, ZeroDenominatorError,
-                      parse_scalar)
+from .qscalar import (LaurentPoly, ModP, ModRing, NonUnitError, PoleError, Q,
+                      QINV, QQ_Q, RatFunc, ScalarParseError,
+                      ZeroDenominatorError, parse_scalar)
 from .linalg import SingularMatrixError, SparseEchelon, dense_inverse, dense_rank
 from .rmat import (RMatrix, RMatrixDocumentError, TensorOperator,
                    builtin_rmatrix, flip_rmatrix, glq2_rmatrix,

@@ -20,12 +20,14 @@ the braid statistics are only a braiding when YBE holds.  An absent second
 inverse is flagged as a warning but does not by itself fail the report;
 the axioms above can hold without it.
 
-Exact mode works over Q(q) end to end.  Probabilistic mode builds the
-same presentation, square and coproduct over Q(q), specializes them at k
-seeded rational values q0 = n/d of q, taken into GF(p) (p = 2^61 - 1) as
-n * d^-1 mod p and avoiding 0, +-1 and poles, and runs the same checks
-there without certificates.  It is non-certifying; the sampled rational
-points are recorded in the report.
+Exact mode works over Q(q) end to end.  Probabilistic mode draws k
+seeded rational values q0 = n/d of q, point i taken into GF(p_i) as
+n * d^-1 and avoiding 0, +-1 and poles, and runs the same checks on the
+Q(q) presentation, square and coproduct specialized at once at every
+point: over Z/MZ (M = p_1...p_k), without certificates.  A failing value
+prints mod the first p_i where it is nonzero.  A point where a leading
+coefficient of completion vanishes (NonUnitError) is redrawn.  The mode
+is non-certifying; the sampled rational points are recorded in the report.
 """
 
 from __future__ import annotations
@@ -36,21 +38,27 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import presents, qscalar
+from . import presents
 from .ideals import reduce_mod_ideal, substitute_generators
 from .linalg import SingularMatrixError
 from .ncalg import NCPoly, Presentation, format_poly, word_str
 from .presents import TensorSquare
-from .qscalar import PoleError, mod_p
+from .qscalar import ModRing, NonUnitError, PoleError
 from .rewrite import OrientationError
 from .rmat import RMatrix, invert, second_inverse, ybe_check
 
 DEFAULT_SEED = 7261
-DEFAULT_POINTS = 3
+# sample point i works mod PRIMES[i]: 2^61 - 1 and the next primes below it
+PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
+DEFAULT_POINTS = len(PRIMES)
 
 
 class CoproductError(ValueError):
     """Ill-formed coproduct specification."""
+
+
+class SamplingError(RuntimeError):
+    """Too few good sample points among the draws."""
 
 
 @dataclass
@@ -92,6 +100,13 @@ class RelationVerdict:
     residue: str = None         # nonzero residue rendering when failed
 
 
+def _reporting_map(values, field):
+    """The map failing values print through: over Z/MZ, to the least absolute
+    residue mod the first p_i where one is nonzero, kept in Z/MZ; else identity."""
+    p = next((p for p in getattr(field, "primes", ()) if any(c.v % p for c in values)), None)
+    return (lambda c: field.from_int(min(c.v % p, c.v % p - p, key=abs))) if p else (lambda c: c)
+
+
 def verify_homomorphism(P: Presentation, spec: CoproductSpec,
                         square: TensorSquare, bound: int, collect=True):
     """Check that every relation maps into the tensor-square ideal.
@@ -112,8 +127,9 @@ def verify_homomorphism(P: Presentation, spec: CoproductSpec,
                 i, format_poly(r, P), True,
                 certificate=cert.terms if cert is not None else None))
         else:
+            shown = residue.map_coefficients(_reporting_map(residue.terms.values(), SQ.field))
             verdicts.append(RelationVerdict(
-                i, format_poly(r, P), False, residue=format_poly(residue, SQ)))
+                i, format_poly(r, P), False, residue=format_poly(shown, SQ)))
     return verdicts, warning
 
 
@@ -142,14 +158,13 @@ def verify_counit(P: Presentation, spec: CoproductSpec, square: TensorSquare):
     """
     field = P.field
     for g in range(P.ngens):
-        image = spec.images[g]
         gname = str(P.roster[g])
-        lhs = _apply_counit_side(image, spec, square, "left")
-        if lhs != NCPoly.gen(g, field.one):
-            return False, f"(eps (x) id) Delta {gname} = {format_poly(lhs, P)} != {gname}"
-        rhs = _apply_counit_side(image, spec, square, "right")
-        if rhs != NCPoly.gen(g, field.one):
-            return False, f"(id (x) eps) Delta {gname} = {format_poly(rhs, P)} != {gname}"
+        gen = NCPoly.gen(g, field.one)
+        for side, law in (("left", "(eps (x) id)"), ("right", "(id (x) eps)")):
+            lhs = _apply_counit_side(spec.images[g], spec, square, side)
+            if lhs != gen:
+                shown = lhs.map_coefficients(_reporting_map((lhs - gen).terms.values(), field))
+                return False, f"{law} Delta {gname} = {format_poly(shown, P)} != {gname}"
     for i, r in enumerate(P.relations):
         total = field.zero
         for w, c in r.terms.items():
@@ -158,7 +173,7 @@ def verify_counit(P: Presentation, spec: CoproductSpec, square: TensorSquare):
                 v = v * spec.counit[g]
             total = total + v
         if total:
-            return False, f"eps(relation {i}) = {total} != 0"
+            return False, f"eps(relation {i}) = {_reporting_map([total], field)(total)} != 0"
     return True, None
 
 
@@ -287,21 +302,18 @@ def _check(P: Presentation, spec: CoproductSpec, square: TensorSquare,
     return verdicts, counit, coassoc, warning
 
 
-def _evaluate_mod(x: int, P: Presentation, square: TensorSquare,
+def _evaluate_mod(x, P: Presentation, square: TensorSquare,
                   spec: CoproductSpec):
-    """(P, spec, square) specialized at q = x in GF(p).
+    """(P, spec, square) specialized at q = x, an element of Z/MZ.
 
     Specialized relations keep the order of the symbolic relation list
     (Presentation.evaluate_mod), so verdicts stay aligned with it.
     """
-    def ev(c):
-        return c.evaluate_mod(x)
-
     P_x = P.evaluate_mod(x)
-    square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x)
-    spec_x = CoproductSpec({g: img.map_coefficients(ev) for g, img in spec.images.items()},
-                           {g: ev(c) for g, c in spec.counit.items()})
-    return P_x, spec_x, square_x
+    return (P_x, CoproductSpec(
+        {g: img.map_coefficients(lambda c: c.evaluate_mod(x)) for g, img in spec.images.items()},
+        {g: c.evaluate_mod(x) for g, c in spec.counit.items()}),
+        TensorSquare(square.presentation.evaluate_mod(x), P_x))
 
 
 def _denominators(P: Presentation, square: TensorSquare, spec: CoproductSpec):
@@ -311,28 +323,33 @@ def _denominators(P: Presentation, square: TensorSquare, spec: CoproductSpec):
     return dens | {c.den for c in spec.counit.values()}
 
 
-def sample_points(R: RMatrix, seed: int, count: int, denominators=()):
+def sample_points(R: RMatrix, seed: int, count: int, denominators=(), exclude=()):
     """Deterministic sample values q0 = n/d of q.
 
-    Each point is used through its image x = n * d^-1 mod p.  A drawn q0 is
-    skipped when x does not exist or is 0 or +-1, when x is a pole of R or
-    of R^-1, or when one of the given denominators vanishes at x.
+    Point i (1 <= count <= len(PRIMES)) is used through its image
+    x = n * d^-1 mod PRIMES[i].  A drawn q0 is skipped when it is in exclude,
+    when x does not exist or is 0 or +-1, when x is a pole of R or of R^-1,
+    or when one of the given denominators vanishes at x.  Raises
+    SamplingError after 200 draws.
     """
+    if not 1 <= count <= len(PRIMES):
+        raise ValueError(f"sample point count must be 1..{len(PRIMES)}, not {count}")
     rng = random.Random(seed)
+    fields = [ModRing((p,)) for p in PRIMES[:count]]
     points = []
     attempts = 0
     while len(points) < count:
         attempts += 1
         if attempts > 200:
-            raise RuntimeError("could not sample enough good evaluation points")
+            raise SamplingError("could not sample enough good evaluation points")
         q0 = Fraction(rng.randint(2, 19), rng.randint(1, 7))
         if rng.random() < 0.5:
             q0 = -q0
-        if q0 in points:
+        if q0 in points or q0 in exclude:
             continue
         try:
-            x = mod_p(q0)
-            if x in (0, 1, qscalar.PRIME - 1):
+            x = fields[len(points)].image(q0)
+            if x in (0, 1, -1):
                 continue
             if not all(d.evaluate_mod(x) for d in denominators):
                 continue
@@ -390,16 +407,20 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
 
     spec = matrix_coproduct(P, square)
     if sampled:
-        points = sample_points(R, seed, num_points, _denominators(P, square, spec))
+        # one pass at every point; a point where completion degenerates is
+        # dropped and the pass reruns with the next good draw in its place
+        denominators, dropped = _denominators(P, square, spec), set()
+        ring = ModRing(PRIMES[:num_points])
+        while True:
+            points = sample_points(R, seed, num_points, denominators, dropped)
+            x = ring.crt([f.image(q0) for f, q0 in zip(ring.fields, points)])
+            try:
+                verdicts, counit, coassoc, warning = _check(
+                    *_evaluate_mod(x, P, square, spec), bound, collect=False)
+                break
+            except NonUnitError as e:
+                dropped.update(q0 for q0, p in zip(points, ring.primes) if p in e.primes)
         report.points = [str(q0) for q0 in points]
-        per_point, counits, coassocs, warned = zip(*(
-            _check(*_evaluate_mod(mod_p(q0), P, square, spec), bound, collect=False)
-            for q0 in points))
-        # each check's result at the first point where it fails, else at the first point
-        verdicts = [next((v for v in vs if not v.passed), vs[0]) for vs in zip(*per_point)]
-        counit = next((c for c in counits if not c[0]), counits[0])
-        coassoc = next((c for c in coassocs if not c[0]), coassocs[0])
-        warning = any(warned)
         for v, r in zip(verdicts, P.relations):
             v.relation = format_poly(r, P)
     else:

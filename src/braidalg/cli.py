@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
     except (OrientationError, SingularMatrixError, QScalarError,
-            CompletionBudgetError) as e:
+            CompletionBudgetError, bialg.SamplingError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except NCAlgError as e:

@@ -3,7 +3,8 @@ engine.
 
 The engine works over any exact field whose elements support + - * /,
 inverse(), truth-testing and comparison with the integer 1: Q(q)
-(RatFunc) in symbolic mode and GF(p) (ModP) in sampled mode.
+(RatFunc) in symbolic mode and Z/MZ (ModP) in sampled mode, where a pivot
+that is not a unit raises qscalar.NonUnitError.
 
 Rows are dicts keyed by arbitrary hashable column labels, ordered by a
 caller-supplied key function (the column with the largest key is the

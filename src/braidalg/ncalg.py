@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .linalg import SparseEchelon
-from .qscalar import GFP, Q, QQ_Q, DescentParser, bounded_pow, read_int
+from .qscalar import Q, QQ_Q, DescentParser, bounded_pow, read_int
 
 
 class NCAlgError(ValueError):
@@ -248,15 +248,15 @@ class Presentation:
         return self.positions[g]
 
     def evaluate_mod(self, x) -> "Presentation":
-        """The specialization q -> x in GF(p), x a residue mod p; raises
-        PoleError at a pole of a relation coefficient.
+        """The specialization q -> x in x's ring Z/MZ; raises PoleError at
+        a pole of a relation coefficient.
 
         Specialization keeps every monic leading term and every zero, so
         the specialized relations are still a canonical echelon basis:
         pruning them again is a no-op, and they keep the symbolic order.
         """
         rels = [r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in self.relations]
-        return Presentation(self.dim, self.roster, rels, GFP, self.name)
+        return Presentation(self.dim, self.roster, rels, x.ring, self.name)
 
     def __repr__(self):
         return (f"Presentation({self.name or 'anonymous'}: {self.ngens} generators, "

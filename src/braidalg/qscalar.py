@@ -13,8 +13,9 @@ which makes equality (and hence zero-testing) a structural comparison.
 Values are immutable; all operations return new objects, so they are safe
 to share between threads.
 
-Sampled computations specialize q to a residue modulo the prime PRIME and
-work in GF(PRIME) with ModP elements.
+Sampled computations specialize q to x in Z/MZ, M = p_1...p_k distinct
+primes (a ModRing), and work there with ModP elements: by the Chinese
+remainder theorem that is k points mod p_i at once; GF(p) is M = p.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ class PoleError(QScalarError, ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-PRIME = 2 ** 61 - 1
+class NonUnitError(QScalarError, ZeroDivisionError):
+    """Inverse of a non-unit of Z/MZ; primes are the p_i modulo which it is 0."""
+
+    def __init__(self, message, primes):
+        super().__init__(message)
+        self.primes = primes
 
 
 def int_str(n: int) -> str:
@@ -256,11 +262,13 @@ class LaurentPoly:
             total += c * q0 ** e
         return total
 
-    def evaluate_mod(self, x: int) -> int:
-        """Residue mod PRIME of the value at q = x (x a residue mod PRIME)."""
-        if not x % PRIME:
-            raise PoleError("cannot evaluate a Laurent polynomial at q = 0")
-        return sum(c * pow(x, e, PRIME) for e, c in self.coeffs.items()) % PRIME
+    def evaluate_mod(self, x: "ModP") -> "ModP":
+        """Value at q = x in x's ring Z/MZ; PoleError when x^-1 is needed
+        and does not exist."""
+        try:
+            return _new(type(x), sum(c * pow(x.v, e, x.M) for e, c in self.coeffs.items()) % x.M)
+        except ValueError:
+            raise PoleError(f"q = {x} is not a unit mod {int_str(x.M)}") from None
 
     def __str__(self):
         if not self.coeffs:
@@ -404,15 +412,13 @@ class RatFunc:
             raise PoleError(f"pole at q = {q0}")
         return self.num.evaluate(q0) / d
 
-    def evaluate_mod(self, x: int) -> "ModP":
-        """Value in GF(PRIME) at q = x; raises PoleError at poles mod PRIME."""
+    def evaluate_mod(self, x: "ModP") -> "ModP":
+        """Value at q = x in x's ring; PoleError if x^-1 or den(x)^-1 is missing."""
         n = self.num.evaluate_mod(x)
-        if self.den is _LP_ONE:
-            return _modp(n)
-        d = self.den.evaluate_mod(x)
-        if not d:
-            raise PoleError(f"pole at q = {x} mod {PRIME}")
-        return _modp(n * pow(d, -1, PRIME) % PRIME)
+        try:
+            return n if self.den is _LP_ONE else n / self.den.evaluate_mod(x)
+        except ZeroDivisionError:
+            raise PoleError(f"pole at q = {x} mod {int_str(x.M)}") from None
 
     def __str__(self):
         if self.den.coeffs == {0: 1}:
@@ -455,77 +461,99 @@ QINV = RatFunc.q_power(-1)
 
 
 # ---------------------------------------------------------------------------
-# the prime field GF(PRIME)
+# residue rings Z/MZ, M a product of distinct primes
 # ---------------------------------------------------------------------------
 
-def mod_p(q0) -> int:
-    """The residue n * d^-1 mod PRIME of a rational q0 = n/d; raises
-    PoleError when PRIME divides d."""
-    q0 = Fraction(q0)
-    if not q0.denominator % PRIME:
-        raise PoleError(f"q = {q0} has no image mod {PRIME}")
-    return q0.numerator * pow(q0.denominator, -1, PRIME) % PRIME
-
-
 class ModP:
-    """An element of GF(PRIME), held as its least nonnegative residue v."""
+    """A residue class mod M, held as its least nonnegative residue v; M and
+    ring are attributes of the class each ModRing makes for its elements."""
 
     __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v % PRIME
 
     def __bool__(self):
         return bool(self.v)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.v == other % PRIME
+            return self.v == other % self.M
         if not isinstance(other, ModP):
             return NotImplemented
-        return self.v == other.v
+        return self.v == other.v and self.M == other.M
 
     def __hash__(self):
         return hash(self.v)
 
     def __add__(self, other):
-        return _modp((self.v + other.v) % PRIME)
+        return _new(type(self), (self.v + other.v) % self.M)
 
     def __sub__(self, other):
-        return _modp((self.v - other.v) % PRIME)
+        return _new(type(self), (self.v - other.v) % self.M)
 
     def __neg__(self):
-        return _modp(-self.v % PRIME)
+        return _new(type(self), -self.v % self.M)
 
     def __mul__(self, other):
-        return _modp(self.v * other.v % PRIME)
+        return _new(type(self), self.v * other.v % self.M)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def inverse(self):
-        if not self.v:
-            raise ZeroDenominatorError("division by zero in GF(p)")
-        return _modp(pow(self.v, -1, PRIME))
+        try:
+            return _new(type(self), pow(self.v, -1, self.M))
+        except ValueError:
+            if not self.v:
+                raise ZeroDenominatorError(f"division by zero mod {int_str(self.M)}") from None
+            primes = tuple(p for p in self.ring.primes if not self.v % p)
+            raise NonUnitError(f"{self} is not a unit: it is zero mod "
+                               f"{', '.join(map(int_str, primes))}", primes) from None
 
     def __str__(self):
         # the representative of least absolute value
-        v = self.v
-        return int_str(v - PRIME if v > PRIME // 2 else v)
+        return int_str(min(self.v, self.v - self.M, key=abs))
 
     def __repr__(self):
         return f"ModP({self})"
 
 
-def _modp(v):
+def _new(cls, v):
     # internal: v is already reduced
-    r = object.__new__(ModP)
+    r = object.__new__(cls)
     r.v = v
     return r
 
 
+class ModRing:
+    """Z/MZ for M the product of distinct primes; fields are the rings
+    GF(p_i), in order (for k = 1, the ring itself)."""
+
+    def __init__(self, primes):
+        self.primes = tuple(primes)
+        self.M = math.prod(self.primes)
+        self.element = type("ModP", (ModP,), {"__slots__": (), "M": self.M, "ring": self})
+        self.zero = _new(self.element, 0)
+        self.one = _new(self.element, 1)
+        self.fields = ((self,) if len(self.primes) == 1
+                       else tuple(ModRing((p,)) for p in self.primes))
+
+    def from_int(self, n):
+        return _new(self.element, n % self.M)
+
+    def image(self, q0):
+        """The image n * d^-1 of q0 = n/d; PoleError when d is not a unit."""
+        q0 = Fraction(q0)
+        if math.gcd(q0.denominator, self.M) != 1:
+            raise PoleError(f"q = {q0} has no image mod {int_str(self.M)}")
+        return self.from_int(q0.numerator * pow(q0.denominator, -1, self.M))
+
+    def crt(self, residues):
+        """The element whose image in fields[i] is residues[i]."""
+        return self.from_int(sum(r.v * (self.M // p) * pow(self.M // p, -1, p)
+                                 for p, r in zip(self.primes, residues)))
+
+
 # ---------------------------------------------------------------------------
-# coefficient fields: RatFunc for exact mode, ModP for sampled mode
+# coefficient rings: RatFunc for exact mode, ModP for sampled mode
 # ---------------------------------------------------------------------------
 
 class RatFuncField:
@@ -539,19 +567,7 @@ class RatFuncField:
         return RatFunc.from_int(n)
 
 
-class PrimeField:
-    """Field handle for GF(PRIME) coefficients (sampled mode)."""
-
-    zero = _modp(0)
-    one = _modp(1)
-
-    @staticmethod
-    def from_int(n):
-        return ModP(n)
-
-
 QQ_Q = RatFuncField()
-GFP = PrimeField()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ values.  Its matmul is the one operator product of the package (the
 presentation builders multiply operators with polynomial entries through
 it too), and differences lists the nonzero entry differences of two
 operators in sorted index order.  Everything is exact; entries are
-RatFunc in symbolic mode or GF(p) ModP after specialization at q = x mod
-p (evaluate_mod).  Inverses come from linalg.dense_inverse, which reads
+RatFunc in symbolic mode or ModP after specialization at q = x in Z/MZ
+(evaluate_mod).  Inverses come from linalg.dense_inverse, which reads
 them off the reduced echelon form of [R | I] in the package's one
 elimination engine, over the R-matrix's own field.
 """
@@ -26,7 +26,7 @@ import json
 
 from . import qscalar
 from .linalg import SingularMatrixError, dense_inverse
-from .qscalar import GFP, QQ_Q
+from .qscalar import QQ_Q
 
 
 # Largest dim accepted from a document or a builtin name: the dense view
@@ -75,9 +75,9 @@ class RMatrix:
                        self.field)
 
     def evaluate_mod(self, x) -> "RMatrix":
-        """Specialization at q = x in GF(p); raises PoleError at poles mod p."""
+        """Specialization at q = x in x's ring Z/MZ; raises PoleError at poles."""
         vals = {k: v.evaluate_mod(x) for k, v in self.entries.items()}
-        return RMatrix(self.dim, vals, field=GFP)
+        return RMatrix(self.dim, vals, field=x.ring)
 
     # -- dense views --------------------------------------------------------
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidalg import bialg
 from braidalg import qscalar as qs
 from braidalg.cli import main
 from braidalg.bialg import (CoproductError, CoproductSpec, matrix_coproduct,
@@ -17,8 +18,9 @@ from braidalg.bialg import (CoproductError, CoproductSpec, matrix_coproduct,
                             verify_counit, verify_homomorphism)
 from braidalg.ideals import substitute_generators
 from braidalg.ncalg import NCPoly, parse_poly
-from braidalg.presents import (braided_chain, braided_matrices,
+from braidalg.presents import (TensorSquare, braided_chain, braided_matrices,
                                braided_tensor_square)
+from braidalg.rewrite import truncated_gb
 from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix, identity_rmatrix,
                            save_rmatrix)
 
@@ -257,6 +259,10 @@ def test_sample_points_deterministic_and_safe():
     assert len(set(pts1)) == 3
     for p in pts1:
         assert p not in (0, 1, -1)
+    # one prime per point: no more points than primes, and at least one
+    for count in (0, len(bialg.PRIMES) + 1):
+        with pytest.raises(ValueError):
+            sample_points(R, 7261, count)
 
 
 def test_probabilistic_agrees_with_exact_on_bm_glq2():
@@ -361,8 +367,20 @@ def test_sampled_reports_give_the_exact_verdicts(cli_run, argv):
     assert len(sampled["points"]) == 3
 
 
+# the points of the sampled GOLDEN runs, recorded when each point ran its
+# own pass; one pass over Z/MZ must draw the same ones
+SAMPLED_POINTS = ["7/6", "-3", "-2"]
+
+
+@pytest.mark.parametrize("argv", [g[0] for g in GOLDEN], ids=GOLDEN_IDS)
+def test_sampled_points_are_pinned(cli_run, argv):
+    _, out = cli_run(argv + ("--mode", "probabilistic"))
+    assert json.loads(out)["points"] == SAMPLED_POINTS
+
+
 def test_sample_points_skip_denominators_divisible_by_the_prime(monkeypatch):
-    monkeypatch.setattr(qs, "PRIME", 7)
+    small = (7, 11, 13)
+    monkeypatch.setattr(bialg, "PRIMES", small)
 
     def first_draw(seed):
         # the first point sample_points draws for this seed
@@ -375,10 +393,94 @@ def test_sample_points_skip_denominators_divisible_by_the_prime(monkeypatch):
     points = sample_points(R, seed, 3)
     assert points == sample_points(R, seed, 3)
     assert first_draw(seed) not in points
-    assert all(p.denominator % 7 and p.numerator % 7 for p in points)
+    # point i avoids p_i, and only p_i: -7 is point 2 (mod 11), though it is 0 mod 7
+    assert all(q0.denominator % p and q0.numerator % p for q0, p in zip(points, small))
+    assert points == [Fraction(4), Fraction(-7), Fraction(6)]
     rep = verify_bialgebra(R, preset="bm", bound=4, mode="probabilistic", seed=seed)
     assert rep.points == [str(p) for p in points]
     assert rep.passed
+
+
+def test_degenerate_point_is_detected_and_redrawn(monkeypatch, cli_run):
+    # with these primes, completion of the chain pert2 square (which adjoins
+    # rules) meets a leading coefficient that vanishes at the first point
+    # only: it has the factor q^2 + q - 1, which is 101/25 at q = 9/5
+    small = (101, 103, 107)
+    monkeypatch.setattr(bialg, "PRIMES", small)
+    R, seed = perturbed_rmatrix(), 3
+    points = sample_points(R, seed, 3)
+    assert points == [Fraction(9, 5), Fraction(-13, 5), Fraction(-4, 5)]
+    ring = qs.ModRing(small)
+    x = ring.crt([F.image(q0) for F, q0 in zip(ring.fields, points)])
+    square = braided_tensor_square(braided_chain(R, 2), R)
+    with pytest.raises(qs.NonUnitError, match="zero mod 101$") as err:
+        truncated_gb(square.presentation.evaluate_mod(x), 4)
+    assert err.value.primes == (101,)
+
+    rep = verify_bialgebra(R, preset="chain", n=2, bound=4, mode="probabilistic", seed=seed)
+    assert "9/5" not in rep.points and rep.points[:2] == ["-13/5", "-4/5"]
+    _, out = cli_run(("verify", "chain", "pert2.json", "-n", "2", "-D", "4"))
+    exact = json.loads(out)
+    assert [v.passed for v in rep.relation_verdicts] == \
+        [v["verdict"] == "pass" for v in exact["relations"]]
+    assert (rep.passed, rep.ybe, rep.counit, rep.coassoc, rep.completion_warning) == \
+        (exact["passed"], exact["ybe"], exact["counit"], exact["coassoc"],
+         exact["completion_warning"])
+
+
+def test_failing_residue_prints_at_the_first_point_where_it_is_nonzero(bm, square, spec):
+    # a coproduct that is right at point 1 and wrong at point 2: its
+    # residues over Z/MZ must print as the residues at point 2 alone
+    p1, p2 = bialg.PRIMES[:2]
+    ring = qs.ModRing((p1, p2))
+    F2 = ring.fields[1]
+    x = ring.crt([F.image(q0) for F, q0 in zip(ring.fields, (Fraction(7, 6), Fraction(-3)))])
+    n = bm.ngens
+    u12 = bm.gen("u", 1, 2)
+
+    def at(x):
+        P_x = bm.evaluate_mod(x)
+        square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x)
+        images = {g: img.map_coefficients(lambda c: c.evaluate_mod(x))
+                  for g, img in spec.images.items()}
+        images[u12] = images[u12] + NCPoly.term((u12, n + u12), x.ring.from_int(p1))
+        counit = {g: c.evaluate_mod(x) for g, c in spec.counit.items()}
+        return verify_homomorphism(P_x, CoproductSpec(images, counit), square_x, 4)[0]
+
+    both, second = at(x), at(F2.from_int(x.v))
+    assert any(not v.passed for v in second)
+    assert [(v.passed, v.residue) for v in both] == [(v.passed, v.residue) for v in second]
+
+
+def test_counit_detail_names_the_first_generator_failing_at_any_point(bm, square, spec):
+    # u[1,1] fails only at point 2 and u[2,2] only at point 1: over Z/MZ the
+    # detail names u[1,1], the first generator that fails anywhere, printed
+    # as at point 2 alone; point 1 alone names u[2,2]
+    p1, p2 = bialg.PRIMES[:2]
+    ring = qs.ModRing((p1, p2))
+    x = ring.crt([F.image(q0) for F, q0 in zip(ring.fields, (Fraction(7, 6), Fraction(-3)))])
+    n = bm.ngens
+    u11, u12, u22 = bm.gen("u", 1, 1), bm.gen("u", 1, 2), bm.gen("u", 2, 2)
+
+    def detail(x, extra):
+        P_x = bm.evaluate_mod(x)
+        square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x)
+        images = {g: img.map_coefficients(lambda c: c.evaluate_mod(x))
+                  for g, img in spec.images.items()}
+        for g, (word, c) in extra.items():
+            images[g] = images[g] + NCPoly.term(word, x.ring.from_int(c))
+        counit = {g: c.evaluate_mod(x) for g, c in spec.counit.items()}
+        passed, text = verify_counit(P_x, CoproductSpec(images, counit), square_x)
+        assert not passed
+        return text
+
+    # a right-copy u[1,2] alone breaks (eps (x) id), a left-copy one (id (x) eps)
+    for word, law in (((n + u12,), "(eps (x) id)"), ((u12,), "(id (x) eps)")):
+        extra = {u11: (word, p1), u22: (word, p2)}
+        both = detail(x, extra)
+        assert both.startswith(f"{law} Delta u[1,1] = ")
+        assert both == detail(ring.fields[1].from_int(x.v), extra)
+        assert detail(ring.fields[0].from_int(x.v), extra).startswith(f"{law} Delta u[2,2] = ")
 
 
 # -- q -> 1 specialization ---------------------------------------------------------

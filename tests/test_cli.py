@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,26 @@ def test_completion_over_its_work_budget_is_an_error(tmp_path, capsys, perturbed
     assert err.startswith("error: CompletionBudgetError:") and err.count("\n") == 1
     assert keep.read_text() == "previous contents\n"
     assert sorted(os.listdir(tmp_path)) == ["keep.txt", "perturbed.json"]
+
+
+def test_running_out_of_sample_points_is_an_error(tmp_path, capsys):
+    # a dim-1 R-matrix that vanishes at every value q0 = +-n/d the sampler
+    # can draw (2 <= n <= 19, 1 <= d <= 7): each draw is a pole of R^-1
+    values = {sign * Fraction(n, d) for n in range(2, 20) for d in range(1, 8)
+              for sign in (1, -1)}
+    assert len(values) == 176
+    entry = "*".join(f"({v.denominator}*q - ({v.numerator}))" for v in sorted(values))
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps({"dim": 1, "entries": [
+        {"i": 1, "j": 1, "k": 1, "l": 1, "coeff": entry}]}))
+    keep = tmp_path / "keep.txt"
+    keep.write_text("kept\n")
+    code, out, err = run(capsys, "verify", "bm", str(path), "-D", "4",
+                         "--mode", "probabilistic", "-o", str(keep))
+    assert code == 1 and out == ""
+    assert err.startswith("error: SamplingError:") and err.count("\n") == 1
+    assert keep.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["keep.txt", "roots.json"]
 
 
 def test_unprintable_integer_is_an_error(tmp_path, capsys):

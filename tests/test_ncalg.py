@@ -9,7 +9,7 @@ from braidalg import qscalar as qs
 from braidalg.ncalg import (Generator, NCAlgError, NCPoly, PolyParseError,
                             Presentation, format_poly, parse_poly)
 from braidalg.cli import format_presentation_document, parse_presentation_document
-from braidalg.bialg import DEFAULT_SEED, sample_points
+from braidalg.bialg import DEFAULT_SEED, PRIMES, sample_points
 from braidalg.ideals import reduce_mod_ideal
 from braidalg.linalg import SparseEchelon
 from braidalg.rewrite import OrientationError, orient_relations
@@ -130,9 +130,10 @@ def test_parse_poly_bounds():
 
 
 def test_parse_poly_power_over_gf_p():
-    P = two_gen_presentation().evaluate_mod(qs.mod_p(3))
+    GF = qs.ModRing(PRIMES[:1])
+    P = two_gen_presentation().evaluate_mod(GF.from_int(3))
     x = NCPoly.gen(P.gen("x", 1, 1), P.field.one)
-    assert parse_poly("2^-3 * x[1,1]", P) == x.scale(qs.ModP(1) / qs.ModP(8))
+    assert parse_poly("2^-3 * x[1,1]", P) == x.scale(GF.one / GF.from_int(8))
     with pytest.raises(PolyParseError):
         parse_poly("0^-1", P)
 
@@ -266,10 +267,12 @@ def test_specialized_relations_are_the_entrywise_specialization(rmatrix, preset,
     R = rmatrix()
     P = build_preset(preset, R, n)
     dens = {c.den for r in P.relations for c in r.terms.values()}
-    for q0 in sample_points(R, DEFAULT_SEED, 3, dens):
-        x = qs.mod_p(q0)
+    # at each point alone, and at all three at once over Z/MZ
+    ring = qs.ModRing(PRIMES[:3])
+    images = [F.image(q0) for F, q0 in zip(ring.fields, sample_points(R, DEFAULT_SEED, 3, dens))]
+    for x in images + [ring.crt(images)]:
         want = tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in P.relations)
-        assert P.evaluate_mod(x).relations == want, (preset, q0)
+        assert P.evaluate_mod(x).relations == want, (preset, x)
 
 
 # -- normal form --------------------------------------------------------------

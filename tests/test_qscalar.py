@@ -1,6 +1,6 @@
 """Exact arithmetic in Q(q): canonical forms, parsing, field laws."""
 
-import contextlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidalg import qscalar as qs
-from braidalg.qscalar import (LaurentPoly, PoleError, RatFunc, ScalarParseError,
-                              ZeroDenominatorError, parse_scalar)
+from braidalg.bialg import DEFAULT_POINTS, PRIMES
+from braidalg.qscalar import (LaurentPoly, ModRing, NonUnitError, PoleError, RatFunc,
+                              ScalarParseError, ZeroDenominatorError, parse_scalar)
 
 
 def lp(d):
@@ -93,13 +94,17 @@ def test_denominator_normalization():
 
 
 def test_evaluate():
+    F = ModRing((PRIMES[0],))
     a = parse_scalar("q - q^-1")
     assert a.evaluate(2) == Fraction(3, 2)
-    assert a.evaluate(1) == 0
-    with pytest.raises(PoleError):
-        parse_scalar("1/(q - 1)").evaluate(1)
-    with pytest.raises(PoleError):
-        a.evaluate(0)
+    assert a.evaluate_mod(F.image(2)) == F.image(Fraction(3, 2))
+    assert a.evaluate(1) == 0 and not a.evaluate_mod(F.one)
+    for at in (lambda c: c.evaluate(1), lambda c: c.evaluate_mod(F.one)):
+        with pytest.raises(PoleError):
+            at(parse_scalar("1/(q - 1)"))
+    for at in (lambda c: c.evaluate(0), lambda c: c.evaluate_mod(F.zero)):
+        with pytest.raises(PoleError):
+            at(a)
 
 
 # -- randomized field laws ---------------------------------------------------
@@ -154,63 +159,127 @@ def test_canonical_equality_is_structural():
     assert a.num == b.num and a.den == b.den
 
 
-# -- the prime field GF(PRIME) -------------------------------------------------
+# -- residue rings Z/MZ ---------------------------------------------------------
 
-PRIMES = (qs.PRIME, 7, 101)
+MODULI = (PRIMES[0], 7, 101)
 fractions = st.fractions(max_denominator=50).filter(lambda f: abs(f.numerator) < 10 ** 30)
 
 
-@contextlib.contextmanager
-def modulus(p):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qs, "PRIME", p)
-        yield
-
-
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", MODULI)
 @settings(max_examples=150, deadline=None)
 @given(fractions, fractions)
 def test_modp_arithmetic_agrees_with_fractions(p, a, b):
-    with modulus(p):
-        if a.denominator % p == 0 or b.denominator % p == 0:
-            return
-        x, y = qs.ModP(qs.mod_p(a)), qs.ModP(qs.mod_p(b))
-        assert x + y == qs.ModP(qs.mod_p(a + b))
-        assert x - y == qs.ModP(qs.mod_p(a - b))
-        assert -x == qs.ModP(qs.mod_p(-a))
-        assert x * y == qs.ModP(qs.mod_p(a * b))
-        assert bool(y) == bool(qs.mod_p(b))
-        if y:
-            assert x / y == qs.ModP(qs.mod_p(a / b))
-        else:
-            with pytest.raises(ZeroDenominatorError):
-                x / y
-        # printed as the representative of least absolute value
-        assert abs(int(str(x))) <= p // 2 and qs.ModP(int(str(x))) == x
+    F = ModRing((p,))
+    if a.denominator % p == 0 or b.denominator % p == 0:
+        return
+    x, y = F.image(a), F.image(b)
+    assert x + y == F.image(a + b)
+    assert x - y == F.image(a - b)
+    assert -x == F.image(-a)
+    assert x * y == F.image(a * b)
+    assert bool(y) == bool(b.numerator % p)
+    if y:
+        assert x / y == F.image(a / b)
+    else:
+        with pytest.raises(ZeroDenominatorError):
+            x / y
+    # printed as the representative of least absolute value
+    assert abs(int(str(x))) <= p // 2 and F.from_int(int(str(x))) == x
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", MODULI)
 @settings(max_examples=150, deadline=None)
 @given(ratfuncs(), fractions.filter(bool))
 def test_evaluate_mod_is_evaluate_reduced_mod_p(p, a, q0):
-    with modulus(p):
-        if q0.numerator % p == 0 or q0.denominator % p == 0:
-            return
-        x = qs.mod_p(q0)
-        # the denominator is a polynomial, so its rational value has a
-        # denominator prime to p and a residue mod p
-        if qs.mod_p(a.den.evaluate(q0)) == 0:
-            with pytest.raises(PoleError):
-                a.evaluate_mod(x)
-        else:
-            assert a.evaluate_mod(x) == qs.ModP(qs.mod_p(a.evaluate(q0)))
+    F = ModRing((p,))
+    if q0.numerator % p == 0 or q0.denominator % p == 0:
+        return
+    x = F.image(q0)
+    # the denominator is a polynomial, so its rational value has a
+    # denominator prime to p and an image mod p
+    if not F.image(a.den.evaluate(q0)):
+        with pytest.raises(PoleError):
+            a.evaluate_mod(x)
+    else:
+        assert a.evaluate_mod(x) == F.image(a.evaluate(q0))
 
 
 def test_mod_p_rejects_denominators_divisible_by_p():
-    with modulus(7):
-        assert qs.mod_p(Fraction(3, 2)) == 5
-        with pytest.raises(PoleError):
-            qs.mod_p(Fraction(3, 14))
+    F = ModRing((7,))
+    assert F.image(Fraction(3, 2)) == 5
+    with pytest.raises(PoleError):
+        F.image(Fraction(3, 14))
+
+
+SMALL = ModRing((7, 11, 13))
+
+
+@pytest.mark.parametrize("ring", [ModRing(PRIMES[:3]), SMALL], ids=["table", "small"])
+@settings(max_examples=150, deadline=None)
+@given(fractions, fractions)
+def test_projection_mod_each_prime_commutes_with_the_ring(ring, a, b):
+    # Z/MZ is the product of the GF(p_i): projecting mod p_i is a ring map
+    if math.gcd(a.denominator * b.denominator, ring.M) != 1:
+        return
+    x, y = ring.image(a), ring.image(b)
+    for F in ring.fields:
+        def proj(z):
+            return F.from_int(z.v)
+        assert proj(x + y) == F.image(a + b)
+        assert proj(x - y) == F.image(a - b)
+        assert proj(x * y) == F.image(a * b)
+    vanish = tuple(p for p in ring.primes if not b.numerator % p)
+    if not vanish:
+        for F in ring.fields:
+            assert F.from_int(y.inverse().v) == F.image(1 / b)
+    elif len(vanish) < len(ring.primes):
+        with pytest.raises(NonUnitError) as err:
+            y.inverse()
+        assert err.value.primes == vanish
+    else:
+        with pytest.raises(ZeroDenominatorError):
+            y.inverse()
+
+
+def test_crt_lifts_the_residues_of_each_point():
+    points = (Fraction(7, 6), Fraction(-3), Fraction(-2))
+    x = SMALL.crt([F.image(q0) for F, q0 in zip(SMALL.fields, points)])
+    assert [F.from_int(x.v) for F in SMALL.fields] == \
+        [F.image(q0) for F, q0 in zip(SMALL.fields, points)]
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: these bases decide every n < 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_sample_primes_are_distinct_primes():
+    assert PRIMES[0] == 2 ** 61 - 1
+    assert len(set(PRIMES)) == len(PRIMES) >= 3
+    assert all(_is_prime(p) for p in PRIMES)
+    assert not any(_is_prime(n) for n in (561, 2 ** 61 - 3, 2 ** 61 - 9, 2 ** 61 - 33))
+    # the next primes below 2^61 - 1, with none skipped
+    assert [n for n in range(PRIMES[0], PRIMES[-1] - 1, -1) if _is_prime(n)] == list(PRIMES)
+    assert DEFAULT_POINTS == len(PRIMES)
 
 
 def test_printing_an_integer_beyond_the_digit_limit_is_a_qscalar_error():

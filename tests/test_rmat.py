@@ -5,7 +5,7 @@ import random
 import pytest
 
 from braidalg import qscalar as qs
-from braidalg.bialg import sample_points
+from braidalg.bialg import PRIMES, sample_points
 from braidalg.linalg import SingularMatrixError, dense_inverse, dense_rank
 from braidalg.rmat import (MAX_DIM, RMatrix, RMatrixDocumentError,
                            builtin_rmatrix, flip_rmatrix,
@@ -252,8 +252,9 @@ def test_dense_inverse_rejects_non_square():
 
 @pytest.mark.parametrize("R", [glq2_rmatrix(), glq_rmatrix(3), perturbed_rmatrix()])
 def test_specialization_commutes_with_inversion(R):
+    GF = qs.ModRing(PRIMES[:1])
     for q0 in sample_points(R, 91, 2):
-        x = qs.mod_p(q0)
+        x = GF.image(q0)
         assert invert(R.evaluate_mod(x)) == invert(R).evaluate_mod(x)
         assert (second_inverse(R.evaluate_mod(x))
                 == second_inverse(R).evaluate_mod(x))
@@ -261,9 +262,9 @@ def test_specialization_commutes_with_inversion(R):
 
 def test_dense_rank_over_both_fields():
     q, one = qs.Q, qs.ONE
-    x = 12345
+    x = qs.ModRing(PRIMES[:1]).from_int(12345)
     # rank 2 over Q(q) but rank 1 at q = x, where the rows become equal
-    m = [[one, q], [one, qs.RatFunc.from_int(x)]]
+    m = [[one, q], [one, qs.RatFunc.from_int(12345)]]
     assert dense_rank(m) == 2
     mx = [[c.evaluate_mod(x) for c in row] for row in m]
     assert dense_rank(mx) == 1
@@ -279,11 +280,11 @@ def test_dense_rank_over_both_fields():
 
 
 def test_dense_inverse_singular_mod_p_only():
-    x = 12345
-    m = [[qs.ONE, qs.Q], [qs.ONE, qs.RatFunc.from_int(x)]]
+    x = qs.ModRing(PRIMES[:1]).from_int(12345)
+    m = [[qs.ONE, qs.Q], [qs.ONE, qs.RatFunc.from_int(12345)]]
     dense_inverse(m, qs.QQ_Q)
     with pytest.raises(SingularMatrixError):
-        dense_inverse([[c.evaluate_mod(x) for c in row] for row in m], qs.GFP)
+        dense_inverse([[c.evaluate_mod(x) for c in row] for row in m], x.ring)
 
 
 def test_invert_singular_raises():
