@@ -10,8 +10,11 @@ integer coefficients, normalized so that
   * num and den share no polynomial factor and no integer content,
 
 which makes equality (and hence zero-testing) a structural comparison.
-Values are immutable; all operations return new objects, so they are safe
-to share between threads.
+Rational functions are interned: each value is one immutable object, so
+equality is identity, and products, sums, quotients and negatives are
+memoized by their operands.  They stay safe to share between threads: the
+intern table is filled with dict.setdefault, so two threads building one
+value get the same object, and a memo entry only ever names that object.
 
 Sampled computations specialize q to x in Z/MZ, M = p_1...p_k distinct
 primes (a ModRing), and work there with ModP elements: by the Chinese
@@ -299,24 +302,35 @@ _LP_ONE = LaurentPoly({0: 1})
 # rational functions
 # ---------------------------------------------------------------------------
 
+# _VALUES maps the canonical key (sorted num items, sorted den items) of each
+# value to its one RatFunc and is never emptied, so the id of an operand names
+# its value for the life of the process; the memo tables key on such ids.
+_VALUES = {}
+_MUL, _ADD, _DIV, _NEG = {}, {}, {}, {}
+
+
 class RatFunc:
-    """Canonical fraction of integer Laurent polynomials; a field element of Q(q)."""
+    """Canonical fraction of integer Laurent polynomials; a field element of
+    Q(q).  RatFunc(num, den) normalizes and returns the value's one object."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
+    def __new__(cls, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
         if den.is_zero():
             raise ZeroDenominatorError("zero denominator")
-        num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
+        return cls._raw(*_normalize(num, den))
 
     @classmethod
     def _raw(cls, num, den):
-        # internal: trusted canonical input
-        r = cls.__new__(cls)
-        r.num = num
-        r.den = den
+        """The object of the canonical num/den; the only place a RatFunc is made."""
+        key = (tuple(sorted(num.coeffs.items())), tuple(sorted(den.coeffs.items())))
+        r = _VALUES.get(key)
+        if r is None:
+            r = object.__new__(cls)
+            r.num, r.den = num, (_LP_ONE if key[1] == ((0, 1),) else den)
+            r._hash = hash(key)  # of integers only: the same in every process
+            # setdefault: two threads building one value get the same object
+            r = _VALUES.setdefault(key, r)
         return r
 
     @classmethod
@@ -327,36 +341,46 @@ class RatFunc:
     def q_power(cls, k):
         return cls._raw(LaurentPoly.term(1, k), _LP_ONE)
 
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
+
     def is_zero(self):
-        return self.num.is_zero()
+        return self is ZERO
 
     def __bool__(self):
-        return bool(self.num)
+        return self is not ZERO
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self is other if isinstance(other, RatFunc) else NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return self._hash
 
     def __add__(self, other):
         if isinstance(other, int):
             other = RatFunc.from_int(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        key = (id(self), id(other))
+        r = _ADD.get(key)
+        if r is None:
+            if self.den == other.den:
+                r = RatFunc(self.num + other.num, self.den)
+            else:
+                r = RatFunc(self.num * other.den + other.num * self.den,
+                            self.den * other.den)
+            _ADD[key] = r
+        return r
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        r = _NEG.get(id(self))
+        if r is None:
+            r = _NEG[id(self)] = RatFunc._raw(-self.num, self.den)
+        return r
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -373,10 +397,16 @@ class RatFunc:
             other = RatFunc.from_int(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        # fast path: both denominators trivial (the common case in practice)
-        if self.den is _LP_ONE and other.den is _LP_ONE:
-            return RatFunc._raw(self.num * other.num, _LP_ONE)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        key = (id(self), id(other))
+        r = _MUL.get(key)
+        if r is None:
+            # fast path: both denominators trivial (the common case in practice)
+            if self.den is _LP_ONE and other.den is _LP_ONE:
+                r = RatFunc._raw(self.num * other.num, _LP_ONE)
+            else:
+                r = RatFunc(self.num * other.num, self.den * other.den)
+            _MUL[key] = r
+        return r
 
     __rmul__ = __mul__
 
@@ -385,9 +415,13 @@ class RatFunc:
             other = RatFunc.from_int(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDenominatorError("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        key = (id(self), id(other))
+        r = _DIV.get(key)
+        if r is None:
+            if other.num.is_zero():
+                raise ZeroDenominatorError("division by the zero function")
+            r = _DIV[key] = RatFunc(self.num * other.den, self.den * other.num)
+        return r
 
     def __rtruediv__(self, other):
         return RatFunc.from_int(other) / self

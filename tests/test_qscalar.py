@@ -1,7 +1,14 @@
 """Exact arithmetic in Q(q): canonical forms, parsing, field laws."""
 
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +164,121 @@ def test_canonical_equality_is_structural():
     assert a == b
     assert hash(a) == hash(b)
     assert a.num == b.num and a.den == b.den
+
+
+# -- interning: one object per value, memoized arithmetic ---------------------
+
+nonconstant = st.dictionaries(exps, coeffs, min_size=2, max_size=3).map(LaurentPoly) \
+    .filter(lambda p: not p.is_zero())
+denominators = st.one_of(laurents.filter(lambda p: not p.is_zero()), nonconstant)
+
+
+def fresh(p):
+    return LaurentPoly(dict(p.coeffs))
+
+
+def structure(x):
+    return sorted(x.num.coeffs.items()), sorted(x.den.coeffs.items())
+
+
+def fraction_value(x, q0):
+    """x at q = q0 in exact rationals, computed here from the coefficients."""
+    def at(p):
+        return sum(Fraction(c) * q0 ** e for e, c in p.coeffs.items())
+    return at(x.num) / at(x.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, denominators, laurents, denominators, st.integers(-3, 3))
+def test_values_are_one_object_exactly_when_structurally_equal(n1, d1, n2, d2, k):
+    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+    values = [a, b, RatFunc(fresh(n1), fresh(d1)), parse_scalar(str(a)), parse_scalar(str(b)),
+              RatFunc(n1.shift(k), d1.shift(k)), RatFunc(n1.scale(2), d1.scale(2)),
+              a + b, b + a, a - b, -(b - a), a * b, b * a, -a, -(-a), a - a, a * 0,
+              RatFunc.from_int(k), RatFunc.q_power(k), parse_scalar(f"q^{k}"), parse_scalar(str(k))]
+    if b:
+        values += [a / b, a * b.inverse(), b.inverse(), b.inverse().inverse(), 1 / b]
+    for x in values:
+        for y in values:
+            assert (x is y) == (structure(x) == structure(y)) == (x == y)
+            if x == y:
+                assert hash(x) == hash(y)
+    assert (a == k) == (a is RatFunc.from_int(k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, denominators, laurents, denominators)
+def test_memoized_arithmetic_matches_a_fresh_computation(n1, d1, n2, d2):
+    a, b = RatFunc(n1, d1), RatFunc(n2, d2)
+    an, ad, bn, bd = fresh(a.num), fresh(a.den), fresh(b.num), fresh(b.den)
+    cases = [(lambda x, y: x * y, an * bn, ad * bd, lambda u, v: u * v),
+             (lambda x, y: x + y, an * bd + bn * ad, ad * bd, lambda u, v: u + v)]
+    if b:
+        cases.append((lambda x, y: x / y, an * bd, ad * bn, lambda u, v: u / v))
+    for op, num, den, exact in cases:
+        first = op(a, b)
+        assert op(a, b) is first  # the second call is answered by the memo
+        num, den = qs._normalize(num, den)
+        assert structure(first) == (sorted(num.coeffs.items()), sorted(den.coeffs.items()))
+        for q0 in (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 7)):
+            try:
+                va, vb, vr = (fraction_value(x, q0) for x in (a, b, first))
+                assert vr == exact(va, vb)
+            except ZeroDivisionError:  # q0 is a pole of a, b or the result
+                pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(laurents, denominators)
+def test_pickle_and_deepcopy_return_the_interned_object(n, d):
+    a = RatFunc(n, d)
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.deepcopy(a) is a and copy.copy(a) is a
+    assert copy.deepcopy([a, {a: a}])[0] is a
+
+
+def test_hash_is_the_same_under_every_hash_seed():
+    text = "(q^3 - 2*q^-1 + 7)/(q^2 + 3*q + 5)"
+    src = str(Path(qs.__file__).resolve().parents[1])
+    code = f"from braidalg.qscalar import parse_scalar; print(hash(parse_scalar({text!r})))"
+    hashes = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                  PYTHONHASHSEED=seed)).stdout
+              for seed in ("1", "2")}
+    assert hashes == {f"{hash(parse_scalar(text))}\n"}
+
+
+def test_two_threads_building_the_same_values_get_the_same_objects(monkeypatch):
+    # values no other test builds; the intern table holds a thread that misses
+    # a key until the other thread has missed it too, so both build every new
+    # value and only the table's insertion decides which object both get
+    texts = [f"({k} + 7919*q^{k % 5})/(q^2 + {k}*q + 1)" for k in range(10 ** 9, 10 ** 9 + 200)]
+    meet, built = threading.Barrier(2, timeout=10), [None, None]
+
+    class RacingTable(dict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            if found is None:
+                meet.wait()
+            return found
+
+    def build(i):
+        built[i] = [parse_scalar(t) * (1 + qs.Q) for t in texts]
+
+    table = qs._VALUES
+    racing = RacingTable(table)
+    monkeypatch.setattr(qs, "_VALUES", racing)
+    threads = [threading.Thread(target=build, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    table.update(racing)  # keep every value made here interned for good
+    monkeypatch.setattr(qs, "_VALUES", table)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built[0]) == len(built[1]) == 200
+    assert all(x is y for x, y in zip(*built))
+    assert all(x is parse_scalar(t) * (1 + qs.Q) for x, t in zip(built[0], texts))
 
 
 # -- residue rings Z/MZ ---------------------------------------------------------
