@@ -30,8 +30,11 @@ is paired on arrival with itself and every earlier rule.  After that, normal
 forms are canonical on all elements of degree <= D, so a nonzero residue
 is an exact witness of non-membership at that degree bound.  Any adjoined
 rule is reported as a completion warning: the quadratic system by itself
-was not confluent.  Completion needing over MAX_COMPLETION_WORK units (one
-per overlap reduction plus its steps) raises CompletionBudgetError.
+was not confluent.  A class pass runs first: it resolves the degree-3
+overlaps of one copy subset per class of subsets whose rules agree up to
+an order-preserving relabelling, and when all vanish no other overlap is
+touched (see TruncatedGB).  Work over MAX_COMPLETION_WORK units (one per
+overlap reduction plus its steps) raises CompletionBudgetError.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from operator import neg
 
 from .ncalg import NCPoly, Presentation, word_str
 
-# far above the ~1.04e5 units of the largest benchmark job, far below a
+# far above the ~9.6e4 units of the largest benchmark job, far below a
 # completion without end
 MAX_COMPLETION_WORK = 500_000
 
@@ -238,14 +241,100 @@ class TruncatedGB(RewriteSystem):
     <= bound, so the residue decides ideal membership exactly in both
     directions.  added_rules lists the non-quadratic rules that had to be
     adjoined; a nonempty list is the completion warning surfaced to
-    callers (the quadratic system alone was not confluent).  Overlaps are
-    resolved smallest word first; equal words in the order they were paired.
+    callers (the quadratic system alone was not confluent).
+
+    The class pass (_resolved_by_classes) runs first, then completion
+    (_complete) from scratch unless every class resolved to zero.  One
+    representative decides a class: every rule keeps the copy multiset of
+    its left side, so an overlap's resolution stays on its at most three
+    copies and uses only their rules (the diamond lemma is local); an
+    order-preserving relabelling of copies keeps deg-lex, so it carries
+    reductions on one subset to those on another with equal relabelled
+    rules; and a subset's key holds the signatures of its single copies and
+    copy pairs, which hold all its rules.  Quadratic left sides overlap only
+    in degree 3, so if every class resolves to zero they are the basis for
+    every bound.  classes, class_overlaps (reduced), fell_back and work
+    (units spent) record what construction did.
     """
 
     def __init__(self, P: Presentation, bound: int):
-        super().__init__(P, ())
+        super().__init__(P, orient_relations(P))
         self.bound = bound
         self.added_rules = []
+        self.work = self.classes = self.class_overlaps = 0
+        self.fell_back = not self._resolved_by_classes()
+        if self.fell_back:
+            self._complete()
+
+    def _resolve(self, w, r1: Rule, r2: Rule):
+        """(residue, steps) of the reduced difference of the two rewrites of
+        w = r1.lhs + suffix = prefix + r2.lhs, charged to the work budget;
+        residue is None when the rewrites agree at once."""
+        diff = (r1.rhs.sandwich((), w[len(r1.lhs):])
+                - r2.rhs.sandwich(w[:len(w) - len(r2.lhs)], ()))
+        if not diff:
+            return None, ()
+        residue, steps = self.reduce(diff, collect=True)
+        self.work += 1 + len(steps)
+        if self.work > MAX_COMPLETION_WORK:
+            raise CompletionBudgetError(
+                f"completion to degree {self.bound} needs more than "
+                f"{MAX_COMPLETION_WORK} units of reduction work")
+        return residue, steps
+
+    def _resolved_by_classes(self) -> bool:
+        """Resolve the degree-3 overlaps of one copy subset per class.  False
+        at the first nonzero residue, or when bound < 3, the copies are not
+        contiguous equal-size roster blocks, or a rule changes the copy
+        multiset of a word."""
+        roster = self.presentation.roster
+        ncopies = len({g.copy for g in roster})
+        size = len(roster) // max(ncopies, 1)
+        if self.bound < 3 or size * ncopies != len(roster) or any(
+                g.copy != roster[i - i % size].copy for i, g in enumerate(roster)):
+            return False
+        on, ids = {}, {}
+        for rule in self:
+            copies = sorted(g // size for g in rule.lhs)
+            if any(sorted(g // size for g in w) != copies for w in rule.rhs.terms):
+                return False
+            on.setdefault(tuple(sorted(set(copies))), []).append(rule)
+
+        def signature(content):
+            # the rules on exactly these copies, relabelled in order onto 0..k-1
+            to = {g: g - (c - j) * size for j, c in enumerate(content)
+                  for g in range(c * size, c * size + size)}
+            return ids.setdefault(tuple(sorted(
+                (tuple(map(to.get, r.lhs)),
+                 tuple(sorted((tuple(map(to.get, w)), c) for w, c in r.rhs.terms.items())))
+                for r in on.get(content, ()))), len(ids))
+
+        def parts(s):
+            # the single copies and copy pairs of s
+            return [t for k in (1, 2) for t in itertools.combinations(s, k)]
+
+        sig = {t: signature(t) for t in parts(range(ncopies))}
+        classes = {}
+        for k in (1, 2, 3):
+            for s in itertools.combinations(range(ncopies), k):
+                classes.setdefault(tuple(sig[t] for t in parts(s)), s)
+        self.classes = len(classes)
+        for s in classes.values():
+            for r1 in itertools.chain.from_iterable(on.get(t, ()) for t in parts(s)):
+                a, b = r1.lhs
+                # the trie holds only quadratic rules: b's node maps c to rule bc
+                for c, r2 in self._trie.get(b, {}).items():
+                    if {a // size, b // size, c // size} == set(s):
+                        residue, _ = self._resolve((a, b, c), r1, r2)
+                        self.class_overlaps += residue is not None
+                        if residue:
+                            return False
+        return True
+
+    def _complete(self):
+        """Resolve every overlap of composed degree <= bound, smallest word
+        first, equal words in the order they were paired."""
+        bound, P = self.bound, self.presentation
         pending, arrived, seq = [], [], itertools.count()
         by_first, by_last = {}, {}
 
@@ -275,25 +364,16 @@ class TruncatedGB(RewriteSystem):
                 if i != n:
                     enqueue(rule, arrived[i])
 
-        for rule in orient_relations(P):
+        for rule in list(self):
             arrive(rule)
         one = P.field.one
-        work = 0
         while pending:
             _, w, _, r1, r2 = heapq.heappop(pending)
-            suffix = w[len(r1.lhs):]
-            prefix = w[:len(w) - len(r2.lhs)]
-            diff = r1.rhs.sandwich((), suffix) - r2.rhs.sandwich(prefix, ())
-            if not diff:
-                continue
-            residue, steps = self.reduce(diff, collect=True)
-            work += 1 + len(steps)
-            if work > MAX_COMPLETION_WORK:
-                raise CompletionBudgetError(
-                    f"completion to degree {bound} needs more than "
-                    f"{MAX_COMPLETION_WORK} units of reduction work")
+            residue, steps = self._resolve(w, r1, r2)
             if not residue:
                 continue
+            suffix = w[len(r1.lhs):]
+            prefix = w[:len(w) - len(r2.lhs)]
             lead = P.order.leading_word(residue)
             inv = one / residue.terms[lead]
             ninv = -inv

@@ -226,6 +226,15 @@ def test_completion_over_its_work_budget_is_an_error(tmp_path, capsys, perturbed
     assert sorted(os.listdir(tmp_path)) == ["keep.txt", "perturbed.json"]
 
 
+def test_long_confluent_chain_passes_within_the_work_budget(capsys):
+    # the square of the 8-fold chain has 41,664 degree-3 overlaps; the copy
+    # classes of completion resolve them through 6 representative subsets
+    code, out, _ = run(capsys, "verify", "chain", "glq2", "-n", "8", "-D", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["completion_warning"] is False
+
+
 def test_running_out_of_sample_points_is_an_error(tmp_path, capsys):
     # a dim-1 R-matrix that vanishes at every value q0 = +-n/d the sampler
     # can draw (2 <= n <= 19, 1 <= d <= 7): each draw is a pole of R^-1
