@@ -32,11 +32,11 @@ is non-certifying; the sampled rational points are recorded in the report.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _enc
 
 from . import presents
 from .ideals import reduce_mod_ideal, substitute_generators
@@ -218,6 +218,52 @@ def verify_coassoc(P: Presentation, spec: CoproductSpec, square: TensorSquare):
 # the full pipeline
 # ---------------------------------------------------------------------------
 
+# the verify document's fixed shape, as json.dumps(indent=2) prints it
+_REPORT = """{
+  "report": "verify",
+  "index_convention": "R^{ij}_{kl}; upper indices are outputs, index pairs flattened \
+row-major as (i-1)*N+(j-1)",
+  "preset": %s,
+  "rmatrix": %s,
+  "copies": %s,
+  "degree_bound": %s,
+  "mode": %s,
+  "points": %s,
+  "ybe": %s,
+  "ybe_witness": %s,
+  "invertible": %s,
+  "second_inverse": %s,
+  "orientation": %s,
+  "warnings": %s,
+  "relations": %s,
+  "counit": %s,
+  "counit_detail": %s,
+  "coassoc": %s,
+  "coassoc_detail": %s,
+  "completion_warning": %s,
+  "square_relations": %s,
+  "failure": %s,
+  "passed": %s
+}
+"""
+_VERDICT = '{\n      "index": %d,\n      "relation": %s,\n      "verdict": "%s"%s%s\n    }'
+_TERM = ('{\n          "left": %s,\n          "relation": %d,\n          "right": %s,\n'
+         '          "coeff": %s\n        }')
+
+
+def _scalar(v):
+    """A str, int, bool or None as JSON."""
+    return ("null" if v is None else "true" if v is True else "false" if v is False
+            else "%d" % v if isinstance(v, int) else _enc(v))
+
+
+def _array(items, pad):
+    """A JSON array of encoded items, each on its own line indented by pad."""
+    nl = "\n" + " " * pad
+    body = ("," + nl).join(items)
+    return "[" + nl + body + nl[:-2] + "]" if body else "[]"
+
+
 @dataclass
 class VerificationReport:
     """Machine-readable outcome of a degree-bounded bialgebra check."""
@@ -247,46 +293,29 @@ class VerificationReport:
     square_roster: tuple = ()          # prints certificate words; not serialized
 
     def to_document(self) -> str:
-        doc = {
-            "report": "verify",
-            "index_convention": "R^{ij}_{kl}; upper indices are outputs, "
-                                "index pairs flattened row-major as (i-1)*N+(j-1)",
-            "preset": self.preset,
-            "rmatrix": self.rmatrix,
-            "copies": self.copies,
-            "degree_bound": self.degree_bound,
-            "mode": self.mode,
-            "points": self.points,
-            "ybe": self.ybe,
-            "ybe_witness": self.ybe_witness,
-            "invertible": self.invertible,
-            "second_inverse": self.second_inverse,
-            "orientation": self.orientation,
-            "warnings": self.warnings,
-            "relations": [
-                {
-                    "index": v.index,
-                    "relation": v.relation,
-                    "verdict": "pass" if v.passed else "fail",
-                    **({"certificate": [
-                        {"left": word_str(lw, self.square_roster), "relation": idx,
-                         "right": word_str(rw, self.square_roster), "coeff": str(c)}
-                        for lw, idx, rw, c in v.certificate]}
-                       if v.certificate is not None else {}),
-                    **({"residue": v.residue} if v.residue is not None else {}),
-                }
-                for v in self.relation_verdicts
-            ],
-            "counit": self.counit,
-            "counit_detail": self.counit_detail,
-            "coassoc": self.coassoc,
-            "coassoc_detail": self.coassoc_detail,
-            "completion_warning": self.completion_warning,
-            "square_relations": self.square_relations,
-            "failure": self.failure,
-            "passed": self.passed,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        """The report as JSON: 2-space indent, keys in a fixed order, non-ASCII
+        escaped as \\uXXXX; byte for byte json.dumps(document, indent=2) + "\\n"."""
+        terms = [t for v in self.relation_verdicts if v.certificate for t in v.certificate]
+        # each distinct word and coefficient is printed and escaped once
+        words = {w: _enc(word_str(w, self.square_roster))
+                 for w in {w for t in terms for w in (t[0], t[2])}}
+        coeffs = {c: _enc(str(c)) for c in {t[3] for t in terms}}
+        relations = [_VERDICT % (
+            v.index, _enc(v.relation), "pass" if v.passed else "fail",
+            "" if v.certificate is None else ',\n      "certificate": ' + _array(
+                [_TERM % (words[lw], idx, words[rw], coeffs[c])
+                 for lw, idx, rw, c in v.certificate], 8),
+            "" if v.residue is None else ',\n      "residue": ' + _enc(v.residue))
+            for v in self.relation_verdicts]
+        s = _scalar
+        return _REPORT % (
+            s(self.preset), s(self.rmatrix), s(self.copies), s(self.degree_bound),
+            s(self.mode), _array(map(_enc, self.points), 4), s(self.ybe),
+            s(self.ybe_witness), s(self.invertible), s(self.second_inverse),
+            s(self.orientation), _array(map(_enc, self.warnings), 4),
+            _array(relations, 4), s(self.counit), s(self.counit_detail), s(self.coassoc),
+            s(self.coassoc_detail), s(self.completion_warning),
+            _array(map(_enc, self.square_relations), 4), s(self.failure), s(self.passed))
 
 
 def _check(P: Presentation, spec: CoproductSpec, square: TensorSquare,

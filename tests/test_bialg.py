@@ -13,11 +13,12 @@ import pytest
 from braidalg import bialg
 from braidalg import qscalar as qs
 from braidalg.cli import main
-from braidalg.bialg import (CoproductError, CoproductSpec, matrix_coproduct,
-                            sample_points, verify_bialgebra, verify_coassoc,
-                            verify_counit, verify_homomorphism)
+from braidalg.bialg import (CoproductError, CoproductSpec, RelationVerdict,
+                            VerificationReport, matrix_coproduct, sample_points,
+                            verify_bialgebra, verify_coassoc, verify_counit,
+                            verify_homomorphism)
 from braidalg.ideals import substitute_generators
-from braidalg.ncalg import NCPoly, parse_poly
+from braidalg.ncalg import Generator, NCPoly, parse_poly, word_str
 from braidalg.presents import (TensorSquare, braided_chain, braided_matrices,
                                braided_tensor_square)
 from braidalg.rewrite import truncated_gb
@@ -45,6 +46,21 @@ def spec(bm, square):
 def perturbed_rmatrix():
     R = glq2_rmatrix()
     return RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+
+
+def glq_rmatrix(N):
+    """The Drinfeld-Jimbo GL_q(N) R-matrix: R^{ii}_{ii} = q, R^{ij}_{ij} = 1
+    for i != j and R^{ij}_{ji} = q - q^-1 for i < j."""
+    entries = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i == j:
+                entries[(i, i, i, i)] = qs.Q
+            else:
+                entries[(i, j, i, j)] = ONE
+                if i < j:
+                    entries[(i, j, j, i)] = qs.Q - qs.QINV
+    return RMatrix(N, entries)
 
 
 # -- coproduct images -----------------------------------------------------------
@@ -236,13 +252,107 @@ def test_verify_rejects_unknown_preset():
         verify_bialgebra(glq2_rmatrix(), preset="frt", bound=4)
 
 
+def reference_document(rep):
+    """The verify document as json.dumps prints it: the oracle for to_document."""
+    doc = {
+        "report": "verify",
+        "index_convention": "R^{ij}_{kl}; upper indices are outputs, "
+                            "index pairs flattened row-major as (i-1)*N+(j-1)",
+        "preset": rep.preset,
+        "rmatrix": rep.rmatrix,
+        "copies": rep.copies,
+        "degree_bound": rep.degree_bound,
+        "mode": rep.mode,
+        "points": rep.points,
+        "ybe": rep.ybe,
+        "ybe_witness": rep.ybe_witness,
+        "invertible": rep.invertible,
+        "second_inverse": rep.second_inverse,
+        "orientation": rep.orientation,
+        "warnings": rep.warnings,
+        "relations": [
+            {
+                "index": v.index,
+                "relation": v.relation,
+                "verdict": "pass" if v.passed else "fail",
+                **({"certificate": [
+                    {"left": word_str(lw, rep.square_roster), "relation": idx,
+                     "right": word_str(rw, rep.square_roster), "coeff": str(c)}
+                    for lw, idx, rw, c in v.certificate]}
+                   if v.certificate is not None else {}),
+                **({"residue": v.residue} if v.residue is not None else {}),
+            }
+            for v in rep.relation_verdicts
+        ],
+        "counit": rep.counit,
+        "counit_detail": rep.counit_detail,
+        "coassoc": rep.coassoc,
+        "coassoc_detail": rep.coassoc_detail,
+        "completion_warning": rep.completion_warning,
+        "square_relations": rep.square_relations,
+        "failure": rep.failure,
+        "passed": rep.passed,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def hand_built_reports():
+    """One VerificationReport per shape of the verify document, by hand."""
+    roster = (Generator("L.u", 1, 1), Generator("L.u", 1, 2), Generator("R.u", 2, 1),
+              Generator("é", 1, 1))
+    c1, c2 = qs.Q - qs.QINV, qs.parse_scalar("-(q^2 + 1)/(q - 3)")
+    cert = (((0, 1), 2, (), c1), ((), 0, (3, 2), ONE), ((3,), 1, (0,), c1), ((), 1, (), c2))
+    base = dict(preset="bm", rmatrix="glq2", copies=1, degree_bound=4, mode="exact",
+                ybe=True, invertible=True, second_inverse=True, orientation="ok",
+                counit=True, coassoc=True, square_relations=["L.u[1,1]*L.u[1,2]", "é[1,1]"],
+                square_roster=roster)
+    return {
+        "passing-with-certificates": VerificationReport(
+            **base, passed=True, relation_verdicts=[
+                RelationVerdict(0, "u[1,1]*u[1,2] - q*u[1,2]*u[1,1]", True, certificate=cert),
+                RelationVerdict(1, "u[1,2]*u[1,2]", True, certificate=cert[1:3])]),
+        "failing-with-residue": VerificationReport(
+            **(base | dict(preset="chain", copies=3, degree_bound=6, ybe=False,
+                           counit=False, coassoc=False)),
+            ybe_witness="entry (1, 2) <- (2, 1): residue q + 1",
+            warnings=["R does not satisfy the Yang-Baxter equation",
+                      "completion adjoined extra rules (quadratic system not confluent)"],
+            completion_warning=True, counit_detail="eps(relation 0) = 2 != 0",
+            coassoc_detail="coassociativity fails on u[1,1]", relation_verdicts=[
+                RelationVerdict(0, "u[1,1]", True, certificate=cert[:1]),
+                RelationVerdict(1, "u[2,1]*u[1,1]", False, residue="(q + 1)*L.u[1,1]")]),
+        "empty-certificate": VerificationReport(
+            **base, passed=True, relation_verdicts=[
+                RelationVerdict(0, "0", True, certificate=())]),
+        "sampled": VerificationReport(
+            **(base | dict(mode="probabilistic", square_relations=[], square_roster=())),
+            points=["7/6", "-3", "-2"], passed=True, relation_verdicts=[
+                RelationVerdict(0, "u[1,1]*u[1,2]", True),
+                RelationVerdict(1, "u[1,2]*u[2,1]", False, residue="12*L.u[1,1]")]),
+        "singular-r": VerificationReport(
+            preset="bm", rmatrix="sing.json", copies=1, degree_bound=4, mode="exact",
+            ybe=True, invertible=False,
+            failure="R is singular; presentations are undefined"),
+        "escaped-strings": VerificationReport(
+            preset="bm", rmatrix='d\\"x\ty\nz\x01é√.json', copies=1, degree_bound=4,
+            mode="exact", ybe=True, invertible=True, second_inverse=False,
+            orientation='cannot orient "u[1,1]"\tat \\ degree 2\n\x01',
+            warnings=['"quoted" back\\slash\ttab\nnewline\x01 é √']),
+    }
+
+
+@pytest.mark.parametrize("name", list(hand_built_reports()))
+def test_report_document_matches_json_dumps(name):
+    rep = hand_built_reports()[name]
+    assert rep.to_document().encode() == reference_document(rep).encode()
+
+
 def test_report_document_is_deterministic_and_parseable():
-    import json
     rep1 = verify_bialgebra(glq2_rmatrix(), preset="bm", bound=4,
                             rmatrix_label="glq2")
     rep2 = verify_bialgebra(glq2_rmatrix(), preset="bm", bound=4,
                             rmatrix_label="glq2")
-    assert rep1.to_document() == rep2.to_document()
+    assert rep1.to_document() == rep2.to_document() == reference_document(rep1)
     doc = json.loads(rep1.to_document())
     assert doc["passed"] is True
     assert doc["relations"][0]["certificate"]
@@ -286,8 +396,9 @@ def test_probabilistic_seed_changes_points():
 
 
 # (argv, exit code, stdout length, stdout SHA-256) of exact verify runs made
-# in a directory holding the perturbed R-matrix as pert2.json; every exact
-# document, certificates included, must stay byte-identical
+# in a directory holding the perturbed R-matrix as pert2.json and GL_q(4) as
+# glq4.json; every exact document, certificates included, must stay
+# byte-identical
 GOLDEN = (
     (("verify", "bm", "glq2", "-D", "4"), 0, 23153,
      "88d7a0a234fedcbe349178b4e2d4c903955922a221db333144bc35b45a70cefc"),
@@ -299,15 +410,19 @@ GOLDEN = (
     # which overlaps are paired and resolved
     (("verify", "bm", "pert2.json", "-D", "6"), 1, 55457,
      "52798d463034d1b861384c8dba9ceea2199602bc3ea16e071f8e0b25879a1208"),
+    # the benchmark's largest report: 21,061 certificate terms
+    (("verify", "bm", "glq4.json", "-D", "4"), 0, 3060435,
+     "3a1e86d0f052f358be0a08b27dac62a6e46ee820c706d4872e264885a68dc549"),
 )
 
 
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
-    """Runs main(argv) in a directory holding pert2.json, once per argv;
-    returns (exit code, stdout)."""
+    """Runs main(argv) in a directory holding pert2.json and glq4.json, once
+    per argv; returns (exit code, stdout)."""
     work = tmp_path_factory.mktemp("verify")
     (work / "pert2.json").write_text(save_rmatrix(perturbed_rmatrix()))
+    (work / "glq4.json").write_text(save_rmatrix(glq_rmatrix(4)))
     done = {}
 
     def run(argv):
@@ -326,7 +441,7 @@ def cli_run(tmp_path_factory):
     return run
 
 
-GOLDEN_IDS = ("bm-glq2", "chain-glq2-n2", "chain-pert2-n2", "bm-pert2-D6")
+GOLDEN_IDS = ("bm-glq2", "chain-glq2-n2", "chain-pert2-n2", "bm-pert2-D6", "bm-glq4")
 
 
 @pytest.mark.parametrize("argv, code, length, sha256", GOLDEN, ids=GOLDEN_IDS)
