@@ -218,8 +218,9 @@ def verify_coassoc(P: Presentation, spec: CoproductSpec, square: TensorSquare):
 # the full pipeline
 # ---------------------------------------------------------------------------
 
-# the verify document's fixed shape, as json.dumps(indent=2) prints it
-_REPORT = """{
+# the verify document's fixed shape, as json.dumps(indent=2) prints it, split
+# at the relations array: its items are written between the head and the tail
+_REPORT_HEAD = """{
   "report": "verify",
   "index_convention": "R^{ij}_{kl}; upper indices are outputs, index pairs flattened \
 row-major as (i-1)*N+(j-1)",
@@ -235,7 +236,8 @@ row-major as (i-1)*N+(j-1)",
   "second_inverse": %s,
   "orientation": %s,
   "warnings": %s,
-  "relations": %s,
+  "relations": ["""
+_REPORT_TAIL = """],
   "counit": %s,
   "counit_detail": %s,
   "coassoc": %s,
@@ -292,28 +294,34 @@ class VerificationReport:
     wall_time_s: float = 0.0           # informational; not serialized
     square_roster: tuple = ()          # prints certificate words; not serialized
 
-    def to_document(self) -> str:
-        """The report as JSON: 2-space indent, keys in a fixed order, non-ASCII
-        escaped as \\uXXXX; byte for byte json.dumps(document, indent=2) + "\\n"."""
+    def to_document(self):
+        """The report as JSON, yielded in chunks: the head up to the relations
+        array, one chunk per relation verdict, then the tail.  Joined, the
+        chunks are byte for byte json.dumps(document, indent=2) + "\\n": 2-space
+        indent, keys in a fixed order, non-ASCII escaped as \\uXXXX."""
+        s = _scalar
+        yield _REPORT_HEAD % (
+            s(self.preset), s(self.rmatrix), s(self.copies), s(self.degree_bound),
+            s(self.mode), _array(map(_enc, self.points), 4), s(self.ybe),
+            s(self.ybe_witness), s(self.invertible), s(self.second_inverse),
+            s(self.orientation), _array(map(_enc, self.warnings), 4))
         terms = [t for v in self.relation_verdicts if v.certificate for t in v.certificate]
         # each distinct word and coefficient is printed and escaped once
         words = {w: _enc(word_str(w, self.square_roster))
                  for w in {w for t in terms for w in (t[0], t[2])}}
         coeffs = {c: _enc(str(c)) for c in {t[3] for t in terms}}
-        relations = [_VERDICT % (
-            v.index, _enc(v.relation), "pass" if v.passed else "fail",
-            "" if v.certificate is None else ',\n      "certificate": ' + _array(
-                [_TERM % (words[lw], idx, words[rw], coeffs[c])
-                 for lw, idx, rw, c in v.certificate], 8),
-            "" if v.residue is None else ',\n      "residue": ' + _enc(v.residue))
-            for v in self.relation_verdicts]
-        s = _scalar
-        return _REPORT % (
-            s(self.preset), s(self.rmatrix), s(self.copies), s(self.degree_bound),
-            s(self.mode), _array(map(_enc, self.points), 4), s(self.ybe),
-            s(self.ybe_witness), s(self.invertible), s(self.second_inverse),
-            s(self.orientation), _array(map(_enc, self.warnings), 4),
-            _array(relations, 4), s(self.counit), s(self.counit_detail), s(self.coassoc),
+        del terms  # this frame lives until the last chunk is taken
+        sep = "\n    "
+        for v in self.relation_verdicts:
+            yield sep + _VERDICT % (
+                v.index, _enc(v.relation), "pass" if v.passed else "fail",
+                "" if v.certificate is None else ',\n      "certificate": ' + _array(
+                    [_TERM % (words[lw], idx, words[rw], coeffs[c])
+                     for lw, idx, rw, c in v.certificate], 8),
+                "" if v.residue is None else ',\n      "residue": ' + _enc(v.residue))
+            sep = ",\n    "
+        yield ("\n  " if self.relation_verdicts else "") + _REPORT_TAIL % (
+            s(self.counit), s(self.counit_detail), s(self.coassoc),
             s(self.coassoc_detail), s(self.completion_warning),
             _array(map(_enc, self.square_relations), 4), s(self.failure), s(self.passed))
 

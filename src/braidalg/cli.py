@@ -16,9 +16,10 @@ document.  Output is deterministic: identical invocations produce
 byte-identical documents (timings go to stderr).  Exit codes: 0 pass,
 1 computational failure or failed verdict, 2 usage error; a degree bound
 above MAX_DEGREE, or a roster above MAX_GENERATORS, is a usage error.  A
-document is rendered in memory and emitted only when the subcommand
-returns; -o replaces its target atomically, so a failed run leaves it
-untouched.
+document is emitted only when the subcommand returns; -o replaces its
+target atomically, so a failed run leaves it untouched.  If stdout is
+closed before the whole document is written, the run ends with an error
+line and exit 1.
 """
 
 from __future__ import annotations
@@ -233,7 +234,7 @@ def cmd_verify(args, out):
     report = bialg.verify_bialgebra(
         R, preset=args.preset, n=args.n, bound=args.degree, mode=args.mode,
         seed=args.seed, rmatrix_label=rlabel)
-    out.write(report.to_document())
+    out.writelines(report.to_document())
     print(f"wall time: {report.wall_time_s:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
@@ -317,9 +318,14 @@ def build_parser():
 
 
 class _Document(list):
-    """An emitted document, held in memory as its written chunks."""
+    """An emitted document, held as its parts until the subcommand returns.
+    Each part is an iterable of str, consumed only when the document is
+    written out, so a lazy part is never held whole in memory."""
 
-    write = list.append
+    def write(self, s):
+        self.append((s,))
+
+    writelines = list.append
 
 
 def _check_output_target(path: str):
@@ -337,7 +343,8 @@ def _write_output(path: str, doc: _Document):
     fh = open(tmp, "x")
     try:
         with fh:
-            fh.writelines(doc)
+            for part in doc:
+                fh.writelines(part)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -362,7 +369,17 @@ def main(argv=None) -> int:
             except OSError as e:
                 raise UsageError(f"cannot write output {output!r}: {e}") from None
         else:
-            sys.stdout.writelines(doc)
+            try:
+                for part in doc:
+                    sys.stdout.writelines(part)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader is gone: send what is still buffered to devnull,
+                # so that the interpreter's last flush cannot fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                print("error: stdout was closed before the document was written",
+                      file=sys.stderr)
+                return 1
         return rc
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -344,7 +344,7 @@ def hand_built_reports():
 @pytest.mark.parametrize("name", list(hand_built_reports()))
 def test_report_document_matches_json_dumps(name):
     rep = hand_built_reports()[name]
-    assert rep.to_document().encode() == reference_document(rep).encode()
+    assert "".join(rep.to_document()).encode() == reference_document(rep).encode()
 
 
 def test_report_document_is_deterministic_and_parseable():
@@ -352,11 +352,24 @@ def test_report_document_is_deterministic_and_parseable():
                             rmatrix_label="glq2")
     rep2 = verify_bialgebra(glq2_rmatrix(), preset="bm", bound=4,
                             rmatrix_label="glq2")
-    assert rep1.to_document() == rep2.to_document() == reference_document(rep1)
-    doc = json.loads(rep1.to_document())
+    text = "".join(rep1.to_document())
+    assert text == "".join(rep2.to_document()) == reference_document(rep1)
+    doc = json.loads(text)
     assert doc["passed"] is True
     assert doc["relations"][0]["certificate"]
     assert doc["square_relations"]
+
+
+def test_report_document_yields_one_relation_verdict_per_chunk():
+    rep = verify_bialgebra(glq2_rmatrix(), preset="bm", bound=4, rmatrix_label="glq2")
+    assert sum(bool(v.certificate) for v in rep.relation_verdicts) >= 3
+    chunks = list(rep.to_document())
+    # the head, one chunk per verdict, the tail
+    assert [c.count('"index": ') for c in chunks] == \
+        [0] + [1] * len(rep.relation_verdicts) + [0]
+    empty = hand_built_reports()["singular-r"]
+    chunks = list(empty.to_document())
+    assert len(chunks) == 2 and '"relations": [],' in "".join(chunks)
 
 
 # -- probabilistic mode ---------------------------------------------------------

@@ -4,14 +4,18 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidalg import cli
 from braidalg import qscalar as qs
 from braidalg.cli import (MAX_DEGREE, MAX_GENERATORS, format_presentation_document,
                           main, parse_presentation_document)
@@ -296,6 +300,58 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "generators: u[1,1]" in target.read_text()
+
+
+def test_verify_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "bm", "glq2", "-D", "4")
+    code_o, out_o, _ = run(capsys, "verify", "bm", "glq2", "-D", "4", "-o", str(target))
+    assert code == code_o == 0 and out_o == ""
+    assert len(json.loads(out)["relations"]) > 1
+    assert target.read_bytes() == out.encode()
+
+
+def test_output_failing_mid_document_keeps_the_target(tmp_path, capsys, monkeypatch):
+    keep = tmp_path / "keep.json"
+    keep.write_text("previous contents\n")
+
+    def open_failing_after_one_chunk(path, mode):
+        fh = open(path, mode)
+
+        def writelines(chunks):
+            for i, chunk in enumerate(chunks):
+                if i:
+                    raise OSError(28, "No space left on device")
+                fh.write(chunk)
+        fh.writelines = writelines
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_failing_after_one_chunk, raising=False)
+    code, out, err = run(capsys, "verify", "bm", "glq2", "-D", "4", "-o", str(keep))
+    assert code == 2 and out == ""
+    assert "cannot write output" in err and "No space left" in err
+    assert keep.read_text() == "previous contents\n"
+    assert os.listdir(tmp_path) == ["keep.json"]
+
+
+# the report (124,215 bytes) is larger than a pipe's 64 KiB buffer; the
+# verdict line is smaller than stdout's own buffer, so only the last flush
+# meets the closed pipe
+@pytest.mark.parametrize("argv", [["verify", "chain", "glq2", "-n", "2", "-D", "4"],
+                                  ["ybe", "glq2"]], ids=["verify", "ybe"])
+def test_closed_stdout_is_an_error_without_traceback(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # stdout block-buffered, as the interpreter sets it up for a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "braidalg", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env | {"PYTHONPATH": src})
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == \
+        ["error: stdout was closed before the document was written"]
 
 
 def test_rmatrix_file_loading_roundtrip(tmp_path, capsys):
