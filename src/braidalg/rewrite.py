@@ -33,8 +33,11 @@ rule is reported as a completion warning: the quadratic system by itself
 was not confluent.  A class pass runs first: it resolves the degree-3
 overlaps of one copy subset per class of subsets whose rules agree up to
 an order-preserving relabelling, and when all vanish no other overlap is
-touched (see TruncatedGB).  Work over MAX_COMPLETION_WORK units (one per
-overlap reduction plus its steps) raises CompletionBudgetError.
+touched (see TruncatedGB).  It reduces them in a loop of its own on
+integer-coded degree-3 words with a table of the quadratic rules
+(_pair_table), taking the steps reduce would take; reduce stays the one
+general reducer.  Work over MAX_COMPLETION_WORK units (one per overlap
+reduction plus its steps) raises CompletionBudgetError.
 """
 
 from __future__ import annotations
@@ -234,6 +237,71 @@ def orient_relations(P: Presentation) -> RewriteSystem:
 # degree-bounded completion
 # ---------------------------------------------------------------------------
 
+def _pair_table(rules, n):
+    """The quadratic rules on integer-coded words: slot x*n + y holds the
+    right side of rule xy as ((y'*n + z', coeff), ...), or None.
+
+    A degree-3 word (a, b, c) is coded (a*n + b)*n + c, so among words of
+    one length deg-lex is integer order, and its redexes are the slots
+    w // n (position 0) and w % n**2 (position 1).  The table has n**2 slots.
+    """
+    table = [None] * (n * n)
+    for rule in rules:
+        x, y = rule.lhs
+        table[x * n + y] = tuple((v * n + z, c) for (v, z), c in rule.rhs.terms.items())
+    return table
+
+
+def _overlap_terms(table, n, a, b, c):
+    """rhs(ab)*c - a*rhs(bc) as a dict from word code to coefficient."""
+    terms = {v * n + c: rc for v, rc in table[a * n + b]}
+    hi = a * n * n
+    for v, rc in table[b * n + c]:
+        w, nc = hi + v, -rc
+        s = terms.get(w)
+        s = nc if s is None else s + nc
+        if s:
+            terms[w] = s
+        else:
+            del terms[w]
+    return terms
+
+
+def _cubic_steps(table, n, terms):
+    """Fully reduce the degree-3 polynomial terms (a dict from word code to
+    coefficient, reduced in place) by the rules of table; returns the number
+    of steps.  These are the steps RewriteSystem.reduce takes: largest word
+    first, its leftmost redex."""
+    nn = n * n
+    heap = [-w for w in terms if table[w // n] is not None or table[w % nn] is not None]
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        w = -heapq.heappop(heap)
+        c = terms.pop(w, None)
+        if c is None:
+            continue
+        steps += 1
+        rhs = table[w // n]
+        if rhs is None:
+            rhs, scale, add = table[w % nn], 1, w - w % nn
+        else:
+            scale, add = n, w % n
+        for u, rc in rhs:
+            nw = u * scale + add
+            v = c * rc
+            s = terms.get(nw)
+            if s is None:
+                terms[nw] = v
+                if table[nw // n] is not None or table[nw % nn] is not None:
+                    heapq.heappush(heap, -nw)
+            elif s := s + v:
+                terms[nw] = s
+            else:
+                del terms[nw]
+    return steps
+
+
 class TruncatedGB(RewriteSystem):
     """Rewrite system completed on all overlaps of composed degree <= bound.
 
@@ -253,8 +321,11 @@ class TruncatedGB(RewriteSystem):
     rules; and a subset's key holds the signatures of its single copies and
     copy pairs, which hold all its rules.  Quadratic left sides overlap only
     in degree 3, so if every class resolves to zero they are the basis for
-    every bound.  classes, class_overlaps (reduced), fell_back and work
-    (units spent) record what construction did.
+    every bound.  The pass needs only whether each residue is zero and how
+    many steps it took, so it reduces on word codes (_cubic_steps) rather
+    than through reduce and the trie, and builds no polynomial.  classes,
+    class_overlaps (reduced), fell_back and work (units spent) record what
+    construction did.
     """
 
     def __init__(self, P: Presentation, bound: int):
@@ -266,27 +337,18 @@ class TruncatedGB(RewriteSystem):
         if self.fell_back:
             self._complete()
 
-    def _resolve(self, w, r1: Rule, r2: Rule):
-        """(residue, steps) of the reduced difference of the two rewrites of
-        w = r1.lhs + suffix = prefix + r2.lhs, charged to the work budget;
-        residue is None when the rewrites agree at once."""
-        diff = (r1.rhs.sandwich((), w[len(r1.lhs):])
-                - r2.rhs.sandwich(w[:len(w) - len(r2.lhs)], ()))
-        if not diff:
-            return None, ()
-        residue, steps = self.reduce(diff, collect=True)
-        self.work += 1 + len(steps)
+    def _charge(self, units):
+        self.work += units
         if self.work > MAX_COMPLETION_WORK:
             raise CompletionBudgetError(
                 f"completion to degree {self.bound} needs more than "
                 f"{MAX_COMPLETION_WORK} units of reduction work")
-        return residue, steps
 
     def _resolved_by_classes(self) -> bool:
-        """Resolve the degree-3 overlaps of one copy subset per class.  False
-        at the first nonzero residue, or when bound < 3, the copies are not
-        contiguous equal-size roster blocks, or a rule changes the copy
-        multiset of a word."""
+        """Resolve the degree-3 overlaps of one copy subset per class, on
+        integer-coded words (see _pair_table).  False at the first nonzero
+        residue, or when bound < 3, the copies are not contiguous equal-size
+        roster blocks, or a rule changes the copy multiset of a word."""
         roster = self.presentation.roster
         ncopies = len({g.copy for g in roster})
         size = len(roster) // max(ncopies, 1)
@@ -319,15 +381,22 @@ class TruncatedGB(RewriteSystem):
             for s in itertools.combinations(range(ncopies), k):
                 classes.setdefault(tuple(sig[t] for t in parts(s)), s)
         self.classes = len(classes)
+        # the representatives' overlaps reduce only by their own rules
+        used = {t: on.get(t, ()) for s in classes.values() for t in parts(s)}
+        n = len(roster)
+        table = _pair_table(itertools.chain.from_iterable(used.values()), n)
         for s in classes.values():
-            for r1 in itertools.chain.from_iterable(on.get(t, ()) for t in parts(s)):
+            for r1 in itertools.chain.from_iterable(used[t] for t in parts(s)):
                 a, b = r1.lhs
                 # the trie holds only quadratic rules: b's node maps c to rule bc
-                for c, r2 in self._trie.get(b, {}).items():
-                    if {a // size, b // size, c // size} == set(s):
-                        residue, _ = self._resolve((a, b, c), r1, r2)
-                        self.class_overlaps += residue is not None
-                        if residue:
+                for c in self._trie.get(b, {}):
+                    if {a // size, b // size, c // size} != set(s):
+                        continue
+                    terms = _overlap_terms(table, n, a, b, c)
+                    if terms:
+                        self._charge(1 + _cubic_steps(table, n, terms))
+                        self.class_overlaps += 1
+                        if terms:  # reduced in place to the residue
                             return False
         return True
 
@@ -369,11 +438,15 @@ class TruncatedGB(RewriteSystem):
         one = P.field.one
         while pending:
             _, w, _, r1, r2 = heapq.heappop(pending)
-            residue, steps = self._resolve(w, r1, r2)
-            if not residue:
-                continue
             suffix = w[len(r1.lhs):]
             prefix = w[:len(w) - len(r2.lhs)]
+            diff = r1.rhs.sandwich((), suffix) - r2.rhs.sandwich(prefix, ())
+            if not diff:
+                continue
+            residue, steps = self.reduce(diff, collect=True)
+            self._charge(1 + len(steps))
+            if not residue:
+                continue
             lead = P.order.leading_word(residue)
             inv = one / residue.terms[lead]
             ninv = -inv

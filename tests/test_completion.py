@@ -45,8 +45,9 @@ def square(P, R):
     return braided_tensor_square(P, R).presentation
 
 
-def assert_same_verdict(P, bound=BOUND):
-    gb, full = TruncatedGB(P, bound), FullCompletion(P, bound)
+def assert_same_verdict(P, bound=BOUND, gb=None):
+    gb = TruncatedGB(P, bound) if gb is None else gb
+    full = FullCompletion(P, bound)
     assert [(r.lhs, r.rhs) for r in gb.added_rules] == \
         [(r.lhs, r.rhs) for r in full.added_rules]
     assert gb.normal_word_counts(bound) == full.normal_word_counts(bound)
@@ -54,29 +55,68 @@ def assert_same_verdict(P, bound=BOUND):
     return gb, full
 
 
-# (name, presentation builder, classes, representative overlaps reduced)
+# (name, presentation builder, classes, representative overlaps reduced, work)
 CONFLUENT = [
-    ("frt-glq2", lambda: frt_algebra(glq2_rmatrix()), 1, 4),
-    ("bm-glq2", lambda: braided_matrices(glq2_rmatrix()), 1, 4),
+    ("frt-glq2", lambda: frt_algebra(glq2_rmatrix()), 1, 4, 22),
+    ("bm-glq2", lambda: braided_matrices(glq2_rmatrix()), 1, 4, 28),
     *((f"chain-glq2-n{n}", lambda n=n: square(braided_chain(glq2_rmatrix(), n), glq2_rmatrix()),
-       classes, 292 if n > 2 else 228)
+       classes, 292 if n > 2 else 228, 3678 if n > 2 else 2754)
       for n, classes in ((2, 5), (3, 6), (4, 6), (5, 6))),
-    ("chain-glq3-n2", lambda: square(braided_chain(glq_rmatrix(3), 2), glq_rmatrix(3)), 5, 2838),
-    ("chain-glq3-n3-unsquared", lambda: braided_chain(glq_rmatrix(3), 3), 3, 1461),
-    ("bm-glq3", lambda: square(braided_matrices(glq_rmatrix(3)), glq_rmatrix(3)), 2, 732),
-    ("bm-glq4", lambda: square(braided_matrices(glq_rmatrix(4)), glq_rmatrix(4)), 2, 4400),
+    ("chain-glq3-n2", lambda: square(braided_chain(glq_rmatrix(3), 2), glq_rmatrix(3)), 5, 2838,
+     51845),
+    ("chain-glq3-n3-unsquared", lambda: braided_chain(glq_rmatrix(3), 3), 3, 1461, 28563),
+    ("bm-glq3", lambda: square(braided_matrices(glq_rmatrix(3)), glq_rmatrix(3)), 2, 732, 11161),
+    ("bm-glq4", lambda: square(braided_matrices(glq_rmatrix(4)), glq_rmatrix(4)), 2, 4400, 83137),
 ]
 
 
-@pytest.mark.parametrize("name,build,classes,reduced", CONFLUENT, ids=[c[0] for c in CONFLUENT])
-def test_class_pass_gives_full_completions_verdict(name, build, classes, reduced):
+@pytest.mark.parametrize("name,build,classes,reduced,work", CONFLUENT,
+                         ids=[c[0] for c in CONFLUENT])
+def test_class_pass_gives_full_completions_verdict(name, build, classes, reduced, work,
+                                                  monkeypatch):
     P = build()
-    gb, full = assert_same_verdict(P)
+    gb, steps = assert_class_pass_steps_match_reduce(P, monkeypatch)
+    gb, full = assert_same_verdict(P, gb=gb)
     assert not gb.fell_back and gb.added_rules == []
     assert (gb.classes, gb.class_overlaps) == (classes, reduced)
+    assert not any(residue for residue, _ in steps)
+    # the budget unit: one per reduced overlap plus its steps
+    assert gb.work == work == sum(1 + n for _, n in steps)
     # one representative per class does less work than every overlap
     assert 0 < gb.work <= full.work
     assert full.fell_back and full.classes == 0
+
+
+def _decode(terms, n):
+    return {(w // (n * n), w // n % n, w % n): c for w, c in terms.items()}
+
+
+def assert_class_pass_steps_match_reduce(P, monkeypatch):
+    """Build TruncatedGB(P, BOUND) recording each overlap difference the
+    class pass reduces; check each against RewriteSystem.reduce with the
+    quadratic rules.  Returns the system and (residue, steps) of each."""
+    seen, overlap_terms = [], rewrite._overlap_terms
+
+    def recording(table, n, a, b, c):
+        terms = overlap_terms(table, n, a, b, c)
+        if terms:
+            seen.append((table, n, (a, b, c), dict(terms)))
+        return terms
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "_overlap_terms", recording)
+        gb = TruncatedGB(P, BOUND)
+    assert len(seen) == gb.class_overlaps
+    quadratic, reduced = rewrite.orient_relations(P), []
+    for table, n, (a, b, c), terms in seen:
+        r1, r2 = quadratic.rules[(a, b)], quadratic.rules[(b, c)]
+        diff = r1.rhs.sandwich((), (c,)) - r2.rhs.sandwich((a,), ())
+        assert _decode(terms, n) == diff.terms
+        residue, steps = quadratic.reduce(diff, collect=True)
+        assert rewrite._cubic_steps(table, n, terms) == len(steps)
+        assert _decode(terms, n) == residue.terms
+        reduced.append((residue, len(steps)))
+    return gb, reduced
 
 
 def test_non_confluent_square_falls_back_to_full_completion():
@@ -116,6 +156,16 @@ def test_a_changed_cross_block_separates_its_copy_pair():
         # u1u3 now differs from u1u2 and u2u3
         assert mutated.classes == 4
         assert mutated.fell_back and mutated.added_rules
+
+
+def test_class_pass_steps_match_reduce_up_to_a_residue(monkeypatch):
+    # the pert2 square's first reduced overlap leaves a residue; the mutated
+    # chain's first residue comes after dozens of zero ones
+    Rp = pert2_rmatrix()
+    for P in (square(braided_chain(Rp, 2), Rp), _mutated_chain3(0)):
+        gb, reduced = assert_class_pass_steps_match_reduce(P, monkeypatch)
+        assert gb.fell_back
+        assert [bool(residue) for residue, _ in reduced] == [False] * (len(reduced) - 1) + [True]
 
 
 def _chain2_document():
