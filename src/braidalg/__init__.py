@@ -10,9 +10,8 @@ configurable degree bound, over the field Q(q) or, at sampled rational
 values of q, modulo one prime per value.
 """
 
-from .qscalar import (LaurentPoly, ModP, ModRing, NonUnitError, PoleError, Q,
-                      QINV, QQ_Q, RatFunc, ScalarParseError,
-                      ZeroDenominatorError, parse_scalar)
+from .qscalar import (ModP, ModRing, NonUnitError, PoleError, Q, QINV, QQ_Q,
+                      RatFunc, ScalarParseError, ZeroDenominatorError, parse_scalar)
 from .linalg import SingularMatrixError, SparseEchelon, dense_inverse, dense_rank
 from .rmat import (RMatrix, RMatrixDocumentError, TensorOperator,
                    builtin_rmatrix, flip_rmatrix, glq2_rmatrix,

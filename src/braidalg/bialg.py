@@ -43,7 +43,7 @@ from .ideals import reduce_mod_ideal, substitute_generators
 from .linalg import SingularMatrixError
 from .ncalg import NCPoly, Presentation, format_poly, word_str
 from .presents import TensorSquare
-from .qscalar import ModRing, NonUnitError, PoleError
+from .qscalar import ModRing, NonUnitError, PoleError, RatFunc
 from .rewrite import OrientationError
 from .rmat import RMatrix, invert, second_inverse, ybe_check
 
@@ -356,8 +356,8 @@ def _evaluate_mod(x, P: Presentation, square: TensorSquare,
 def _denominators(P: Presentation, square: TensorSquare, spec: CoproductSpec):
     """The distinct denominators of every coefficient _evaluate_mod evaluates."""
     polys = P.relations + square.presentation.relations + tuple(spec.images.values())
-    dens = {c.den for p in polys for c in p.terms.values()}
-    return dens | {c.den for c in spec.counit.values()}
+    coeffs = {c for p in polys for c in p.terms.values()} | set(spec.counit.values())
+    return {RatFunc(0, c.den) for c in coeffs}
 
 
 def sample_points(R: RMatrix, seed: int, count: int, denominators=(), exclude=()):
@@ -399,7 +399,6 @@ def sample_points(R: RMatrix, seed: int, count: int, denominators=(), exclude=()
 
 def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
                      mode: str = "exact", seed: int = DEFAULT_SEED,
-                     num_points: int = DEFAULT_POINTS,
                      rmatrix_label: str = "") -> VerificationReport:
     """Run the full braided-bialgebra claim check for a preset."""
     if preset not in ("bm", "chain"):
@@ -438,7 +437,7 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
         report.failure = f"singular matrix during build: {e}"
     if report.failure:
         if sampled:  # without a square there are no coefficients to avoid
-            report.points = [str(q0) for q0 in sample_points(R, seed, num_points)]
+            report.points = [str(q0) for q0 in sample_points(R, seed, DEFAULT_POINTS)]
         report.wall_time_s = time.perf_counter() - t0
         return report
 
@@ -447,9 +446,9 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
         # one pass at every point; a point where completion degenerates is
         # dropped and the pass reruns with the next good draw in its place
         denominators, dropped = _denominators(P, square, spec), set()
-        ring = ModRing(PRIMES[:num_points])
+        ring = ModRing(PRIMES)
         while True:
-            points = sample_points(R, seed, num_points, denominators, dropped)
+            points = sample_points(R, seed, DEFAULT_POINTS, denominators, dropped)
             x = ring.crt([f.image(q0) for f, q0 in zip(ring.fields, points)])
             try:
                 verdicts, counit, coassoc, warning = _check(

@@ -61,12 +61,6 @@ def resolve_rmatrix(source: str):
     except RMatrixDocumentError as e:
         raise UsageError(str(e)) from None
     if builtin is not None:
-        if source == "glq2":
-            # fail fast if the shipped data were ever corrupted (flip:N is
-            # intentionally not biinvertible, so only glq2 is guarded)
-            if not rmat.ybe_check(builtin)[0] or rmat.second_inverse(builtin) is None:
-                raise RuntimeError("shipped glq2 R-matrix failed its own "
-                                   "Yang-Baxter/biinvertibility validation")
         return builtin, source
     path = Path(source)
     if not path.is_file():

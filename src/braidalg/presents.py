@@ -125,11 +125,11 @@ def frt_algebra(R: RMatrix) -> Presentation:
                         field=R.field, name="frt")
 
 
-def braided_matrices(R: RMatrix, copy: str = "u", name: str = "bm") -> Presentation:
+def braided_matrices(R: RMatrix) -> Presentation:
     """Braided matrices B(R): generators u, relations R21 u1 R u2 = u2 R21 u1 R."""
     invert(R)
-    return Presentation(R.dim, matrix_roster(copy, R.dim), self_block(R),
-                        field=R.field, name=name)
+    return Presentation(R.dim, matrix_roster("u", R.dim), self_block(R),
+                        field=R.field, name="bm")
 
 
 @dataclass
@@ -150,8 +150,7 @@ def _copy_labels(P: Presentation):
     return labels
 
 
-def braided_tensor_square(base: Presentation, R: RMatrix,
-                          left_label="L", right_label="R") -> TensorSquare:
+def braided_tensor_square(base: Presentation, R: RMatrix) -> TensorSquare:
     """Two independent copies of base with braid statistics between them.
 
     The right factor sits above the left factor in the monomial order, so
@@ -166,8 +165,7 @@ def braided_tensor_square(base: Presentation, R: RMatrix,
     if list(base.roster) != expected:
         raise ValueError("base roster is not a row-major matrix roster")
     n = base.ngens
-    roster = [Generator(f"{t}.{g.copy}", g.row, g.col)
-              for t in (left_label, right_label) for g in base.roster]
+    roster = [Generator(f"{t}.{g.copy}", g.row, g.col) for t in ("L", "R") for g in base.roster]
     rels = list(base.relations)
     rels.extend(NCPoly({tuple(g + n for g in w): c for w, c in r.terms.items()})
                 for r in base.relations)

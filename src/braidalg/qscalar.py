@@ -1,12 +1,11 @@
 """Exact arithmetic in Q(q), the field of rational functions of one parameter q.
 
-A Laurent polynomial is a dict {exponent: integer coefficient} with no zero
-coefficients stored; the zero polynomial is the empty dict.  A rational
-function is a reduced fraction num/den of two Laurent polynomials with
-integer coefficients, normalized so that
+A polynomial is a dense tuple of integer coefficients, low degree first.  A
+rational function is q^k * num(q) / den(q) with num and den such tuples,
+normalized so that
 
-  * den is an ordinary polynomial (lowest exponent 0) with positive leading
-    coefficient,
+  * num[0] != 0 and den[0] != 0 (zero is k = 0, num = (), den = (1,)),
+  * den has a positive leading coefficient,
   * num and den share no polynomial factor and no integer content,
 
 which makes equality (and hence zero-testing) a structural comparison.
@@ -64,7 +63,7 @@ def int_str(n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integer dense-polynomial helpers (low degree first, no trailing zeros)
+# dense integer polynomials (low degree first, no trailing zeros)
 # ---------------------------------------------------------------------------
 
 def _trim(c):
@@ -149,185 +148,87 @@ def _poly_div_exact(a, g):
     return q
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-# ---------------------------------------------------------------------------
+def _mul(a, b):
+    """Product of dense integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return out
 
-class LaurentPoly:
-    """Integer-coefficient Laurent polynomial in q, as {exponent: coefficient}."""
 
-    __slots__ = ("coeffs",)
+def _add(a, s, b, t):
+    """q^s*a + q^t*b for dense integer polynomials a, b and s, t >= 0."""
+    out = [0] * max(s + len(a), t + len(b))
+    for i, x in enumerate(a, s):
+        out[i] += x
+    for i, x in enumerate(b, t):
+        out[i] += x
+    return out
 
-    def __init__(self, coeffs=None):
-        if coeffs:
-            self.coeffs = {e: c for e, c in coeffs.items() if c}
+
+def _laurent_str(k, p):
+    """q^k*p(q) as text, ascending powers: 'q^-1 - 3 + 2*q^2'."""
+    parts = []
+    for e, c in enumerate(p, k):
+        if not c:
+            continue
+        if e == 0:
+            body = int_str(abs(c))
         else:
-            self.coeffs = {}
-
-    @classmethod
-    def const(cls, n):
-        return cls({0: n}) if n else cls()
-
-    @classmethod
-    def term(cls, coeff, exp):
-        return cls({exp: coeff}) if coeff else cls()
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = out
-        return r
-
-    def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return LaurentPoly()
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = out
-        return r
-
-    def scale(self, n):
-        if not n:
-            return LaurentPoly()
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = {e: c * n for e, c in self.coeffs.items()}
-        return r
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return r
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
-    def lead_coeff(self):
-        """Coefficient of the highest power (0 for the zero polynomial)."""
-        return self.coeffs[max(self.coeffs)] if self.coeffs else 0
-
-    def dense(self):
-        """Dense list of coefficients of self * q^(-min_exp), low degree first."""
-        if not self.coeffs:
-            return []
-        lo = self.min_exp()
-        out = [0] * (self.max_exp() - lo + 1)
-        for e, c in self.coeffs.items():
-            out[e - lo] = c
-        return out
-
-    @classmethod
-    def from_dense(cls, dense, shift=0):
-        return cls({i + shift: c for i, c in enumerate(dense) if c})
-
-    def evaluate(self, q0: Fraction) -> Fraction:
-        if q0 == 0:
-            raise PoleError("cannot evaluate a Laurent polynomial at q = 0")
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += c * q0 ** e
-        return total
-
-    def evaluate_mod(self, x: "ModP") -> "ModP":
-        """Value at q = x in x's ring Z/MZ; PoleError when x^-1 is needed
-        and does not exist."""
-        try:
-            return _new(type(x), sum(c * pow(x.v, e, x.M) for e, c in self.coeffs.items()) % x.M)
-        except ValueError:
-            raise PoleError(f"q = {x} is not a unit mod {int_str(x.M)}") from None
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                body = int_str(abs(c))
-            else:
-                qpow = "q" if e == 1 else f"q^{int_str(e)}"
-                body = qpow if abs(c) == 1 else f"{int_str(abs(c))}*{qpow}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"LaurentPoly({self.coeffs!r})"
-
-
-_LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly({0: 1})
+            qpow = "q" if e == 1 else f"q^{int_str(e)}"
+            body = qpow if abs(c) == 1 else f"{int_str(abs(c))}*{qpow}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
 
-# _VALUES maps the canonical key (sorted num items, sorted den items) of each
-# value to its one RatFunc and is never emptied, so the id of an operand names
-# its value for the life of the process; the memo tables key on such ids.
+# _VALUES maps the canonical triple (k, num, den) of each value to its one
+# RatFunc and is never emptied, so the id of an operand names its value for
+# the life of the process; the memo tables key on such ids.
 _VALUES = {}
 _MUL, _ADD, _DIV, _NEG = {}, {}, {}, {}
 
 
 class RatFunc:
-    """Canonical fraction of integer Laurent polynomials; a field element of
-    Q(q).  RatFunc(num, den) normalizes and returns the value's one object."""
+    """q^k * num(q) / den(q), a canonical element of Q(q).  RatFunc(k, num,
+    den), num and den integer coefficient sequences (low degree first, den
+    not zero), normalizes and returns the value's one object."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("k", "num", "den", "_hash")
 
-    def __new__(cls, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
-        if den.is_zero():
+    def __new__(cls, k, num, den=(1,)):
+        num, den = _trim(list(num)), _trim(list(den))
+        if not den:
             raise ZeroDenominatorError("zero denominator")
-        return cls._raw(*_normalize(num, den))
+        if not num:
+            return cls._raw(0, (), (1,))
+        # move the powers of q dividing num and den into k
+        i = next(i for i, c in enumerate(num) if c)
+        j = next(j for j, c in enumerate(den) if c)
+        k, num, den = k + i - j, num[i:], den[j:]
+        if den != [1] and den != [-1]:  # the gcd is 1 when den is a unit
+            g = _poly_gcd(num, den)
+            if g != [1]:
+                num, den = _poly_div_exact(num, g), _poly_div_exact(den, g)
+        if den[-1] < 0:
+            num, den = [-c for c in num], [-c for c in den]
+        return cls._raw(k, tuple(num), tuple(den))
 
     @classmethod
-    def _raw(cls, num, den):
-        """The object of the canonical num/den; the only place a RatFunc is made."""
-        key = (tuple(sorted(num.coeffs.items())), tuple(sorted(den.coeffs.items())))
+    def _raw(cls, k, num, den):
+        """The object of the canonical triple; the only place a RatFunc is made."""
+        key = (k, num, den)
         r = _VALUES.get(key)
         if r is None:
             r = object.__new__(cls)
-            r.num, r.den = num, (_LP_ONE if key[1] == ((0, 1),) else den)
+            r.k, r.num, r.den = key
             r._hash = hash(key)  # of integers only: the same in every process
             # setdefault: two threads building one value get the same object
             r = _VALUES.setdefault(key, r)
@@ -335,14 +236,14 @@ class RatFunc:
 
     @classmethod
     def from_int(cls, n):
-        return cls._raw(LaurentPoly.const(n), _LP_ONE)
+        return cls._raw(0, (n,) if n else (), (1,))
 
     @classmethod
     def q_power(cls, k):
-        return cls._raw(LaurentPoly.term(1, k), _LP_ONE)
+        return cls._raw(k, (1,), (1,))
 
     def __reduce__(self):
-        return RatFunc, (self.num, self.den)
+        return RatFunc, (self.k, self.num, self.den)
 
     def is_zero(self):
         return self is ZERO
@@ -366,11 +267,13 @@ class RatFunc:
         key = (id(self), id(other))
         r = _ADD.get(key)
         if r is None:
+            k = min(self.k, other.k)
             if self.den == other.den:
-                r = RatFunc(self.num + other.num, self.den)
+                r = RatFunc(k, _add(self.num, self.k - k, other.num, other.k - k), self.den)
             else:
-                r = RatFunc(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
+                r = RatFunc(k, _add(_mul(self.num, other.den), self.k - k,
+                                    _mul(other.num, self.den), other.k - k),
+                            _mul(self.den, other.den))
             _ADD[key] = r
         return r
 
@@ -379,7 +282,7 @@ class RatFunc:
     def __neg__(self):
         r = _NEG.get(id(self))
         if r is None:
-            r = _NEG[id(self)] = RatFunc._raw(-self.num, self.den)
+            r = _NEG[id(self)] = RatFunc._raw(self.k, tuple(-c for c in self.num), self.den)
         return r
 
     def __sub__(self, other):
@@ -400,12 +303,8 @@ class RatFunc:
         key = (id(self), id(other))
         r = _MUL.get(key)
         if r is None:
-            # fast path: both denominators trivial (the common case in practice)
-            if self.den is _LP_ONE and other.den is _LP_ONE:
-                r = RatFunc._raw(self.num * other.num, _LP_ONE)
-            else:
-                r = RatFunc(self.num * other.num, self.den * other.den)
-            _MUL[key] = r
+            r = _MUL[key] = RatFunc(self.k + other.k, _mul(self.num, other.num),
+                                    _mul(self.den, other.den))
         return r
 
     __rmul__ = __mul__
@@ -418,9 +317,10 @@ class RatFunc:
         key = (id(self), id(other))
         r = _DIV.get(key)
         if r is None:
-            if other.num.is_zero():
+            if not other.num:
                 raise ZeroDenominatorError("division by the zero function")
-            r = _DIV[key] = RatFunc(self.num * other.den, self.den * other.num)
+            r = _DIV[key] = RatFunc(self.k - other.k, _mul(self.num, other.den),
+                                    _mul(self.den, other.num))
         return r
 
     def __rtruediv__(self, other):
@@ -428,64 +328,43 @@ class RatFunc:
 
     def degree_span(self):
         """Width of the exponent ranges of num and den, summed."""
-        return (self.num.max_exp() - self.num.min_exp()
-                + self.den.max_exp() - self.den.min_exp())
+        return max(len(self.num) - 1, 0) + len(self.den) - 1
 
     def inverse(self):
-        if self.num.is_zero():
+        if not self.num:
             raise ZeroDenominatorError("inverse of the zero function")
-        return RatFunc(self.den, self.num)
+        return RatFunc(-self.k, self.den, self.num)
 
     def evaluate(self, q0) -> Fraction:
         """Exact value at q = q0 (a nonzero rational); raises PoleError at poles."""
         q0 = Fraction(q0)
         if q0 == 0:
             raise PoleError("q = 0 is outside the Laurent domain")
-        d = self.den.evaluate(q0)
+        d = sum(c * q0 ** e for e, c in enumerate(self.den))
         if d == 0:
             raise PoleError(f"pole at q = {q0}")
-        return self.num.evaluate(q0) / d
+        return sum(c * q0 ** e for e, c in enumerate(self.num, self.k)) / d
 
     def evaluate_mod(self, x: "ModP") -> "ModP":
         """Value at q = x in x's ring; PoleError if x^-1 or den(x)^-1 is missing."""
-        n = self.num.evaluate_mod(x)
+        def at(k, p):
+            return _new(type(x), sum(c * pow(x.v, e, x.M) for e, c in enumerate(p, k)) % x.M)
         try:
-            return n if self.den is _LP_ONE else n / self.den.evaluate_mod(x)
+            n = at(self.k, self.num)
+        except ValueError:
+            raise PoleError(f"q = {x} is not a unit mod {int_str(x.M)}") from None
+        try:
+            return n if self.den == (1,) else n / at(0, self.den)
         except ZeroDivisionError:
             raise PoleError(f"pole at q = {x} mod {int_str(x.M)}") from None
 
     def __str__(self):
-        if self.den.coeffs == {0: 1}:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        if self.den == (1,):
+            return _laurent_str(self.k, self.num)
+        return f"({_laurent_str(self.k, self.num)})/({_laurent_str(0, self.den)})"
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def _normalize(num: LaurentPoly, den: LaurentPoly):
-    if num.is_zero():
-        return _LP_ZERO, _LP_ONE
-    # clear the q-power of den into num (den becomes an ordinary polynomial,
-    # nonzero at 0)
-    m = den.min_exp()
-    if m:
-        den = den.shift(-m)
-        num = num.shift(-m)
-    if den.coeffs == {0: 1}:
-        return num, _LP_ONE
-    if den.coeffs == {0: -1}:
-        return -num, _LP_ONE
-    g = _poly_gcd(num.dense(), den.dense())
-    if g != [1]:
-        nshift = num.min_exp()
-        num = LaurentPoly.from_dense(_poly_div_exact(num.dense(), g), nshift)
-        den = LaurentPoly.from_dense(_poly_div_exact(den.dense(), g))
-    if den.lead_coeff() < 0:
-        num, den = -num, -den
-    if den.coeffs == {0: 1}:
-        den = _LP_ONE
-    return num, den
 
 
 ZERO = RatFunc.from_int(0)

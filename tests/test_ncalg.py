@@ -266,7 +266,7 @@ def test_specialized_relations_are_the_entrywise_specialization(rmatrix, preset,
     # each relation as it is and in its place, so verdicts stay aligned
     R = rmatrix()
     P = build_preset(preset, R, n)
-    dens = {c.den for r in P.relations for c in r.terms.values()}
+    dens = {qs.RatFunc(0, c.den) for r in P.relations for c in r.terms.values()}
     # at each point alone, and at all three at once over Z/MZ
     ring = qs.ModRing(PRIMES[:3])
     images = [F.image(q0) for F, q0 in zip(ring.fields, sample_points(R, DEFAULT_SEED, 3, dens))]
