@@ -12,7 +12,7 @@ values of q, modulo one prime per value.
 
 from .qscalar import (ModP, ModRing, NonUnitError, PoleError, Q, QINV, QQ_Q,
                       RatFunc, ScalarParseError, ZeroDenominatorError, parse_scalar)
-from .linalg import SingularMatrixError, SparseEchelon, dense_inverse, dense_rank
+from .linalg import SingularMatrixError, SparseEchelon, dense_inverse
 from .rmat import (RMatrix, RMatrixDocumentError, TensorOperator,
                    builtin_rmatrix, flip_rmatrix, glq2_rmatrix,
                    identity_rmatrix, invert, leg_embed, load_rmatrix,
@@ -23,8 +23,8 @@ from .ncalg import (DegLexOrder, Generator, NCAlgError, NCPoly, PolyParseError,
 from .rewrite import (CompletionBudgetError, OrientationError, RewriteSystem,
                       Rule, TruncatedGB, orient_relations, truncated_gb)
 from .ideals import (MembershipCertificate, MissingImageError, hilbert_dims,
-                     ideal_membership, reduce_mod_ideal,
-                     relation_span_equal, span_rank, substitute_generators)
+                     ideal_membership, reduce_mod_ideal, span_rank,
+                     substitute_generators)
 from .presents import (SquareIsoReport, TensorSquare, braided_chain,
                        braided_matrices, braided_tensor_square, build_preset,
                        cross_block, frt_algebra, matrix_roster,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import SparseEchelon
-from .ncalg import NCAlgError, NCPoly, Presentation, RosterMismatchError
+from .ncalg import NCAlgError, NCPoly, Presentation
 from .rewrite import TruncatedGB, truncated_gb
 
 
@@ -175,14 +175,6 @@ def hilbert_dims(P: Presentation, bound: int, method="rewrite"):
     if method != "rewrite":
         raise ValueError(f"unknown method {method!r}")
     return truncated_gb(P, bound).normal_word_counts(bound)
-
-
-def relation_span_equal(P1: Presentation, P2: Presentation) -> bool:
-    """Whether the degree-2 relation spans coincide (same roster required)."""
-    if P1.roster != P2.roster:
-        raise RosterMismatchError("presentations have different rosters")
-    # stored relations are canonical reduced echelon bases of the spans
-    return list(P1.relations) == list(P2.relations)
 
 
 def substitute_generators(p: NCPoly, images: dict, target: Presentation) -> NCPoly:

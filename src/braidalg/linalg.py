@@ -110,14 +110,6 @@ class SparseEchelon:
         return list(reversed(done.values()))
 
 
-def dense_rank(matrix) -> int:
-    """Exact rank of a dense matrix."""
-    ech = SparseEchelon(operator.neg)
-    for row in matrix:
-        ech.insert({j: a for j, a in enumerate(row) if a})
-    return ech.rank
-
-
 def dense_inverse(matrix, field=QQ_Q):
     """Exact inverse of a square matrix over field: the canonical aux rows
     of [A | I], whose reduced form is [I | A^-1].  Raises

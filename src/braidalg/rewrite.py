@@ -13,13 +13,18 @@ produces (see orient_relations).  Each rule carries its source: the stored
 relation it was read off, or the derivation of an adjoined rule from
 earlier rules, which ideals expands into membership certificates.
 
-A RewriteSystem keeps the left sides in a trie (the goto part of an
-Aho-Corasick automaton) that find_redex walks from each position of a word
-and normal_word_counts walks degree by degree.  Invariant: the left sides
-form an antichain under the subword order, so at most one matches at any
-position and every trie leaf is a rule.  It holds because the quadratic
-left sides are distinct, an adjoined left side leads a fully reduced
-residue, and adjoined lengths never decrease.
+A RewriteSystem has one reducer, on word codes: a word of length L is the
+base-n integer of its roster positions, n = max(ngens, 2).  Every position
+is below n, so among words of one length integer order is tuple order,
+which is deg-lex; and the subword of length ell at position i is
+w // n**(L-i-ell) % n**ell.  The rules are indexed once, by left-side
+length, on these codes.  reduce rewrites one degree part at a time (every
+rule is homogeneous), largest word first at its leftmost redex, decoding
+words only for the residue and the collected steps.  Invariant: the left
+sides form an antichain under the subword order, so at most one matches
+at any position.  It holds because the quadratic left sides are distinct,
+an adjoined left side leads a fully reduced residue, and adjoined lengths
+never decrease.
 
 Because no confluence is guaranteed for quadratic rewrite systems in
 general, reduction alone only proves membership (residue zero), never
@@ -33,18 +38,16 @@ rule is reported as a completion warning: the quadratic system by itself
 was not confluent.  A class pass runs first: it resolves the degree-3
 overlaps of one copy subset per class of subsets whose rules agree up to
 an order-preserving relabelling, and when all vanish no other overlap is
-touched (see TruncatedGB).  It reduces them in a loop of its own on
-integer-coded degree-3 words with a table of the quadratic rules
-(_pair_table), taking the steps reduce would take; reduce stays the one
-general reducer.  Work over MAX_COMPLETION_WORK units (one per overlap
-reduction plus its steps) raises CompletionBudgetError.
+touched (see TruncatedGB).  It builds each overlap difference as coded
+terms and reduces it with the same loop that reduce runs.  Work over
+MAX_COMPLETION_WORK units (one per overlap reduction plus its steps)
+raises CompletionBudgetError.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from operator import neg
 
 from .ncalg import NCPoly, Presentation, word_str
 
@@ -85,22 +88,27 @@ class Rule:
 
 
 class RewriteSystem:
-    """Rules over one presentation's order; the trie's inner nodes are
-    dicts from generator to child, its leaves the rules."""
+    """Rules over one presentation's order.  index maps each left-side
+    length to {lhs code: (rule, ((rhs code, coeff), ...))}, and _probes each
+    word length to the places a left side fits, leftmost first."""
 
     def __init__(self, presentation: Presentation, rules):
         self.presentation = presentation
-        self.rules = {}
-        self._trie = {}
+        self.n = max(presentation.ngens, 2)
+        self.rules, self.index, self._probes = {}, {}, {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule: Rule):
+        ell = len(rule.lhs)
+        if any(len(w) != ell for w in rule.rhs.terms):
+            raise ValueError(f"{rule} is not homogeneous")
+        if ell not in self.index:
+            self.index[ell] = {}
+            self._probes.clear()
         self.rules[rule.lhs] = rule
-        node = self._trie
-        for g in rule.lhs[:-1]:
-            node = node.setdefault(g, {})
-        node[rule.lhs[-1]] = rule
+        self.index[ell][self.code(rule.lhs)] = (
+            rule, tuple((self.code(w), c) for w, c in rule.rhs.terms.items()))
 
     def __iter__(self):
         return iter(self.rules.values())
@@ -108,65 +116,111 @@ class RewriteSystem:
     def __len__(self):
         return len(self.rules)
 
-    def find_redex(self, word):
-        """Leftmost match: (position, rule) or None."""
-        for pos in range(len(word)):
-            node = self._trie
-            for g in word[pos:]:
-                node = node.get(g)
-                if node is None:
-                    break
-                if type(node) is Rule:
-                    return pos, node
+    def code(self, word) -> int:
+        n, w = self.n, 0
+        for g in word:
+            w = w * n + g
+        return w
+
+    def decode(self, w: int, length: int) -> tuple:
+        n, out = self.n, [0] * length
+        for i in range(length - 1, -1, -1):
+            w, out[i] = divmod(w, n)
+        return tuple(out)
+
+    def find_redex(self, w: int, length: int):
+        """Leftmost redex of the word of this length coded w, or None:
+        (position, divisor, rest, (rule, coded rhs)) with
+        w = rest + divisor * (code of rule.lhs)."""
+        try:
+            probes = self._probes[length]
+        except KeyError:
+            n = self.n
+            probes = self._probes[length] = [
+                (i, n ** (length - i - ell), n ** ell, table.get)
+                for i in range(length) for ell, table in sorted(self.index.items())
+                if i + ell <= length]
+        for i, div, mod, get in probes:
+            key = w // div % mod
+            hit = get(key)
+            if hit is not None:
+                return i, div, w - key * div, hit
         return None
 
-    def reduce(self, p: NCPoly, collect=False):
-        """Fully reduce p; returns (residue, steps).
-
-        steps is a list of (left word, rule, right word, coeff) with
-        p = residue + sum coeff * left * (lhs - rhs) * right.
-        """
-        terms = dict(p.terms)
-        steps = [] if collect else None
-        # lazy-deletion max-heap over reducible words and their redexes:
-        # the min-heap key (-len(w), -w) is the deg-lex key (len(w), w) negated
-        heap = []
-        for w in terms:
-            hit = self.find_redex(w)
-            if hit:
-                heapq.heappush(heap, (-len(w), tuple(map(neg, w)), w, hit))
+    def _reduce_coded(self, terms: dict, length: int, steps=None) -> int:
+        """Fully reduce terms, a dict from codes of words of this length to
+        coefficients, in place: largest word first, its leftmost redex.
+        Returns the number of steps and appends (code, position, rule,
+        coeff) of each to steps when given."""
+        find, push, pop = self.find_redex, heapq.heappush, heapq.heappop
+        # max-heap of negated codes; a word is searched when it comes up
+        heap = [-w for w in terms]
+        heapq.heapify(heap)
+        count = 0
         while heap:
-            _, _, w, (pos, rule) = heapq.heappop(heap)
-            c = terms.pop(w, None)
+            w = -pop(heap)
+            c = terms.get(w)
             if c is None:
                 continue
-            left, right = w[:pos], w[pos + len(rule.lhs):]
-            for rw, rc in rule.rhs.terms.items():
-                nw = left + rw + right
+            hit = find(w, length)
+            if hit is None:
+                continue
+            del terms[w]
+            count += 1
+            i, div, rest, (rule, rhs) = hit
+            for u, rc in rhs:
+                nw = u * div + rest
                 v = c * rc
                 s = terms.get(nw)
                 if s is None:
                     terms[nw] = v
-                    hit = self.find_redex(nw)
-                    if hit:
-                        heapq.heappush(heap, (-len(nw), tuple(map(neg, nw)), nw, hit))
+                    push(heap, -nw)
                 elif s := s + v:
                     terms[nw] = s
                 else:
                     del terms[nw]
-            if collect:
-                steps.append((left, rule, right, c))
-        return NCPoly(terms), steps
+            if steps is not None:
+                steps.append((w, i, rule, c))
+        return count
+
+    def reduce(self, p: NCPoly, collect=False):
+        """Fully reduce p; returns (residue, steps).
+
+        One degree part at a time, longest first.  steps is a list of
+        (left word, rule, right word, coeff) with
+        p = residue + sum coeff * left * (lhs - rhs) * right.
+        """
+        parts, residue, steps = {}, {}, [] if collect else None
+        for w, c in p.terms.items():
+            parts.setdefault(len(w), {})[self.code(w)] = c
+        for length in sorted(parts, reverse=True):
+            terms, coded = parts[length], [] if collect else None
+            self._reduce_coded(terms, length, coded)
+            for w, c in terms.items():
+                residue[self.decode(w, length)] = c
+            for w, i, rule, c in coded or ():
+                word = self.decode(w, length)
+                steps.append((word[:i], rule, word[i + len(rule.lhs):], c))
+        return NCPoly._raw(residue), steps
 
     def normal_word_counts(self, bound):
         """Numbers of words of degrees 0..bound that contain no left side.
 
-        A state is the longest suffix read so far that is a proper prefix
-        of a left side: a trie inner node, numbered breadth-first.  goto[s][g]
-        is the state after reading g (None when that completes a left side)
-        and fail[s] < s the state of the longest proper suffix of s.
+        The left sides go in a trie (the goto part of an Aho-Corasick
+        automaton) of dicts from generator to child, with the rules as
+        leaves.  A state is the longest suffix read so far that is a proper
+        prefix of a left side: a trie inner node, numbered breadth-first.
+        goto[s][g] is the state after reading g (None when that completes a
+        left side) and fail[s] < s the state of the longest proper suffix
+        of s.
         """
-        nodes, fail, goto = [self._trie], [0], []
+        trie = {}
+        for lhs, rule in self.rules.items():
+            node = trie
+            for g in lhs[:-1]:
+                node = node.setdefault(g, {})
+            node[lhs[-1]] = rule
+        nodes, fail, goto = [trie], [0], []
         for s, node in enumerate(nodes):
             back = goto[fail[s]] if s else [0] * self.presentation.ngens
             row = list(back)
@@ -237,26 +291,12 @@ def orient_relations(P: Presentation) -> RewriteSystem:
 # degree-bounded completion
 # ---------------------------------------------------------------------------
 
-def _pair_table(rules, n):
-    """The quadratic rules on integer-coded words: slot x*n + y holds the
-    right side of rule xy as ((y'*n + z', coeff), ...), or None.
-
-    A degree-3 word (a, b, c) is coded (a*n + b)*n + c, so among words of
-    one length deg-lex is integer order, and its redexes are the slots
-    w // n (position 0) and w % n**2 (position 1).  The table has n**2 slots.
-    """
-    table = [None] * (n * n)
-    for rule in rules:
-        x, y = rule.lhs
-        table[x * n + y] = tuple((v * n + z, c) for (v, z), c in rule.rhs.terms.items())
-    return table
-
-
-def _overlap_terms(table, n, a, b, c):
-    """rhs(ab)*c - a*rhs(bc) as a dict from word code to coefficient."""
-    terms = {v * n + c: rc for v, rc in table[a * n + b]}
+def _overlap_terms(pairs, n, a, b, c):
+    """rhs(ab)*c - a*rhs(bc) as a dict from word code to coefficient; pairs
+    is the index of the length-2 left sides."""
+    terms = {v * n + c: rc for v, rc in pairs[a * n + b][1]}
     hi = a * n * n
-    for v, rc in table[b * n + c]:
+    for v, rc in pairs[b * n + c][1]:
         w, nc = hi + v, -rc
         s = terms.get(w)
         s = nc if s is None else s + nc
@@ -265,41 +305,6 @@ def _overlap_terms(table, n, a, b, c):
         else:
             del terms[w]
     return terms
-
-
-def _cubic_steps(table, n, terms):
-    """Fully reduce the degree-3 polynomial terms (a dict from word code to
-    coefficient, reduced in place) by the rules of table; returns the number
-    of steps.  These are the steps RewriteSystem.reduce takes: largest word
-    first, its leftmost redex."""
-    nn = n * n
-    heap = [-w for w in terms if table[w // n] is not None or table[w % nn] is not None]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        w = -heapq.heappop(heap)
-        c = terms.pop(w, None)
-        if c is None:
-            continue
-        steps += 1
-        rhs = table[w // n]
-        if rhs is None:
-            rhs, scale, add = table[w % nn], 1, w - w % nn
-        else:
-            scale, add = n, w % n
-        for u, rc in rhs:
-            nw = u * scale + add
-            v = c * rc
-            s = terms.get(nw)
-            if s is None:
-                terms[nw] = v
-                if table[nw // n] is not None or table[nw % nn] is not None:
-                    heapq.heappush(heap, -nw)
-            elif s := s + v:
-                terms[nw] = s
-            else:
-                del terms[nw]
-    return steps
 
 
 class TruncatedGB(RewriteSystem):
@@ -322,10 +327,11 @@ class TruncatedGB(RewriteSystem):
     copy pairs, which hold all its rules.  Quadratic left sides overlap only
     in degree 3, so if every class resolves to zero they are the basis for
     every bound.  The pass needs only whether each residue is zero and how
-    many steps it took, so it reduces on word codes (_cubic_steps) rather
-    than through reduce and the trie, and builds no polynomial.  classes,
-    class_overlaps (reduced), fell_back and work (units spent) record what
-    construction did.
+    many steps it took, so it builds each difference as coded degree-3
+    terms (_overlap_terms) and reduces them with reduce's own loop
+    (_reduce_coded), decoding no word and building no polynomial.
+    classes, class_overlaps (reduced), fell_back and work (units spent)
+    record what construction did.
     """
 
     def __init__(self, P: Presentation, bound: int):
@@ -346,9 +352,9 @@ class TruncatedGB(RewriteSystem):
 
     def _resolved_by_classes(self) -> bool:
         """Resolve the degree-3 overlaps of one copy subset per class, on
-        integer-coded words (see _pair_table).  False at the first nonzero
-        residue, or when bound < 3, the copies are not contiguous equal-size
-        roster blocks, or a rule changes the copy multiset of a word."""
+        word codes.  False at the first nonzero residue, or when bound < 3,
+        the copies are not contiguous equal-size roster blocks, or a rule
+        changes the copy multiset of a word."""
         roster = self.presentation.roster
         ncopies = len({g.copy for g in roster})
         size = len(roster) // max(ncopies, 1)
@@ -381,20 +387,20 @@ class TruncatedGB(RewriteSystem):
             for s in itertools.combinations(range(ncopies), k):
                 classes.setdefault(tuple(sig[t] for t in parts(s)), s)
         self.classes = len(classes)
-        # the representatives' overlaps reduce only by their own rules
-        used = {t: on.get(t, ()) for s in classes.values() for t in parts(s)}
-        n = len(roster)
-        table = _pair_table(itertools.chain.from_iterable(used.values()), n)
+        # every rule is quadratic here: the right letters of the rules on b
+        follow = {}
+        for b, c in self.rules:
+            follow.setdefault(b, []).append(c)
+        n, pairs = self.n, self.index.get(2, {})
         for s in classes.values():
-            for r1 in itertools.chain.from_iterable(used[t] for t in parts(s)):
+            for r1 in itertools.chain.from_iterable(on.get(t, ()) for t in parts(s)):
                 a, b = r1.lhs
-                # the trie holds only quadratic rules: b's node maps c to rule bc
-                for c in self._trie.get(b, {}):
+                for c in follow.get(b, ()):
                     if {a // size, b // size, c // size} != set(s):
                         continue
-                    terms = _overlap_terms(table, n, a, b, c)
+                    terms = _overlap_terms(pairs, n, a, b, c)
                     if terms:
-                        self._charge(1 + _cubic_steps(table, n, terms))
+                        self._charge(1 + self._reduce_coded(terms, 3))
                         self.class_overlaps += 1
                         if terms:  # reduced in place to the residue
                             return False

@@ -236,26 +236,6 @@ def second_inverse(R: RMatrix):
     return partial_transpose2(ptinv)
 
 
-def second_inverse_identities_hold(R: RMatrix) -> bool:
-    """Defining contractions of the second inverse with R (both orders)."""
-    Rt = second_inverse(R)
-    if Rt is None:
-        return False
-    N = R.dim
-    one = R.field.one
-    zero = R.field.zero
-    for i, j, k, l in itertools.product(range(1, N + 1), repeat=4):
-        want = one if (i == k and j == l) else zero
-        s1 = zero
-        s2 = zero
-        for a, b in itertools.product(range(1, N + 1), repeat=2):
-            s1 = s1 + Rt.entry(i, b, a, j) * R.entry(a, l, k, b)
-            s2 = s2 + R.entry(i, b, a, j) * Rt.entry(a, l, k, b)
-        if s1 != want or s2 != want:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # document format
 # ---------------------------------------------------------------------------

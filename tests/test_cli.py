@@ -215,6 +215,19 @@ def test_nf_is_canonical_on_non_confluent_input(capsys, perturbed_doc):
     assert err.count("note:") == 1 and "completion adjoined" in err
 
 
+def test_nf_of_mixed_degrees_uses_the_adjoined_rules(capsys, perturbed_doc):
+    # terms of degrees 0, 1, 2 and 4; the quadratic rules alone leave
+    # u[1,1]*u[1,1]*u[2,2]*u[2,2] in place of u[1,1]^4, which the adjoined
+    # cubic rules reach
+    poly = ("3 - q*u[2,1] + u[2,2]*u[1,1] + (1 + q)/2*u[2,2]*u[1,1]*u[1,1]*u[2,2]"
+            " - q^-1*u[1,1]*u[2,2]*u[2,2]*u[1,1]")
+    code, out, err = run(capsys, "nf", "bm", perturbed_doc, poly)
+    assert code == 0
+    assert out == ("((-2*q^-1 + 1 + q)/(2)) * u[1,1]*u[1,1]*u[1,1]*u[1,1] + "
+                   "u[1,1]*u[2,2] - q * u[2,1] + 3\n")
+    assert err == "note: completion adjoined 2 rules (quadratic system not confluent)\n"
+
+
 def test_completion_over_its_work_budget_is_an_error(tmp_path, capsys, perturbed_doc):
     # completion of the perturbed square grows without end in the degree
     # bound; the work budget ends it with one error line, in bounded time

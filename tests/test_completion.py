@@ -13,6 +13,8 @@ from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_s
 from braidalg.rewrite import CompletionBudgetError, TruncatedGB
 from braidalg.rmat import RMatrix, glq2_rmatrix
 
+from test_rewrite import reference_reduce
+
 BOUND = 4
 
 
@@ -93,28 +95,38 @@ def _decode(terms, n):
 
 def assert_class_pass_steps_match_reduce(P, monkeypatch):
     """Build TruncatedGB(P, BOUND) recording each overlap difference the
-    class pass reduces; check each against RewriteSystem.reduce with the
-    quadratic rules.  Returns the system and (residue, steps) of each."""
-    seen, overlap_terms = [], rewrite._overlap_terms
+    class pass reduces, the steps it took and the residue it left; check
+    each against the reference reducer with the quadratic rules.  Returns
+    the system and (residue, steps) of each."""
+    seen, counts = [], []
+    overlap_terms, reduce_coded = rewrite._overlap_terms, TruncatedGB._reduce_coded
 
-    def recording(table, n, a, b, c):
-        terms = overlap_terms(table, n, a, b, c)
+    def recording_overlap(pairs, n, a, b, c):
+        terms = overlap_terms(pairs, n, a, b, c)
         if terms:
-            seen.append((table, n, (a, b, c), dict(terms)))
+            # a copy of the difference, and the dict the pass reduces in place
+            seen.append(((a, b, c), dict(terms), terms))
         return terms
 
+    def recording_reduce(self, terms, length, steps=None):
+        count = reduce_coded(self, terms, length, steps)
+        counts.append(count)
+        return count
+
     with monkeypatch.context() as m:
-        m.setattr(rewrite, "_overlap_terms", recording)
+        m.setattr(rewrite, "_overlap_terms", recording_overlap)
+        m.setattr(TruncatedGB, "_reduce_coded", recording_reduce)
         gb = TruncatedGB(P, BOUND)
-    assert len(seen) == gb.class_overlaps
+    # the pass reduces each recorded difference before any other reduction
+    assert len(seen) == gb.class_overlaps <= len(counts)
     quadratic, reduced = rewrite.orient_relations(P), []
-    for table, n, (a, b, c), terms in seen:
+    for ((a, b, c), diff_terms, residue_terms), count in zip(seen, counts):
         r1, r2 = quadratic.rules[(a, b)], quadratic.rules[(b, c)]
         diff = r1.rhs.sandwich((), (c,)) - r2.rhs.sandwich((a,), ())
-        assert _decode(terms, n) == diff.terms
-        residue, steps = quadratic.reduce(diff, collect=True)
-        assert rewrite._cubic_steps(table, n, terms) == len(steps)
-        assert _decode(terms, n) == residue.terms
+        assert _decode(diff_terms, gb.n) == diff.terms
+        residue, steps = reference_reduce(quadratic, diff, collect=True)
+        assert count == len(steps)
+        assert _decode(residue_terms, gb.n) == residue.terms
         reduced.append((residue, len(steps)))
     return gb, reduced
 

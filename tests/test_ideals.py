@@ -8,8 +8,7 @@ import pytest
 
 from braidalg import qscalar as qs
 from braidalg.ideals import (MissingImageError, hilbert_dims, ideal_membership,
-                             reduce_mod_ideal, relation_span_equal,
-                             substitute_generators)
+                             reduce_mod_ideal, substitute_generators)
 from braidalg.ncalg import (Generator, NCPoly, Presentation, RosterMismatchError,
                             parse_poly, word_str)
 from braidalg.presents import (braided_chain, braided_matrices,
@@ -17,6 +16,8 @@ from braidalg.presents import (braided_chain, braided_matrices,
                                matrix_roster)
 from braidalg.rewrite import orient_relations, truncated_gb
 from braidalg.rmat import glq2_rmatrix, identity_rmatrix
+
+from oracles import relation_span_equal
 
 ONE = qs.ONE
 

@@ -9,7 +9,7 @@ import pytest
 
 from braidalg import qscalar as qs
 from braidalg.cli import main
-from braidalg.ideals import hilbert_dims, ideal_membership, relation_span_equal
+from braidalg.ideals import hilbert_dims, ideal_membership
 from braidalg.ncalg import NCPoly, Presentation
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, build_preset, cross_block,
@@ -19,6 +19,8 @@ from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix,
                            identity_rmatrix, save_rmatrix, second_inverse,
                            ybe_check)
 from braidalg.linalg import SingularMatrixError
+
+from oracles import relation_span_equal
 
 ONE = qs.ONE
 

@@ -6,13 +6,14 @@ import pytest
 
 from braidalg import qscalar as qs
 from braidalg.bialg import PRIMES, sample_points
-from braidalg.linalg import SingularMatrixError, dense_inverse, dense_rank
+from braidalg.linalg import SingularMatrixError, dense_inverse
 from braidalg.rmat import (MAX_DIM, RMatrix, RMatrixDocumentError,
                            builtin_rmatrix, flip_rmatrix,
                            glq2_rmatrix, identity_rmatrix, invert, leg_embed,
                            load_rmatrix, partial_transpose2, save_rmatrix,
-                           second_inverse, second_inverse_identities_hold,
-                           ybe_check)
+                           second_inverse, ybe_check)
+
+from oracles import dense_rank, second_inverse_identities_hold
 
 
 def perturbed_rmatrix():
