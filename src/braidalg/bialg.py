@@ -94,7 +94,7 @@ def matrix_coproduct(P: Presentation, square: TensorSquare) -> CoproductSpec:
 @dataclass
 class RelationVerdict:
     index: int
-    relation: str
+    relation: str               # set by verify_bialgebra from the relation
     passed: bool
     certificate: tuple = None   # ((left, idx, right, coeff) ...) when passed
     residue: str = None         # nonzero residue rendering when failed
@@ -111,7 +111,7 @@ def verify_homomorphism(P: Presentation, spec: CoproductSpec,
                         square: TensorSquare, bound: int, collect=True):
     """Check that every relation maps into the tensor-square ideal.
 
-    Returns (verdicts, completion_warning).
+    Returns (verdicts, completion_warning), relation texts left None.
     """
     if bound < 4:
         raise ValueError("degree bound must be at least 4")
@@ -124,12 +124,10 @@ def verify_homomorphism(P: Presentation, spec: CoproductSpec,
         warning = warning or warned
         if residue.is_zero():
             verdicts.append(RelationVerdict(
-                i, format_poly(r, P), True,
-                certificate=cert.terms if cert is not None else None))
+                i, None, True, certificate=cert.terms if cert is not None else None))
         else:
             shown = residue.map_coefficients(_reporting_map(residue.terms.values(), SQ.field))
-            verdicts.append(RelationVerdict(
-                i, format_poly(r, P), False, residue=format_poly(shown, SQ)))
+            verdicts.append(RelationVerdict(i, None, False, residue=format_poly(shown, SQ)))
     return verdicts, warning
 
 
@@ -457,14 +455,14 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
             except NonUnitError as e:
                 dropped.update(q0 for q0, p in zip(points, ring.primes) if p in e.primes)
         report.points = [str(q0) for q0 in points]
-        for v, r in zip(verdicts, P.relations):
-            v.relation = format_poly(r, P)
     else:
         verdicts, counit, coassoc, warning = _check(P, spec, square, bound, collect=True)
         report.square_roster = square.presentation.roster
         report.square_relations = [
             format_poly(r, square.presentation) for r in square.presentation.relations]
 
+    for v, r in zip(verdicts, P.relations):
+        v.relation = format_poly(r, P)
     report.orientation = "ok"
     report.relation_verdicts = verdicts
     report.counit, report.counit_detail = counit

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -55,18 +54,18 @@ class UsageError(ValueError):
 
 
 def resolve_rmatrix(source: str):
-    """Builtin name or document path -> (RMatrix, label)."""
+    """Builtin name or document path -> RMatrix."""
     try:
         builtin = rmat.builtin_rmatrix(source)
     except RMatrixDocumentError as e:
         raise UsageError(str(e)) from None
     if builtin is not None:
-        return builtin, source
+        return builtin
     path = Path(source)
     if not path.is_file():
         raise UsageError(f"no builtin R-matrix or file named {source!r}")
     try:
-        return rmat.load_rmatrix(path.read_text()), source
+        return rmat.load_rmatrix(path.read_text())
     except (RMatrixDocumentError, QScalarError) as e:
         raise UsageError(f"bad R-matrix document {source!r}: {e}") from None
 
@@ -91,9 +90,6 @@ def _build(preset: str, R, n: int) -> Presentation:
 # presentation documents
 # ---------------------------------------------------------------------------
 
-_GEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.]*)\[(\d+),(\d+)\]$")
-
-
 def format_presentation_document(P: Presentation, preset: str, rlabel: str,
                                  copies: int) -> str:
     lines = [
@@ -109,43 +105,12 @@ def format_presentation_document(P: Presentation, preset: str, rlabel: str,
     return "\n".join(lines) + "\n"
 
 
-def parse_presentation_document(text: str):
-    """Parse a presentation document; returns (metadata dict, Presentation)."""
-    from .ncalg import Generator
-
-    meta = {}
-    roster = []
-    relation_srcs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if key == "generators":
-            for tok in value.split():
-                m = _GEN_RE.match(tok)
-                if not m:
-                    raise NCAlgError(f"bad generator token {tok!r}")
-                roster.append(Generator(m.group(1), int(m.group(2)), int(m.group(3))))
-        elif key == "relation":
-            relation_srcs.append(value)
-        else:
-            meta[key] = value
-    if "dim" not in meta:
-        raise NCAlgError("presentation document lacks a dim field")
-    P = Presentation(int(meta["dim"]), roster, [], name=meta.get("preset", ""))
-    rels = [parse_poly(src, P) for src in relation_srcs]
-    return meta, Presentation(int(meta["dim"]), roster, rels,
-                              name=meta.get("preset", ""))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_ybe(args, out):
-    R, _ = resolve_rmatrix(args.rmatrix)
+    R = resolve_rmatrix(args.rmatrix)
     ok, wit = rmat.ybe_check(R)
     if ok:
         out.write("YBE: PASS\n")
@@ -157,7 +122,7 @@ def cmd_ybe(args, out):
 
 
 def cmd_biinv(args, out):
-    R, _ = resolve_rmatrix(args.rmatrix)
+    R = resolve_rmatrix(args.rmatrix)
     try:
         rmat.invert(R)
         invertible = True
@@ -170,14 +135,14 @@ def cmd_biinv(args, out):
 
 
 def cmd_present(args, out):
-    R, rlabel = resolve_rmatrix(args.rmatrix)
+    R = resolve_rmatrix(args.rmatrix)
     P = _build(args.preset, R, args.n)
-    out.write(format_presentation_document(P, args.preset, rlabel, args.n))
+    out.write(format_presentation_document(P, args.preset, args.rmatrix, args.n))
     return 0
 
 
 def cmd_nf(args, out):
-    R, _ = resolve_rmatrix(args.rmatrix)
+    R = resolve_rmatrix(args.rmatrix)
     P = _build(args.preset, R, args.n)
     try:
         p = parse_poly(args.poly, P)
@@ -203,19 +168,19 @@ def _require_degree_in_range(args):
 
 def cmd_hilbert(args, out):
     _require_degree_in_range(args)
-    R, rlabel = resolve_rmatrix(args.rmatrix)
+    R = resolve_rmatrix(args.rmatrix)
     P = _build(args.preset, R, args.n)
     dims = ideals.hilbert_dims(P, args.degree)
     out.write(CONVENTION_LINE + "\n")
     out.write(f"preset: {args.preset}\n")
-    out.write(f"rmatrix: {rlabel}\n")
+    out.write(f"rmatrix: {args.rmatrix}\n")
     out.write(f"degree_bound: {args.degree}\n")
     out.write(f"dims: {dims}\n")
     return 0
 
 
 def cmd_verify(args, out):
-    R, rlabel = resolve_rmatrix(args.rmatrix)
+    R = resolve_rmatrix(args.rmatrix)
     if args.preset not in ("bm", "chain"):
         raise UsageError("verify supports the bm and chain presets")
     if args.preset != "chain" and args.n != 1:
@@ -227,7 +192,7 @@ def cmd_verify(args, out):
     _require_roster_in_bound(2 * args.n, R)
     report = bialg.verify_bialgebra(
         R, preset=args.preset, n=args.n, bound=args.degree, mode=args.mode,
-        seed=args.seed, rmatrix_label=rlabel)
+        seed=args.seed, rmatrix_label=args.rmatrix)
     out.writelines(report.to_document())
     print(f"wall time: {report.wall_time_s:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
@@ -235,12 +200,12 @@ def cmd_verify(args, out):
 
 def cmd_square_iso(args, out):
     _require_degree_in_range(args)
-    R, rlabel = resolve_rmatrix(args.rmatrix)
+    R = resolve_rmatrix(args.rmatrix)
     _require_roster_in_bound(2, R)
     rep = presents.square_iso_witness(R, args.degree)
     out.write(CONVENTION_LINE + "\n")
     out.write("report: square-iso\n")
-    out.write(f"rmatrix: {rlabel}\n")
+    out.write(f"rmatrix: {args.rmatrix}\n")
     out.write(f"degree_bound: {rep.bound}\n")
     out.write(f"square_dims: {rep.square_dims}\n")
     out.write(f"chain_dims: {rep.chain_dims}\n")

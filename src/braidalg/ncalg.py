@@ -148,13 +148,8 @@ class NCPoly:
         """Maximal word length, or -1 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=-1)
 
-    def is_homogeneous(self, d=None):
-        lens = {len(w) for w in self.terms}
-        if not lens:
-            return True
-        if d is None:
-            return len(lens) == 1
-        return lens == {d}
+    def is_homogeneous(self, d):
+        return all(len(w) == d for w in self.terms)
 
     def homogeneous_parts(self):
         parts = {}
@@ -210,8 +205,9 @@ class Presentation:
 
     relations are always stored as the canonical reduced echelon basis of
     their span (monic leading words, fully reduced), ordered by descending
-    leading word, so equal spans give equal stored relation lists;
-    source_relations keeps the nonzero relations as given.
+    leading word, so equal spans give equal stored relation lists.
+    source_leads is the set of leading words of the relations as given,
+    all that orientation reads of them.
     """
 
     def __init__(self, dim, roster, relations, field=QQ_Q, name=""):
@@ -229,11 +225,8 @@ class Presentation:
                 raise NCAlgError("relations must be homogeneous of degree 2")
             if not r.generators() <= gens:
                 raise NCAlgError("relation uses generators outside the roster")
-        self.source_relations = tuple(r for r in relations if r)
-        self.relations = tuple(_prune(self.source_relations, self.order))
-        if self.relations == self.source_relations:
-            # already canonical (a specialization): keep one copy in memory
-            self.relations = self.source_relations
+        self.source_leads = frozenset(self.order.leading_word(r) for r in relations if r)
+        self.relations = tuple(_prune(relations, self.order))
         self._cache = {}
 
     @property

@@ -6,12 +6,13 @@ same TensorOperator.matmul that checks the Yang-Baxter equation: scalar
 factors are leg embeddings of the R-matrix (so the index convention has a
 single source) with constant polynomial entries, and generator factors
 are u1 = u (x) 1 and u2 = 1 (x) u, each with N^3 generator entries.  A
-copy of u is named by its offset in the roster: entry u[i,j] is the
-roster position offset + (i-1)*N + (j-1).  A block is the list of nonzero
-entry differences of two such products (TensorOperator.differences), in
-row-major order of the (output, input) index pairs.  Presentation stores
-the canonical echelon basis of the blocks, so equal spans store equal
-relation lists.
+block is the list of nonzero entry differences of two such products
+(TensorOperator.differences), in row-major order of the (output, input)
+index pairs.  Each form is built once, on copy 0 or copies 0 and 1 (entry
+u[i,j] of copy c is roster position c*N^2 + (i-1)*N + (j-1)), and moved
+onto other copies by an order-preserving relabelling (_place).
+Presentation stores the canonical echelon basis of the blocks, so equal
+spans store equal relation lists.
 
 Builders:
 
@@ -46,14 +47,13 @@ def _scalars(R: RMatrix, legs) -> TensorOperator:
                                      for out, row in op.rows.items()})
 
 
-def _generators(offset: int, leg: int, N: int, one) -> TensorOperator:
-    """u1 = u (x) 1 (leg 1) or u2 = 1 (x) u (leg 2) for the copy of u at
-    offset in the roster; entry u[a,b] maps (b,c) to (a,c) on leg 1 and
-    (c,b) to (c,a) on leg 2."""
+def _generators(copy: int, leg: int, N: int, one) -> TensorOperator:
+    """u1 = u (x) 1 (leg 1) or u2 = 1 (x) u (leg 2) for copy 0 or 1 of u;
+    entry u[a,b] maps (b,c) to (a,c) on leg 1 and (c,b) to (c,a) on leg 2."""
     rows = {}
     for a, b, c in itertools.product(range(1, N + 1), repeat=3):
         out, src = ((a, c), (b, c)) if leg == 1 else ((c, a), (c, b))
-        rows.setdefault(out, {})[src] = NCPoly.gen(offset + (a - 1) * N + (b - 1), one)
+        rows.setdefault(out, {})[src] = NCPoly.gen((copy * N + a - 1) * N + b - 1, one)
     return TensorOperator(N, 2, rows)
 
 
@@ -64,6 +64,14 @@ def _block(lhs_factors, rhs_factors):
     return [d for _, _, d in lhs.differences(rhs)]
 
 
+def _place(block, size: int, copies):
+    """block, on copies 0, 1, ... of size generators, moved onto the increasing
+    copies given: a relabelling that keeps the monomial order."""
+    to = [c * size + g for c in copies for g in range(size)]
+    return [NCPoly._raw({tuple([to[g] for g in w]): c for w, c in r.terms.items()})
+            for r in block]
+
+
 def matrix_roster(copy: str, N: int):
     return [Generator(copy, i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
 
@@ -72,19 +80,19 @@ def matrix_roster(copy: str, N: int):
 # relation blocks
 # ---------------------------------------------------------------------------
 
-def self_block(R: RMatrix, offset: int = 0):
-    """R21 u1 R u2 - u2 R21 u1 R for the copy of braided matrices at offset."""
+def self_block(R: RMatrix):
+    """R21 u1 R u2 - u2 R21 u1 R for braided matrices u on copy 0."""
     one = R.field.one
     r = _scalars(R, (1, 2))
     r21 = _scalars(R, (2, 1))
-    u1 = _generators(offset, 1, R.dim, one)
-    u2 = _generators(offset, 2, R.dim, one)
+    u1 = _generators(0, 1, R.dim, one)
+    u2 = _generators(0, 2, R.dim, one)
     return _block([r21, u1, r, u2], [u2, r21, u1, r])
 
 
-def cross_block(R: RMatrix, v_offset: int, u_offset: int, form="r21"):
-    """Exchange block between a higher copy v and a lower copy u, each
-    given by its roster offset.
+def cross_block(R: RMatrix, form="r21"):
+    """Exchange block between the higher copy v = copy 1 and the lower
+    copy u = copy 0.
 
     form "r21":        R21 v1 R u2 = u2 R21 v1 R   (chain cross relations)
     form "statistics": R^-1 v1 R u2 = u2 R^-1 v1 R (braid statistics)
@@ -94,8 +102,8 @@ def cross_block(R: RMatrix, v_offset: int, u_offset: int, form="r21"):
     one = R.field.one
     N = R.dim
     r = _scalars(R, (1, 2))
-    v1 = _generators(v_offset, 1, N, one)
-    u2 = _generators(u_offset, 2, N, one)
+    v1 = _generators(1, 1, N, one)
+    u2 = _generators(0, 2, N, one)
     if form == "r21":
         r21 = _scalars(R, (2, 1))
         return _block([r21, v1, r, u2], [u2, r21, v1, r])
@@ -142,14 +150,6 @@ class TensorSquare:
     base: Presentation
 
 
-def _copy_labels(P: Presentation):
-    labels = []
-    for g in P.roster:
-        if g.copy not in labels:
-            labels.append(g.copy)
-    return labels
-
-
 def braided_tensor_square(base: Presentation, R: RMatrix) -> TensorSquare:
     """Two independent copies of base with braid statistics between them.
 
@@ -158,21 +158,17 @@ def braided_tensor_square(base: Presentation, R: RMatrix) -> TensorSquare:
     that the statistics block actually provides a rule for each mixed word
     and raises OrientationError otherwise.
     """
-    labels = _copy_labels(base)
-    expected = []
-    for c in labels:
-        expected.extend(matrix_roster(c, base.dim))
-    if list(base.roster) != expected:
+    labels = list(dict.fromkeys(g.copy for g in base.roster))
+    if list(base.roster) != [g for c in labels for g in matrix_roster(c, base.dim)]:
         raise ValueError("base roster is not a row-major matrix roster")
-    n = base.ngens
+    k, size = len(labels), base.dim * base.dim
     roster = [Generator(f"{t}.{g.copy}", g.row, g.col) for t in ("L", "R") for g in base.roster]
     rels = list(base.relations)
-    rels.extend(NCPoly({tuple(g + n for g in w): c for w, c in r.terms.items()})
-                for r in base.relations)
-    offsets = range(0, n, base.dim * base.dim)
-    for v in offsets:
-        for u in offsets:
-            rels.extend(cross_block(R, n + v, u, form="statistics"))
+    rels.extend(_place(base.relations, size, range(k, 2 * k)))
+    statistics = cross_block(R, form="statistics")
+    for v in range(k):
+        for u in range(k):
+            rels.extend(_place(statistics, size, (u, k + v)))
     P = Presentation(base.dim, roster, rels, field=base.field,
                      name=f"square({base.name})" if base.name else "square")
     orient_relations(P)  # fail fast when the statistics block is singular
@@ -187,12 +183,14 @@ def braided_chain(R: RMatrix, n: int) -> Presentation:
     roster = []
     rels = []
     size = R.dim * R.dim
+    own = self_block(R)
+    cross = cross_block(R, form="r21") if n > 1 else ()
     for i in range(n):
         roster.extend(matrix_roster(f"u{i + 1}", R.dim))
-        rels.extend(self_block(R, i * size))
+        rels.extend(_place(own, size, (i,)))
     for i in range(n):
         for j in range(i):
-            rels.extend(cross_block(R, i * size, j * size, form="r21"))
+            rels.extend(_place(cross, size, (j, i)))
     P = Presentation(R.dim, roster, rels, field=R.field, name=f"chain{n}")
     if n > 1:
         orient_relations(P)  # fail fast when a cross block is singular

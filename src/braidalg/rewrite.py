@@ -248,8 +248,9 @@ class RewriteSystem:
 # orientation
 # ---------------------------------------------------------------------------
 
-def orient_relations(P: Presentation) -> RewriteSystem:
-    """Solve the quadratic relations for their leading monomials.
+def orient_relations(P: Presentation) -> tuple:
+    """The Rules that solve the quadratic relations for their leading
+    monomials, as a tuple cached on P (a RewriteSystem indexes them).
 
     The reduced echelon basis of the relation span yields one rule per
     pivot word.  A presentation stores exactly that basis, so the rules
@@ -258,16 +259,15 @@ def orient_relations(P: Presentation) -> RewriteSystem:
     rewrite "wrong-order" words (a later-copy generator passing an
     earlier-copy one) downwards.  When the exchange coefficient matrix is
     singular, solving the system forces a rule for an ascending cross-copy
-    word that no given relation led with; that is the unsolvable case
-    reported as OrientationError (permuting the generator precedence may
-    help).  A relation explicitly written with an ascending leading word
-    is taken at face value and oriented as given.
+    word that no given relation led with (P.source_leads); that is the
+    unsolvable case reported as OrientationError (permuting the generator
+    precedence may help).  A relation explicitly written with an ascending
+    leading word is taken at face value and oriented as given.
     """
     cached = P._cache.get("rules")
     if cached is not None:
         return cached
     order = P.order
-    source_leads = {order.leading_word(r) for r in P.source_relations}
     copy_rank = {}
     for g in P.roster:
         copy_rank.setdefault(g.copy, len(copy_rank))
@@ -276,15 +276,15 @@ def orient_relations(P: Presentation) -> RewriteSystem:
     for i, r in enumerate(P.relations):
         lead = order.leading_word(r)
         g, h = lead
-        if rank[g] < rank[h] and lead not in source_leads:
+        if rank[g] < rank[h] and lead not in P.source_leads:
             raise OrientationError(
                 f"cannot orient for this order: exchange coefficient matrix "
                 f"is singular (forced a rule for the ascending cross-copy "
                 f"word {word_str(lead, P.roster)})")
         rhs = NCPoly({w: -c for w, c in r.terms.items() if w != lead})
         rules.append(Rule(lead, rhs, i))
-    P._cache["rules"] = rs = RewriteSystem(P, rules)
-    return rs
+    P._cache["rules"] = rules = tuple(rules)
+    return rules
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,6 @@ class TruncatedGB(RewriteSystem):
         def arrive(rule: Rule):
             # pair rule with itself and, in arrival order, each earlier rule
             # that ends in lhs[:-1] (a left overlap) or starts in lhs[1:]
-            self.add(rule)
             n, lhs = len(arrived), rule.lhs
             arrived.append(rule)
             partners = {n}
@@ -439,7 +438,7 @@ class TruncatedGB(RewriteSystem):
                 if i != n:
                     enqueue(rule, arrived[i])
 
-        for rule in list(self):
+        for rule in self:
             arrive(rule)
         one = P.field.one
         while pending:
@@ -462,6 +461,7 @@ class TruncatedGB(RewriteSystem):
                                    *((left, rule, right, c * ninv)
                                      for left, rule, right, c in steps)))
             self.added_rules.append(new)
+            self.add(new)
             arrive(new)
 
     @property

@@ -1,13 +1,18 @@
 """Independent checks that only the tests use: exact dense rank, equality
-of degree-2 relation spans, and the defining identities of the second
-inverse of an R-matrix."""
+of degree-2 relation spans, the defining identities of the second
+inverse of an R-matrix, the parser of the presentation documents that
+`braidalg present` writes, and the chain and square relations with every
+block built from scratch at its own roster offsets."""
 
 import itertools
 import operator
+import re
 
+from braidalg import presents
 from braidalg.linalg import SparseEchelon
-from braidalg.ncalg import Presentation, RosterMismatchError
-from braidalg.rmat import RMatrix, second_inverse
+from braidalg.ncalg import (Generator, NCAlgError, NCPoly, Presentation,
+                            RosterMismatchError, parse_poly)
+from braidalg.rmat import RMatrix, TensorOperator, invert, second_inverse
 
 
 def dense_rank(matrix) -> int:
@@ -44,3 +49,98 @@ def second_inverse_identities_hold(R: RMatrix) -> bool:
         if s1 != want or s2 != want:
             return False
     return True
+
+
+_GEN_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_.]*)\[(\d+),(\d+)\]$")
+
+
+def parse_presentation_document(text: str):
+    """Parse a presentation document; returns (metadata dict, Presentation)."""
+    meta = {}
+    roster = []
+    relation_srcs = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if key == "generators":
+            for tok in value.split():
+                m = _GEN_RE.match(tok)
+                if not m:
+                    raise NCAlgError(f"bad generator token {tok!r}")
+                roster.append(Generator(m.group(1), int(m.group(2)), int(m.group(3))))
+        elif key == "relation":
+            relation_srcs.append(value)
+        else:
+            meta[key] = value
+    if "dim" not in meta:
+        raise NCAlgError("presentation document lacks a dim field")
+    P = Presentation(int(meta["dim"]), roster, [], name=meta.get("preset", ""))
+    rels = [parse_poly(src, P) for src in relation_srcs]
+    return meta, Presentation(int(meta["dim"]), roster, rels,
+                              name=meta.get("preset", ""))
+
+
+# ---------------------------------------------------------------------------
+# relation blocks at roster offsets
+# ---------------------------------------------------------------------------
+
+def _generators_at(offset: int, leg: int, N: int, one) -> TensorOperator:
+    """u1 (leg 1) or u2 (leg 2) for the copy of u whose entry u[a,b] is
+    the roster position offset + (a-1)*N + (b-1)."""
+    rows = {}
+    for a, b, c in itertools.product(range(1, N + 1), repeat=3):
+        out, src = ((a, c), (b, c)) if leg == 1 else ((c, a), (c, b))
+        rows.setdefault(out, {})[src] = NCPoly.gen(offset + (a - 1) * N + (b - 1), one)
+    return TensorOperator(N, 2, rows)
+
+
+def self_block_at(R: RMatrix, offset: int):
+    """R21 u1 R u2 - u2 R21 u1 R for the copy of u at offset."""
+    one = R.field.one
+    r, r21 = presents._scalars(R, (1, 2)), presents._scalars(R, (2, 1))
+    u1, u2 = _generators_at(offset, 1, R.dim, one), _generators_at(offset, 2, R.dim, one)
+    return presents._block([r21, u1, r, u2], [u2, r21, u1, r])
+
+
+def cross_block_at(R: RMatrix, v_offset: int, u_offset: int, form: str):
+    """The "r21" block R21 v1 R u2 - u2 R21 v1 R or the "statistics" block
+    R^-1 v1 R u2 - u2 R^-1 v1 R for the copies v and u at these offsets."""
+    one = R.field.one
+    if form == "r21":
+        left = presents._scalars(R, (2, 1))
+    else:
+        left = presents._scalars(invert(R), (1, 2))
+    r = presents._scalars(R, (1, 2))
+    v1 = _generators_at(v_offset, 1, R.dim, one)
+    u2 = _generators_at(u_offset, 2, R.dim, one)
+    return presents._block([left, v1, r, u2], [u2, left, v1, r])
+
+
+def chain_relations_at_offsets(R: RMatrix, n: int):
+    """The relations braided_chain(R, n) is given, every block built at its
+    own offsets: each copy's self block, then the r21 block of each copy
+    pair i > j."""
+    size = R.dim * R.dim
+    rels = [r for i in range(n) for r in self_block_at(R, i * size)]
+    for i in range(n):
+        for j in range(i):
+            rels.extend(cross_block_at(R, i * size, j * size, "r21"))
+    return rels
+
+
+def square_relations_at_offsets(base: Presentation, R: RMatrix):
+    """The relations braided_tensor_square(base, R) is given: the base's
+    relations in the left factor and shifted into the right one, then one
+    statistics block per (right copy, left copy) pair."""
+    n = base.ngens
+    rels = list(base.relations)
+    rels.extend(NCPoly({tuple(g + n for g in w): c for w, c in r.terms.items()})
+                for r in base.relations)
+    offsets = range(0, n, base.dim * base.dim)
+    for v in offsets:
+        for u in offsets:
+            rels.extend(cross_block_at(R, n + v, u, "statistics"))
+    return rels

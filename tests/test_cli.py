@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from braidalg import cli
 from braidalg import qscalar as qs
-from braidalg.cli import (MAX_DEGREE, MAX_GENERATORS, format_presentation_document,
-                          main, parse_presentation_document)
+from braidalg.cli import MAX_DEGREE, MAX_GENERATORS, format_presentation_document, main
 from braidalg.ncalg import NCPoly, format_poly
 from braidalg.presents import braided_matrices
 from braidalg.rewrite import truncated_gb
 from braidalg.rmat import RMatrix, glq2_rmatrix, load_rmatrix, save_rmatrix
+from oracles import parse_presentation_document
 
 
 def run(capsys, *argv):

@@ -5,14 +5,15 @@ import pytest
 
 from braidalg import qscalar as qs
 from braidalg import rewrite
-from braidalg.cli import format_presentation_document, parse_presentation_document
+from braidalg.cli import format_presentation_document
 from braidalg.ideals import hilbert_dims
 from braidalg.ncalg import NCPoly, Presentation, format_poly, parse_poly
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
-                               cross_block, frt_algebra, matrix_roster, self_block)
+                               frt_algebra, matrix_roster)
 from braidalg.rewrite import CompletionBudgetError, TruncatedGB
 from braidalg.rmat import RMatrix, glq2_rmatrix
 
+from oracles import cross_block_at, parse_presentation_document, self_block_at
 from test_rewrite import reference_reduce
 
 BOUND = 4
@@ -120,8 +121,9 @@ def assert_class_pass_steps_match_reduce(P, monkeypatch):
     # the pass reduces each recorded difference before any other reduction
     assert len(seen) == gb.class_overlaps <= len(counts)
     quadratic, reduced = rewrite.orient_relations(P), []
+    by_lhs = {r.lhs: r for r in quadratic}
     for ((a, b, c), diff_terms, residue_terms), count in zip(seen, counts):
-        r1, r2 = quadratic.rules[(a, b)], quadratic.rules[(b, c)]
+        r1, r2 = by_lhs[(a, b)], by_lhs[(b, c)]
         diff = r1.rhs.sandwich((), (c,)) - r2.rhs.sandwich((a,), ())
         assert _decode(diff_terms, gb.n) == diff.terms
         residue, steps = reference_reduce(quadratic, diff, collect=True)
@@ -144,10 +146,10 @@ def _mutated_chain3(k):
     """chain glq2 n=3 with one non-leading coefficient of relation k of the
     u3/u1 cross block multiplied by 1 + q."""
     R = glq2_rmatrix()
-    rels = [r for i in range(3) for r in self_block(R, 4 * i)]
+    rels = [r for i in range(3) for r in self_block_at(R, 4 * i)]
     for i in range(3):
         for j in range(i):
-            block = cross_block(R, 4 * i, 4 * j)
+            block = cross_block_at(R, 4 * i, 4 * j, "r21")
             if (i, j) == (2, 0):
                 terms = dict(block[k].terms)
                 w = min(terms)

@@ -14,7 +14,7 @@ from braidalg.ncalg import (Generator, NCPoly, Presentation, RosterMismatchError
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, cross_block, frt_algebra,
                                matrix_roster)
-from braidalg.rewrite import orient_relations, truncated_gb
+from braidalg.rewrite import RewriteSystem, orient_relations, truncated_gb
 from braidalg.rmat import glq2_rmatrix, identity_rmatrix
 
 from oracles import relation_span_equal
@@ -83,7 +83,7 @@ def test_membership_methods_agree_on_random_inputs(bm):
 
 
 def test_nf_zero_implies_membership(bm):
-    rules = orient_relations(bm)
+    rules = RewriteSystem(bm, orient_relations(bm))
     rng = random.Random(3)
     for _ in range(10):
         r = rng.choice(bm.relations)
@@ -94,7 +94,7 @@ def test_nf_zero_implies_membership(bm):
 
 
 def test_nf_minus_input_is_always_member(bm):
-    rules = orient_relations(bm)
+    rules = RewriteSystem(bm, orient_relations(bm))
     rng = random.Random(13)
     for _ in range(10):
         terms = {}
@@ -317,8 +317,8 @@ def test_span_equal_roster_mismatch(bm):
 def test_span_equal_r21_vs_rearranged_cross_block():
     R = glq2_rmatrix()
     roster = matrix_roster("u1", 2) + matrix_roster("u2", 2)
-    P1 = Presentation(2, roster, cross_block(R, 4, 0, form="r21"))
-    P2 = Presentation(2, roster, cross_block(R, 4, 0, form="rearranged"))
+    P1 = Presentation(2, roster, cross_block(R, form="r21"))
+    P2 = Presentation(2, roster, cross_block(R, form="rearranged"))
     assert relation_span_equal(P1, P2)
 
 

@@ -8,14 +8,17 @@ import pytest
 from braidalg import qscalar as qs
 from braidalg.ncalg import (Generator, NCAlgError, NCPoly, PolyParseError,
                             Presentation, format_poly, parse_poly)
-from braidalg.cli import format_presentation_document, parse_presentation_document
+from braidalg.cli import format_presentation_document
 from braidalg.bialg import DEFAULT_SEED, PRIMES, sample_points
 from braidalg.ideals import reduce_mod_ideal
 from braidalg.linalg import SparseEchelon
-from braidalg.rewrite import OrientationError, orient_relations
+from braidalg.rewrite import OrientationError, RewriteSystem, orient_relations
 from braidalg.rmat import RMatrix, glq2_rmatrix, identity_rmatrix
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
-                               build_preset, frt_algebra)
+                               build_preset, frt_algebra, self_block)
+
+from oracles import (chain_relations_at_offsets, parse_presentation_document,
+                     square_relations_at_offsets)
 
 ONE = qs.ONE
 
@@ -208,9 +211,9 @@ def test_orient_glq2_contains_expected_rule():
                 relations.append(d)
     roster = [Generator("u", i, j) for i in range(1, 3) for j in range(1, 3)]
     P_oracle = Presentation(2, roster, relations, name="bm-oracle")
-    rules = orient_relations(P_oracle)
+    rules = {r.lhs: r for r in orient_relations(P_oracle)}
     a, b = gens[(1, 1)], gens[(1, 2)]
-    rule = rules.rules[(b, a)]
+    rule = rules[(b, a)]
     assert rule.rhs == NCPoly({(a, b): qs.parse_scalar("q^2")})
     # and the span agrees with the builder's
     P_built = braided_matrices(glq2_rmatrix())
@@ -245,10 +248,13 @@ def test_rules_read_off_pruned_relations_match_the_general_solve():
     # relations as given for their leading words with an echelon basis
     R = glq2_rmatrix()
     Rp = perturbed_rmatrix()
-    for P in (braided_matrices(R), braided_chain(R, 2),
-              braided_tensor_square(braided_matrices(Rp), Rp).presentation):
+    base = braided_matrices(Rp)
+    for P, given in ((braided_matrices(R), self_block(R)),
+                     (braided_chain(R, 2), chain_relations_at_offsets(R, 2)),
+                     (braided_tensor_square(base, Rp).presentation,
+                      square_relations_at_offsets(base, Rp))):
         ech = SparseEchelon(P.order.key)
-        for r in P.source_relations:
+        for r in given:
             ech.insert(dict(r.terms))
         solved = []
         for row, _ in ech.canonical():
@@ -279,27 +285,27 @@ def test_specialized_relations_are_the_entrywise_specialization(rmatrix, preset,
 
 def test_normal_form_kills_relations():
     P = braided_matrices(glq2_rmatrix())
-    rules = orient_relations(P)
+    rules = RewriteSystem(P, orient_relations(P))
     for r in P.relations:
         assert rules.reduce(r)[0].is_zero()
 
 
 def test_normal_form_of_unit():
     P = braided_matrices(glq2_rmatrix())
-    rules = orient_relations(P)
+    rules = RewriteSystem(P, orient_relations(P))
     assert rules.reduce(NCPoly.unit(ONE))[0] == NCPoly.unit(ONE)
 
 
 def test_normal_form_ba():
     P = braided_matrices(glq2_rmatrix())
-    rules = orient_relations(P)
+    rules = RewriteSystem(P, orient_relations(P))
     ba = parse_poly("u[1,2]*u[1,1]", P)
     assert rules.reduce(ba)[0] == parse_poly("q^2 * u[1,1]*u[1,2]", P)
 
 
 def test_normal_form_idempotent_on_random_inputs():
     P = braided_matrices(glq2_rmatrix())
-    rules = orient_relations(P)
+    rules = RewriteSystem(P, orient_relations(P))
     rng = random.Random(41)
     for _ in range(25):
         terms = {}

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from braidalg import presents
 from braidalg import qscalar as qs
 from braidalg.cli import main
 from braidalg.ideals import hilbert_dims, ideal_membership
@@ -20,7 +21,8 @@ from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix,
                            ybe_check)
 from braidalg.linalg import SingularMatrixError
 
-from oracles import relation_span_equal
+from oracles import (chain_relations_at_offsets, relation_span_equal,
+                     square_relations_at_offsets)
 
 ONE = qs.ONE
 
@@ -76,9 +78,9 @@ def test_bm_identity_is_commutative():
 
 def test_bm_glq2_rules():
     P = braided_matrices(glq2_rmatrix())
-    rules = orient_relations(P)
+    rules = {r.lhs: r for r in orient_relations(P)}
     a, b = P.gen("u", 1, 1), P.gen("u", 1, 2)
-    assert rules.rules[(b, a)].rhs == NCPoly({(a, b): qs.parse_scalar("q^2")})
+    assert rules[(b, a)].rhs == NCPoly({(a, b): qs.parse_scalar("q^2")})
 
 
 def test_bm_dim_one_is_free():
@@ -131,10 +133,10 @@ def test_square_glq2_mixed_component_dimension():
              if r.generators() & left and r.generators() & right]
     assert len(mixed) == 16
     # all right-then-left words rewrite: their rules exist
-    rules = orient_relations(sq.presentation)
+    lhs = {r.lhs for r in orient_relations(sq.presentation)}
     for v in right:
         for u in left:
-            assert (v, u) in rules.rules
+            assert (v, u) in lhs
 
 
 def test_square_dims_are_convolution_of_factor_dims():
@@ -168,9 +170,55 @@ def test_chain_three_copies_block_structure():
 def test_chain_cross_block_r21_equals_rearranged_span():
     R = glq2_rmatrix()
     roster = matrix_roster("u1", 2) + matrix_roster("u2", 2)
-    P1 = Presentation(2, roster, cross_block(R, 4, 0, form="r21"))
-    P2 = Presentation(2, roster, cross_block(R, 4, 0, form="rearranged"))
+    P1 = Presentation(2, roster, cross_block(R, form="r21"))
+    P2 = Presentation(2, roster, cross_block(R, form="rearranged"))
     assert relation_span_equal(P1, P2)
+
+
+@pytest.mark.parametrize("rmatrix, n", [(glq2_rmatrix, 3), (perturbed_rmatrix, 3),
+                                        (lambda: glq_rmatrix(3), 2)],
+                         ids=["glq2-n3", "pert2-n3", "glq3-n2"])
+def test_placed_blocks_equal_blocks_built_at_their_offsets(rmatrix, n, monkeypatch):
+    # the chain and its square are given the relations that building every
+    # block from scratch at its own roster offsets gives, in the same order,
+    # and so store the same relations
+    R = rmatrix()
+    given = []
+
+    def recording(dim, roster, relations, **kw):
+        given.append([r.terms for r in relations])
+        return Presentation(dim, roster, relations, **kw)
+
+    monkeypatch.setattr(presents, "Presentation", recording)
+    chain = braided_chain(R, n)
+    square = braided_tensor_square(chain, R).presentation
+    for P, reference in ((chain, chain_relations_at_offsets(R, n)),
+                         (square, square_relations_at_offsets(chain, R))):
+        assert given.pop(0) == [r.terms for r in reference], P.name
+        assert P.relations == Presentation(R.dim, P.roster, reference, field=R.field).relations
+
+
+def test_each_block_form_is_built_once(monkeypatch):
+    calls = []
+
+    def counting(name, f):
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return f(*args, **kw)
+        monkeypatch.setattr(presents, name, wrapper)
+
+    for name in ("self_block", "cross_block", "invert"):
+        counting(name, getattr(presents, name))
+    R = glq2_rmatrix()
+    chain = braided_chain(R, 4)
+    assert sorted(calls) == ["cross_block", "invert", "self_block"]
+    calls.clear()
+    braided_tensor_square(chain, R)
+    # one statistics block for all 16 copy pairs, and R inverted once for it
+    assert sorted(calls) == ["cross_block", "invert"]
+    calls.clear()
+    braided_chain(R, 1)
+    assert sorted(calls) == ["invert", "self_block"]
 
 
 def test_chain_rejects_bad_copies():
