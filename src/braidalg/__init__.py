@@ -18,17 +18,15 @@ from .rmat import (RMatrix, RMatrixDocumentError, TensorOperator,
                    identity_rmatrix, invert, leg_embed, load_rmatrix,
                    partial_transpose2, save_rmatrix, second_inverse, ybe_check)
 from .ncalg import (DegLexOrder, Generator, NCAlgError, NCPoly, PolyParseError,
-                    Presentation, RosterMismatchError, format_poly, parse_poly,
-                    word_str)
+                    Presentation, format_poly, parse_poly, word_str)
 from .rewrite import (CompletionBudgetError, OrientationError, RewriteSystem,
                       Rule, TruncatedGB, orient_relations, truncated_gb)
 from .ideals import (MembershipCertificate, MissingImageError, hilbert_dims,
                      ideal_membership, reduce_mod_ideal, span_rank,
                      substitute_generators)
-from .presents import (SquareIsoReport, TensorSquare, braided_chain,
-                       braided_matrices, braided_tensor_square, build_preset,
-                       cross_block, frt_algebra, matrix_roster,
-                       square_iso_witness)
+from .presents import (SquareIsoReport, braided_chain, braided_matrices,
+                       braided_tensor_square, build_preset, cross_block,
+                       frt_algebra, matrix_roster, square_iso_witness)
 from .bialg import (CoproductSpec, RelationVerdict, VerificationReport,
                     matrix_coproduct, verify_bialgebra, verify_coassoc,
                     verify_counit, verify_homomorphism)

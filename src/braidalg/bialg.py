@@ -1,12 +1,13 @@
 """Coalgebra data and degree-bounded braided-bialgebra verification.
 
-The matrix coproduct sends u[i,j] to sum_k L.u[i,k] * R.u[k,j] inside the
-braided tensor square (left factor below the right factor in the monomial
-order), with counit u[i,j] -> delta_ij.  Square position s is base
-generator s % n of the left factor when s < n and of the right factor
-otherwise, n being the base's generator count.  verify_bialgebra drives the whole
-claim check for a preset: Yang-Baxter and biinvertibility status of R,
-orientation of the presentation, then
+Every check takes the base presentation P and, where it needs one, its
+braided tensor square SQ, both plain Presentations.  The matrix coproduct
+sends u[i,j] to sum_k L.u[i,k] * R.u[k,j] inside SQ (left factor below
+the right factor in the monomial order), with counit u[i,j] -> delta_ij.
+Square position s is base generator s % n of the left factor when s < n
+and of the right factor otherwise, n being P.ngens.  verify_bialgebra
+drives the whole claim check for a preset: Yang-Baxter and
+biinvertibility status of R, orientation of the presentation, then
 
   * homomorphism: the coproduct image of every relation must lie in the
     tensor-square ideal at the degree bound (with a replayable certificate,
@@ -22,9 +23,10 @@ the axioms above can hold without it.
 
 Exact mode works over Q(q) end to end.  Probabilistic mode draws k
 seeded rational values q0 = n/d of q, point i taken into GF(p_i) as
-n * d^-1 and avoiding 0, +-1 and poles, and runs the same checks on the
-Q(q) presentation, square and coproduct specialized at once at every
-point: over Z/MZ (M = p_1...p_k), without certificates.  A failing value
+n * d^-1 and avoiding 0, +-1 and poles, and runs the same checks on P
+and SQ specialized at once at every point, with the coproduct of the
+specialized P: over Z/MZ (M = p_1...p_k), without certificates, since
+certificates are collected exactly over Q(q).  A failing value
 prints mod the first p_i where it is nonzero.  A point where a leading
 coefficient of completion vanishes (NonUnitError) is redrawn.  The mode
 is non-certifying; the sampled rational points are recorded in the report.
@@ -42,8 +44,7 @@ from . import presents
 from .ideals import reduce_mod_ideal, substitute_generators
 from .linalg import SingularMatrixError
 from .ncalg import NCPoly, Presentation, format_poly, word_str
-from .presents import TensorSquare
-from .qscalar import ModRing, NonUnitError, PoleError, RatFunc
+from .qscalar import QQ_Q, ModRing, NonUnitError, PoleError, RatFunc
 from .rewrite import OrientationError
 from .rmat import RMatrix, invert, second_inverse, ybe_check
 
@@ -65,14 +66,13 @@ class SamplingError(RuntimeError):
 class CoproductSpec:
     """Generator images in a braided tensor square, plus the counit."""
 
-    images: dict     # base position -> NCPoly over square.presentation
+    images: dict     # base position -> NCPoly over the square
     counit: dict     # base position -> coefficient
 
 
-def matrix_coproduct(P: Presentation, square: TensorSquare) -> CoproductSpec:
-    """The matrix coproduct u[i,j] -> sum_k L.u[i,k] * R.u[k,j], counit delta."""
-    if square.base.roster != P.roster:
-        raise CoproductError("square was not built over this presentation")
+def matrix_coproduct(P: Presentation) -> CoproductSpec:
+    """The matrix coproduct u[i,j] -> sum_k L.u[i,k] * R.u[k,j] into the
+    braided tensor square of P, counit delta."""
     one = P.field.one
     zero = P.field.zero
     n = P.ngens
@@ -108,14 +108,15 @@ def _reporting_map(values, field):
 
 
 def verify_homomorphism(P: Presentation, spec: CoproductSpec,
-                        square: TensorSquare, bound: int, collect=True):
-    """Check that every relation maps into the tensor-square ideal.
+                        SQ: Presentation, bound: int):
+    """Check that every relation maps into the ideal of the square SQ,
+    with certificates exactly when SQ is over Q(q).
 
     Returns (verdicts, completion_warning), relation texts left None.
     """
     if bound < 4:
         raise ValueError("degree bound must be at least 4")
-    SQ = square.presentation
+    collect = SQ.field is QQ_Q
     verdicts = []
     warning = False
     for i, r in enumerate(P.relations):
@@ -131,10 +132,9 @@ def verify_homomorphism(P: Presentation, spec: CoproductSpec,
     return verdicts, warning
 
 
-def _apply_counit_side(image: NCPoly, spec: CoproductSpec,
-                       square: TensorSquare, side: str) -> NCPoly:
-    """(eps (x) id) for side "left", (id (x) eps) for side "right"."""
-    n = square.base.ngens
+def _apply_counit_side(image: NCPoly, spec: CoproductSpec, n: int, side: str) -> NCPoly:
+    """(eps (x) id) for side "left", (id (x) eps) for side "right", n being
+    the base's generator count."""
     out = NCPoly.zero()
     for w, c in image.terms.items():
         coeff = c
@@ -149,7 +149,7 @@ def _apply_counit_side(image: NCPoly, spec: CoproductSpec,
     return out
 
 
-def verify_counit(P: Presentation, spec: CoproductSpec, square: TensorSquare):
+def verify_counit(P: Presentation, spec: CoproductSpec):
     """(eps (x) id) Delta = id = (id (x) eps) Delta, and eps kills relations.
 
     Returns (passed, detail) with detail naming the first failure.
@@ -159,7 +159,7 @@ def verify_counit(P: Presentation, spec: CoproductSpec, square: TensorSquare):
         gname = str(P.roster[g])
         gen = NCPoly.gen(g, field.one)
         for side, law in (("left", "(eps (x) id)"), ("right", "(id (x) eps)")):
-            lhs = _apply_counit_side(spec.images[g], spec, square, side)
+            lhs = _apply_counit_side(spec.images[g], spec, P.ngens, side)
             if lhs != gen:
                 shown = lhs.map_coefficients(_reporting_map((lhs - gen).terms.values(), field))
                 return False, f"{law} Delta {gname} = {format_poly(shown, P)} != {gname}"
@@ -175,7 +175,7 @@ def verify_counit(P: Presentation, spec: CoproductSpec, square: TensorSquare):
     return True, None
 
 
-def verify_coassoc(P: Presentation, spec: CoproductSpec, square: TensorSquare):
+def verify_coassoc(P: Presentation, spec: CoproductSpec):
     """(Delta (x) id) Delta = (id (x) Delta) Delta as formal sums.
 
     Images must be sums of (left generator)*(right generator) words; the two
@@ -183,7 +183,7 @@ def verify_coassoc(P: Presentation, spec: CoproductSpec, square: TensorSquare):
     leg t holding base generator i as t*n + i, and compared symbol by
     symbol (no relations are involved).
     """
-    n = square.base.ngens
+    n = P.ngens
 
     def pair_terms(g):
         image = spec.images[g]
@@ -324,37 +324,10 @@ class VerificationReport:
             _array(map(_enc, self.square_relations), 4), s(self.failure), s(self.passed))
 
 
-def _check(P: Presentation, spec: CoproductSpec, square: TensorSquare,
-           bound: int, collect: bool):
-    """The homomorphism, counit and coassociativity checks over the field
-    that P, spec and square share.
-
-    Returns (verdicts, counit pair, coassoc pair, completion warning).
-    """
-    verdicts, warning = verify_homomorphism(P, spec, square, bound, collect=collect)
-    counit = verify_counit(P, spec, square)
-    coassoc = verify_coassoc(P, spec, square)
-    return verdicts, counit, coassoc, warning
-
-
-def _evaluate_mod(x, P: Presentation, square: TensorSquare,
-                  spec: CoproductSpec):
-    """(P, spec, square) specialized at q = x, an element of Z/MZ.
-
-    Specialized relations keep the order of the symbolic relation list
-    (Presentation.evaluate_mod), so verdicts stay aligned with it.
-    """
-    P_x = P.evaluate_mod(x)
-    return (P_x, CoproductSpec(
-        {g: img.map_coefficients(lambda c: c.evaluate_mod(x)) for g, img in spec.images.items()},
-        {g: c.evaluate_mod(x) for g, c in spec.counit.items()}),
-        TensorSquare(square.presentation.evaluate_mod(x), P_x))
-
-
-def _denominators(P: Presentation, square: TensorSquare, spec: CoproductSpec):
-    """The distinct denominators of every coefficient _evaluate_mod evaluates."""
-    polys = P.relations + square.presentation.relations + tuple(spec.images.values())
-    coeffs = {c for p in polys for c in p.terms.values()} | set(spec.counit.values())
+def _denominators(P: Presentation, SQ: Presentation):
+    """The distinct denominators of the relation coefficients of P and SQ,
+    all that sampled mode specializes (the coproduct's are 1 and 0)."""
+    coeffs = {c for p in P.relations + SQ.relations for c in p.terms.values()}
     return {RatFunc(0, c.den) for c in coeffs}
 
 
@@ -427,7 +400,7 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
     sampled = mode == "probabilistic"
     try:
         P = presents.build_preset(preset, R, n)
-        square = presents.braided_tensor_square(P, R)
+        SQ = presents.braided_tensor_square(P, R)
     except OrientationError as e:
         report.orientation = str(e)
         report.failure = f"orientation failure: {e}"
@@ -439,34 +412,36 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
         report.wall_time_s = time.perf_counter() - t0
         return report
 
-    spec = matrix_coproduct(P, square)
     if sampled:
         # one pass at every point; a point where completion degenerates is
         # dropped and the pass reruns with the next good draw in its place
-        denominators, dropped = _denominators(P, square, spec), set()
+        denominators, dropped = _denominators(P, SQ), set()
         ring = ModRing(PRIMES)
         while True:
             points = sample_points(R, seed, DEFAULT_POINTS, denominators, dropped)
             x = ring.crt([f.image(q0) for f, q0 in zip(ring.fields, points)])
             try:
-                verdicts, counit, coassoc, warning = _check(
-                    *_evaluate_mod(x, P, square, spec), bound, collect=False)
+                P_x, SQ_x = P.evaluate_mod(x), SQ.evaluate_mod(x)
+                spec = matrix_coproduct(P_x)
+                verdicts, warning = verify_homomorphism(P_x, spec, SQ_x, bound)
                 break
             except NonUnitError as e:
                 dropped.update(q0 for q0, p in zip(points, ring.primes) if p in e.primes)
         report.points = [str(q0) for q0 in points]
     else:
-        verdicts, counit, coassoc, warning = _check(P, spec, square, bound, collect=True)
-        report.square_roster = square.presentation.roster
-        report.square_relations = [
-            format_poly(r, square.presentation) for r in square.presentation.relations]
+        P_x, spec = P, matrix_coproduct(P)
+        verdicts, warning = verify_homomorphism(P, spec, SQ, bound)
+        report.square_roster = SQ.roster
+        report.square_relations = [format_poly(r, SQ) for r in SQ.relations]
+    # over P_x, the field the relations were checked over; neither check
+    # divides, so neither can raise NonUnitError
+    report.counit, report.counit_detail = verify_counit(P_x, spec)
+    report.coassoc, report.coassoc_detail = verify_coassoc(P_x, spec)
 
     for v, r in zip(verdicts, P.relations):
         v.relation = format_poly(r, P)
     report.orientation = "ok"
     report.relation_verdicts = verdicts
-    report.counit, report.counit_detail = counit
-    report.coassoc, report.coassoc_detail = coassoc
     report.completion_warning = warning
     if warning:
         report.warnings.append(

@@ -19,6 +19,7 @@ Everything here is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import copy
 from typing import NamedTuple
 
 from .linalg import SparseEchelon
@@ -31,10 +32,6 @@ class NCAlgError(ValueError):
 
 class PolyParseError(NCAlgError):
     """Malformed polynomial expression."""
-
-
-class RosterMismatchError(NCAlgError):
-    """Operation across presentations with different generator rosters."""
 
 
 class Generator(NamedTuple):
@@ -241,15 +238,21 @@ class Presentation:
         return self.positions[g]
 
     def evaluate_mod(self, x) -> "Presentation":
-        """The specialization q -> x in x's ring Z/MZ; raises PoleError at
-        a pole of a relation coefficient.
+        """The specialization q -> x in x's ring Z/MZ, each distinct
+        coefficient evaluated once; raises PoleError at a pole of a
+        relation coefficient.
 
         Specialization keeps every monic leading term and every zero, so
-        the specialized relations are still a canonical echelon basis:
-        pruning them again is a no-op, and they keep the symbolic order.
+        the specialized relations are still a canonical echelon basis in
+        the symbolic order, with the same leading words: the result is a
+        copy of self with only its relations, field and cache replaced.
         """
-        rels = [r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in self.relations]
-        return Presentation(self.dim, self.roster, rels, x.ring, self.name)
+        coeffs = dict.fromkeys(c for r in self.relations for c in r.terms.values())
+        values = {c: c.evaluate_mod(x) for c in coeffs}
+        P = copy.copy(self)
+        P.relations = tuple(r.map_coefficients(values.__getitem__) for r in self.relations)
+        P.field, P._cache = x.ring, {}
+        return P
 
     def __repr__(self):
         return (f"Presentation({self.name or 'anonymous'}: {self.ngens} generators, "

@@ -19,7 +19,8 @@ Builders:
   frt_algebra            generators t,  relations R t1 t2 = t2 t1 R
   braided_matrices       generators u,  relations R21 u1 R u2 = u2 R21 u1 R
   braided_tensor_square  two copies with braid statistics
-                         R^-1 v1 R u2 = u2 R^-1 v1 R  (v right, u left)
+                         R^-1 v1 R u2 = u2 R^-1 v1 R  (v right, u left);
+                         a plain Presentation, left factor first
   braided_chain          copies u1..un, self relations per copy and
                          R21 v1 R u2 = u2 R21 v1 R for higher v, lower u
 """
@@ -96,8 +97,6 @@ def cross_block(R: RMatrix, form="r21"):
 
     form "r21":        R21 v1 R u2 = u2 R21 v1 R   (chain cross relations)
     form "statistics": R^-1 v1 R u2 = u2 R^-1 v1 R (braid statistics)
-    form "rearranged": v1 R u2 = R21^-1 u2 R21 v1 R  (the r21 block solved
-                       for v1 R u2; same span as "r21")
     """
     one = R.field.one
     N = R.dim
@@ -110,10 +109,6 @@ def cross_block(R: RMatrix, form="r21"):
     if form == "statistics":
         rinv = _scalars(invert(R), (1, 2))
         return _block([rinv, v1, r, u2], [u2, rinv, v1, r])
-    if form == "rearranged":
-        r21 = _scalars(R, (2, 1))
-        r21inv = _scalars(invert(R), (2, 1))
-        return _block([v1, r, u2], [r21inv, u2, r21, v1, r])
     raise ValueError(f"unknown cross block form {form!r}")
 
 
@@ -140,18 +135,10 @@ def braided_matrices(R: RMatrix) -> Presentation:
                         field=R.field, name="bm")
 
 
-@dataclass
-class TensorSquare:
-    """A braided tensor square of base: square position s < base.ngens is
-    base generator s in the left factor, and s + base.ngens is base
-    generator s in the right factor."""
-
-    presentation: Presentation
-    base: Presentation
-
-
-def braided_tensor_square(base: Presentation, R: RMatrix) -> TensorSquare:
-    """Two independent copies of base with braid statistics between them.
+def braided_tensor_square(base: Presentation, R: RMatrix) -> Presentation:
+    """Two independent copies of base with braid statistics between them:
+    square position s < base.ngens is base generator s in the left factor,
+    and s + base.ngens is the same generator in the right factor.
 
     The right factor sits above the left factor in the monomial order, so
     every mixed word normalizes to left-then-right; the builder verifies
@@ -172,7 +159,7 @@ def braided_tensor_square(base: Presentation, R: RMatrix) -> TensorSquare:
     P = Presentation(base.dim, roster, rels, field=base.field,
                      name=f"square({base.name})" if base.name else "square")
     orient_relations(P)  # fail fast when the statistics block is singular
-    return TensorSquare(P, base)
+    return P
 
 
 def braided_chain(R: RMatrix, n: int) -> Presentation:
@@ -215,7 +202,7 @@ def square_iso_witness(R: RMatrix, bound: int) -> SquareIsoReport:
     """Compare Hilbert dimensions of B(R) (x) B(R) (braid statistics) and
     the two-copy chain; equal vectors witness the algebra isomorphism."""
     base = braided_matrices(R)
-    square = braided_tensor_square(base, R).presentation
+    square = braided_tensor_square(base, R)
     chain = braided_chain(R, 2)
     ds = ideals.hilbert_dims(square, bound)
     dc = ideals.hilbert_dims(chain, bound)
@@ -235,7 +222,7 @@ def build_preset(preset: str, R: RMatrix, n: int = 1) -> Presentation:
     if preset == "bm":
         return braided_matrices(R)
     if preset == "square":
-        return braided_tensor_square(braided_matrices(R), R).presentation
+        return braided_tensor_square(braided_matrices(R), R)
     if preset == "chain":
         return braided_chain(R, n)
     raise ValueError(f"unknown preset {preset!r}")

@@ -250,7 +250,7 @@ class RewriteSystem:
 
 def orient_relations(P: Presentation) -> tuple:
     """The Rules that solve the quadratic relations for their leading
-    monomials, as a tuple cached on P (a RewriteSystem indexes them).
+    monomials, as a tuple (a RewriteSystem indexes them).
 
     The reduced echelon basis of the relation span yields one rule per
     pivot word.  A presentation stores exactly that basis, so the rules
@@ -264,9 +264,6 @@ def orient_relations(P: Presentation) -> tuple:
     precedence may help).  A relation explicitly written with an ascending
     leading word is taken at face value and oriented as given.
     """
-    cached = P._cache.get("rules")
-    if cached is not None:
-        return cached
     order = P.order
     copy_rank = {}
     for g in P.roster:
@@ -283,8 +280,7 @@ def orient_relations(P: Presentation) -> tuple:
                 f"word {word_str(lead, P.roster)})")
         rhs = NCPoly({w: -c for w, c in r.terms.items() if w != lead})
         rules.append(Rule(lead, rhs, i))
-    P._cache["rules"] = rules = tuple(rules)
-    return rules
+    return tuple(rules)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Independent checks that only the tests use: exact dense rank, equality
 of degree-2 relation spans, the defining identities of the second
 inverse of an R-matrix, the parser of the presentation documents that
-`braidalg present` writes, and the chain and square relations with every
-block built from scratch at its own roster offsets."""
+`braidalg present` writes, the chain and square relations with every
+block built from scratch at its own roster offsets, and the chain cross
+block in its rearranged form."""
 
 import itertools
 import operator
@@ -10,8 +11,7 @@ import re
 
 from braidalg import presents
 from braidalg.linalg import SparseEchelon
-from braidalg.ncalg import (Generator, NCAlgError, NCPoly, Presentation,
-                            RosterMismatchError, parse_poly)
+from braidalg.ncalg import Generator, NCAlgError, NCPoly, Presentation, parse_poly
 from braidalg.rmat import RMatrix, TensorOperator, invert, second_inverse
 
 
@@ -21,6 +21,10 @@ def dense_rank(matrix) -> int:
     for row in matrix:
         ech.insert({j: a for j, a in enumerate(row) if a})
     return ech.rank
+
+
+class RosterMismatchError(NCAlgError):
+    """Comparison of presentations with different generator rosters."""
 
 
 def relation_span_equal(P1: Presentation, P2: Presentation) -> bool:
@@ -144,3 +148,15 @@ def square_relations_at_offsets(base: Presentation, R: RMatrix):
         for u in offsets:
             rels.extend(cross_block_at(R, n + v, u, "statistics"))
     return rels
+
+
+def rearranged_cross_block(R: RMatrix):
+    """v1 R u2 - R21^-1 u2 R21 v1 R for the higher copy v = copy 1 and the
+    lower copy u = copy 0: the r21 cross block solved for v1 R u2, with the
+    same span as presents.cross_block(R, form="r21")."""
+    one = R.field.one
+    r, r21 = presents._scalars(R, (1, 2)), presents._scalars(R, (2, 1))
+    r21inv = presents._scalars(invert(R), (2, 1))
+    v1 = _generators_at(R.dim * R.dim, 1, R.dim, one)
+    u2 = _generators_at(0, 2, R.dim, one)
+    return presents._block([v1, r, u2], [r21inv, u2, r21, v1, r])

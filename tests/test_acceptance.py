@@ -25,7 +25,7 @@ from braidalg.rewrite import RewriteSystem, orient_relations
 from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix,
                            identity_rmatrix, leg_embed, save_rmatrix)
 
-from oracles import relation_span_equal
+from oracles import rearranged_cross_block, relation_span_equal
 
 ONE = qs.ONE
 
@@ -78,14 +78,14 @@ def test_criterion_2_bialgebra_verification(capsys):
     R = glq2_rmatrix()
     P = braided_matrices(R)
     square = braided_tensor_square(P, R)
-    spec = matrix_coproduct(P, square)
+    spec = matrix_coproduct(P)
     report = verify_bialgebra(R, preset="bm", bound=4, mode="exact")
     assert len(report.relation_verdicts) == len(P.relations) > 0
     for v, r in zip(report.relation_verdicts, P.relations):
         assert v.passed and v.certificate
-        image = substitute_generators(r, spec.images, square.presentation)
+        image = substitute_generators(r, spec.images, square)
         cert = MembershipCertificate(v.certificate)
-        assert cert.replay(square.presentation.relations) == image
+        assert cert.replay(square.relations) == image
 
     t0 = time.perf_counter()
     code, out = run_cli(capsys, "verify", "chain", "glq2", "-n", "2", "-D", "4")
@@ -146,7 +146,7 @@ def test_criterion_6_relation_rearrangement():
     R = glq2_rmatrix()
     roster = matrix_roster("u1", 2) + matrix_roster("u2", 2)
     P1 = Presentation(2, roster, cross_block(R, form="r21"))
-    P2 = Presentation(2, roster, cross_block(R, form="rearranged"))
+    P2 = Presentation(2, roster, rearranged_cross_block(R))
     assert relation_span_equal(P1, P2)
     print("\nACCEPTANCE 6 (R21-form vs rearranged cross relations, equal spans): PASS")
 
@@ -194,7 +194,7 @@ def test_criterion_8_engine_invariants():
 
     # orientation solvability for glq2 across the shipped builders
     for Q in (P, braided_chain(R, 2),
-              braided_tensor_square(P, R).presentation):
+              braided_tensor_square(P, R)):
         rs = orient_relations(Q)
         assert len(rs) == len(Q.relations)
 

@@ -19,8 +19,7 @@ from braidalg.bialg import (CoproductError, CoproductSpec, RelationVerdict,
                             verify_homomorphism)
 from braidalg.ideals import substitute_generators
 from braidalg.ncalg import Generator, NCPoly, parse_poly, word_str
-from braidalg.presents import (TensorSquare, braided_chain, braided_matrices,
-                               braided_tensor_square)
+from braidalg.presents import braided_chain, braided_matrices, braided_tensor_square
 from braidalg.rewrite import truncated_gb
 from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix, identity_rmatrix,
                            save_rmatrix)
@@ -39,8 +38,8 @@ def square(bm):
 
 
 @pytest.fixture(scope="module")
-def spec(bm, square):
-    return matrix_coproduct(bm, square)
+def spec(bm):
+    return matrix_coproduct(bm)
 
 
 def perturbed_rmatrix():
@@ -67,7 +66,7 @@ def glq_rmatrix(N):
 
 def test_matrix_coproduct_images(bm, square, spec):
     u12 = bm.gen("u", 1, 2)
-    want = parse_poly("L.u[1,1]*R.u[1,2] + L.u[1,2]*R.u[2,2]", square.presentation)
+    want = parse_poly("L.u[1,1]*R.u[1,2] + L.u[1,2]*R.u[2,2]", square)
     assert spec.images[u12] == want
     assert spec.counit[bm.gen("u", 1, 1)] == ONE
     assert not spec.counit[u12]
@@ -77,9 +76,9 @@ def test_matrix_coproduct_dim_one():
     R = RMatrix(1, {(1, 1, 1, 1): qs.Q})
     P = braided_matrices(R)
     sq = braided_tensor_square(P, R)
-    cp = matrix_coproduct(P, sq)
+    cp = matrix_coproduct(P)
     u = P.gen("u", 1, 1)
-    assert cp.images[u] == parse_poly("L.u[1,1]*R.u[1,1]", sq.presentation)
+    assert cp.images[u] == parse_poly("L.u[1,1]*R.u[1,1]", sq)
     assert cp.counit[u] == ONE
 
 
@@ -87,9 +86,9 @@ def test_matrix_coproduct_chain_acts_per_copy():
     R = glq2_rmatrix()
     chain = braided_chain(R, 2)
     sq = braided_tensor_square(chain, R)
-    cp = matrix_coproduct(chain, sq)
+    cp = matrix_coproduct(chain)
     g = chain.gen("u2", 1, 2)
-    want = parse_poly("L.u2[1,1]*R.u2[1,2] + L.u2[1,2]*R.u2[2,2]", sq.presentation)
+    want = parse_poly("L.u2[1,1]*R.u2[1,2] + L.u2[1,2]*R.u2[2,2]", sq)
     assert cp.images[g] == want
 
 
@@ -99,7 +98,7 @@ def test_homomorphism_identity_r():
     R = identity_rmatrix(2)
     P = braided_matrices(R)
     sq = braided_tensor_square(P, R)
-    cp = matrix_coproduct(P, sq)
+    cp = matrix_coproduct(P)
     verdicts, warning = verify_homomorphism(P, cp, sq, 4)
     assert all(v.passed for v in verdicts)
     assert not warning
@@ -109,12 +108,22 @@ def test_homomorphism_glq2_with_replayable_certificates(bm, square, spec):
     verdicts, warning = verify_homomorphism(bm, spec, square, 4)
     assert all(v.passed for v in verdicts)
     assert not warning
-    SQ = square.presentation
     from braidalg.ideals import MembershipCertificate
     for v, r in zip(verdicts, bm.relations):
-        image = substitute_generators(r, spec.images, SQ)
+        image = substitute_generators(r, spec.images, square)
         cert = MembershipCertificate(v.certificate)
-        assert cert.replay(SQ.relations) == image
+        assert cert.replay(square.relations) == image
+
+
+def test_certificates_follow_the_field(bm, square, spec):
+    # certificates are collected over Q(q) and never over Z/MZ
+    verdicts, _ = verify_homomorphism(bm, spec, square, 4)
+    assert all(v.certificate for v in verdicts)
+    x = qs.ModRing(bialg.PRIMES[:1]).image(Fraction(7, 6))
+    P_x = bm.evaluate_mod(x)
+    sampled, _ = verify_homomorphism(P_x, matrix_coproduct(P_x), square.evaluate_mod(x), 4)
+    assert [v.passed for v in sampled] == [v.passed for v in verdicts]
+    assert all(v.certificate is None for v in sampled)
 
 
 def test_homomorphism_rejects_small_bound(bm, square, spec):
@@ -138,8 +147,8 @@ def test_corrupted_images_fail_with_residue(bm, square, spec):
 
 # -- counit ----------------------------------------------------------------------
 
-def test_counit_laws_hold(bm, square, spec):
-    ok, detail = verify_counit(bm, spec, square)
+def test_counit_laws_hold(bm, spec):
+    ok, detail = verify_counit(bm, spec)
     assert ok, detail
 
 
@@ -155,47 +164,45 @@ def test_counit_epsilon_kills_relations_value(bm, spec):
         assert total.is_zero()
 
 
-def test_corrupted_counit_fails_unit_law(bm, square, spec):
+def test_corrupted_counit_fails_unit_law(bm, spec):
     bad = CoproductSpec(dict(spec.images), {g: qs.ZERO for g in range(bm.ngens)})
-    ok, detail = verify_counit(bm, bad, square)
+    ok, detail = verify_counit(bm, bad)
     assert not ok
     assert "(eps (x) id)" in detail
 
 
 # -- coassociativity --------------------------------------------------------------
 
-def test_coassoc_holds(bm, square, spec):
-    ok, detail = verify_coassoc(bm, spec, square)
+def test_coassoc_holds(bm, spec):
+    ok, detail = verify_coassoc(bm, spec)
     assert ok, detail
 
 
 def test_coassoc_dim_one():
     R = RMatrix(1, {(1, 1, 1, 1): qs.Q})
     P = braided_matrices(R)
-    sq = braided_tensor_square(P, R)
-    ok, _ = verify_coassoc(P, matrix_coproduct(P, sq), sq)
+    ok, _ = verify_coassoc(P, matrix_coproduct(P))
     assert ok
 
 
-def test_coassoc_corrupted_image_fails(bm, square, spec):
+def test_coassoc_corrupted_image_fails(bm, spec):
     u11 = bm.gen("u", 1, 1)
     bad_images = dict(spec.images)
     terms = dict(bad_images[u11].terms)
     terms.popitem()
     bad_images[u11] = NCPoly(terms)
-    ok, detail = verify_coassoc(bm, CoproductSpec(bad_images, dict(spec.counit)),
-                                square)
+    ok, detail = verify_coassoc(bm, CoproductSpec(bad_images, dict(spec.counit)))
     assert not ok
     assert "coassociativity fails" in detail
 
 
-def test_coassoc_rejects_non_pair_images(bm, square, spec):
+def test_coassoc_rejects_non_pair_images(bm, spec):
     u11 = bm.gen("u", 1, 1)
     bad_images = dict(spec.images)
     g = 0  # the first left-factor position
     bad_images[u11] = NCPoly.gen(g, ONE) * NCPoly.gen(g, ONE)
     with pytest.raises(CoproductError):
-        verify_coassoc(bm, CoproductSpec(bad_images, dict(spec.counit)), square)
+        verify_coassoc(bm, CoproductSpec(bad_images, dict(spec.counit)))
 
 
 # -- the full pipeline -------------------------------------------------------------
@@ -464,6 +471,27 @@ def test_exact_documents_are_pinned(cli_run, argv, code, length, sha256):
     assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)
 
 
+# (exit code, stdout length, stdout SHA-256) of each GOLDEN argv run with
+# --mode probabilistic at the default seed; every sampled document must stay
+# byte-identical too
+SAMPLED_GOLDEN = (
+    (0, 1388, "41aaca765098c3b1b0c37f25e94571f674e16449a09c9f2faa75f7d4ac5f4f40"),
+    (0, 4719, "dce81f73ced9bd47800f6163a9ae8cf6837676fe04b16e2ea4de61036bad870c"),
+    (1, 5351, "74f1ad4c7e02c83a5ce7ab2a44c16158f3911fe5373c8701e314a65e0e769ddf"),
+    (1, 1792, "35190e0779b22f75d6e887aadb439553cb6957d82a51ff699f76b4c6b973bc31"),
+    (0, 19049, "10fc5105701f110fe486c6126e74029ad6bb2b599732566a36529aba2a1e500f"),
+)
+
+
+@pytest.mark.parametrize("argv, code, length, sha256",
+                         [(g[0] + ("--mode", "probabilistic"), *pin)
+                          for g, pin in zip(GOLDEN, SAMPLED_GOLDEN)], ids=GOLDEN_IDS)
+def test_sampled_documents_are_pinned(cli_run, argv, code, length, sha256):
+    got_code, out = cli_run(argv)
+    data = out.encode()
+    assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)
+
+
 # dimension reports that count normal words through non-quadratic rules
 STRUCTURE_GOLDEN = (
     (("hilbert", "square", "pert2.json", "-D", "12"), 0, 225,
@@ -542,7 +570,7 @@ def test_degenerate_point_is_detected_and_redrawn(monkeypatch, cli_run):
     x = ring.crt([F.image(q0) for F, q0 in zip(ring.fields, points)])
     square = braided_tensor_square(braided_chain(R, 2), R)
     with pytest.raises(qs.NonUnitError, match="zero mod 101$") as err:
-        truncated_gb(square.presentation.evaluate_mod(x), 4)
+        truncated_gb(square.evaluate_mod(x), 4)
     assert err.value.primes == (101,)
 
     rep = verify_bialgebra(R, preset="chain", n=2, bound=4, mode="probabilistic", seed=seed)
@@ -567,8 +595,7 @@ def test_failing_residue_prints_at_the_first_point_where_it_is_nonzero(bm, squar
     u12 = bm.gen("u", 1, 2)
 
     def at(x):
-        P_x = bm.evaluate_mod(x)
-        square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x)
+        P_x, square_x = bm.evaluate_mod(x), square.evaluate_mod(x)
         images = {g: img.map_coefficients(lambda c: c.evaluate_mod(x))
                   for g, img in spec.images.items()}
         images[u12] = images[u12] + NCPoly.term((u12, n + u12), x.ring.from_int(p1))
@@ -580,7 +607,7 @@ def test_failing_residue_prints_at_the_first_point_where_it_is_nonzero(bm, squar
     assert [(v.passed, v.residue) for v in both] == [(v.passed, v.residue) for v in second]
 
 
-def test_counit_detail_names_the_first_generator_failing_at_any_point(bm, square, spec):
+def test_counit_detail_names_the_first_generator_failing_at_any_point(bm, spec):
     # u[1,1] fails only at point 2 and u[2,2] only at point 1: over Z/MZ the
     # detail names u[1,1], the first generator that fails anywhere, printed
     # as at point 2 alone; point 1 alone names u[2,2]
@@ -592,13 +619,12 @@ def test_counit_detail_names_the_first_generator_failing_at_any_point(bm, square
 
     def detail(x, extra):
         P_x = bm.evaluate_mod(x)
-        square_x = TensorSquare(square.presentation.evaluate_mod(x), P_x)
         images = {g: img.map_coefficients(lambda c: c.evaluate_mod(x))
                   for g, img in spec.images.items()}
         for g, (word, c) in extra.items():
             images[g] = images[g] + NCPoly.term(word, x.ring.from_int(c))
         counit = {g: c.evaluate_mod(x) for g, c in spec.counit.items()}
-        passed, text = verify_counit(P_x, CoproductSpec(images, counit), square_x)
+        passed, text = verify_counit(P_x, CoproductSpec(images, counit))
         assert not passed
         return text
 
@@ -616,12 +642,11 @@ def test_counit_detail_names_the_first_generator_failing_at_any_point(bm, square
 def test_certificate_specializes_at_q_equals_1(bm, square, spec):
     # evaluating a passing exact certificate at q = 1 must replay against the
     # classical (q = 1) relations
-    SQ = square.presentation
     verdicts, _ = verify_homomorphism(bm, spec, square, 4)
     classical_rels = [r.map_coefficients(lambda c: c.evaluate(1))
-                      for r in SQ.relations]
+                      for r in square.relations]
     for v, r in zip(verdicts, bm.relations):
-        image = substitute_generators(r, spec.images, SQ)
+        image = substitute_generators(r, spec.images, square)
         image1 = image.map_coefficients(lambda c: c.evaluate(1))
         total = NCPoly.zero()
         for lw, idx, rw, c in v.certificate:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism, round-trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -250,6 +251,60 @@ def test_long_confluent_chain_passes_within_the_work_budget(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["completion_warning"] is False
+
+
+# an invertible R-matrix whose r21 and statistics exchange blocks are
+# singular, as (i, j, k, l) -> coefficient
+SINGULAR_EXCHANGE = {(1, 1, 2, 1): "1", (1, 1, 2, 2): "1", (1, 2, 1, 2): "2",
+                     (1, 2, 2, 1): "1", (2, 1, 1, 1): "-2", (2, 2, 2, 1): "-2"}
+
+
+@pytest.fixture
+def singular_doc(tmp_path, monkeypatch):
+    """The SINGULAR_EXCHANGE document, named relative to the working directory
+    so that verify reports do not depend on where it lives."""
+    monkeypatch.chdir(tmp_path)
+    Path("singular.json").write_text(json.dumps({"dim": 2, "entries": [
+        {"i": i, "j": j, "k": k, "l": l, "coeff": c}
+        for (i, j, k, l), c in SINGULAR_EXCHANGE.items()]}))
+    return "singular.json"
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("present", "chain", "singular.json", "-n", "2"), "u1[2,2]*u2[1,2]"),
+    (("present", "square", "singular.json"), "L.u[2,2]*R.u[2,1]"),
+], ids=["chain-n2", "square"])
+def test_singular_exchange_block_is_an_orientation_error(capsys, singular_doc, argv, word):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: OrientationError: ") and err.count("\n") == 1
+    assert f"ascending cross-copy word {word})" in err
+
+
+# (argv, forced word, stdout length, stdout SHA-256) of verify runs on the
+# SINGULAR_EXCHANGE document; each report is an orientation failure
+SINGULAR_VERIFY = (
+    (("verify", "bm", "singular.json"), "L.u[2,2]*R.u[2,1]", 1023,
+     "aace109c1c1715b914c616f12dfb1f9d718db76ef32eebe7c5802ff2770bf650"),
+    (("verify", "bm", "singular.json", "--mode", "probabilistic"), "L.u[2,2]*R.u[2,1]", 1064,
+     "31ca13637d06767d87f73367892effe5c25c451575c67f20bc16331d0c73db83"),
+    (("verify", "chain", "singular.json", "-n", "2"), "u1[2,2]*u2[1,2]", 1022,
+     "f2ccd2720549e3366c2ed0a1b2f8bd23925637f66f9367acba0bfdef6da995a0"),
+)
+
+
+@pytest.mark.parametrize("argv, word, length, sha256", SINGULAR_VERIFY,
+                         ids=["bm", "bm-sampled", "chain-n2"])
+def test_singular_exchange_block_fails_verify_on_orientation(capsys, singular_doc, argv,
+                                                             word, length, sha256):
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False and doc["invertible"] is True
+    assert f"ascending cross-copy word {word})" in doc["orientation"]
+    assert doc["failure"] == "orientation failure: " + doc["orientation"]
+    assert doc["relations"] == [] and doc["counit"] is None
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (length, sha256)
 
 
 def test_running_out_of_sample_points_is_an_error(tmp_path, capsys):

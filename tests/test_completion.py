@@ -45,7 +45,7 @@ def pert2_rmatrix():
 
 
 def square(P, R):
-    return braided_tensor_square(P, R).presentation
+    return braided_tensor_square(P, R)
 
 
 def assert_same_verdict(P, bound=BOUND, gb=None):

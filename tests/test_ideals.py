@@ -9,15 +9,14 @@ import pytest
 from braidalg import qscalar as qs
 from braidalg.ideals import (MissingImageError, hilbert_dims, ideal_membership,
                              reduce_mod_ideal, substitute_generators)
-from braidalg.ncalg import (Generator, NCPoly, Presentation, RosterMismatchError,
-                            parse_poly, word_str)
+from braidalg.ncalg import Generator, NCPoly, Presentation, parse_poly, word_str
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, cross_block, frt_algebra,
                                matrix_roster)
 from braidalg.rewrite import RewriteSystem, orient_relations, truncated_gb
 from braidalg.rmat import glq2_rmatrix, identity_rmatrix
 
-from oracles import relation_span_equal
+from oracles import RosterMismatchError, rearranged_cross_block, relation_span_equal
 
 ONE = qs.ONE
 
@@ -111,8 +110,7 @@ def test_nf_minus_input_is_always_member(bm):
 
 
 def test_certificate_replay_exact(bm):
-    square = braided_tensor_square(bm, glq2_rmatrix())
-    SQ = square.presentation
+    SQ = braided_tensor_square(bm, glq2_rmatrix())
     r = SQ.relations[0]
     g = 2
     p = r * NCPoly.gen(g, ONE) * NCPoly.gen(g, ONE)
@@ -176,7 +174,7 @@ def test_every_adjoined_rule_of_a_deep_completion_is_certified():
     from braidalg.rmat import RMatrix
     R = glq2_rmatrix()
     Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
-    SQ = braided_tensor_square(braided_matrices(Rp), Rp).presentation
+    SQ = braided_tensor_square(braided_matrices(Rp), Rp)
     gb = truncated_gb(SQ, 8)
     depth = {}  # a source names only earlier rules, so depth[r] is known
     for rule in gb.added_rules:
@@ -244,7 +242,7 @@ def test_shipped_presets_confluent_at_degree_4():
     presentations = [
         braided_matrices(R),
         braided_chain(R, 2),
-        braided_tensor_square(braided_matrices(R), R).presentation,
+        braided_tensor_square(braided_matrices(R), R),
         frt_algebra(R),
         braided_matrices(identity_rmatrix(2)),
     ]
@@ -318,7 +316,7 @@ def test_span_equal_r21_vs_rearranged_cross_block():
     R = glq2_rmatrix()
     roster = matrix_roster("u1", 2) + matrix_roster("u2", 2)
     P1 = Presentation(2, roster, cross_block(R, form="r21"))
-    P2 = Presentation(2, roster, cross_block(R, form="rearranged"))
+    P2 = Presentation(2, roster, rearranged_cross_block(R))
     assert relation_span_equal(P1, P2)
 
 
@@ -341,13 +339,13 @@ def test_substitute_counit_kills_relations(bm):
 def test_substitute_coproduct_images_are_members_at_degree_4(bm):
     from braidalg.bialg import matrix_coproduct
     square = braided_tensor_square(bm, glq2_rmatrix())
-    spec = matrix_coproduct(bm, square)
+    spec = matrix_coproduct(bm)
     for r in bm.relations:
-        image = substitute_generators(r, spec.images, square.presentation)
+        image = substitute_generators(r, spec.images, square)
         assert image.is_homogeneous(4)
-        ok, cert = ideal_membership(image, square.presentation, 4)
+        ok, cert = ideal_membership(image, square, 4)
         assert ok
-        assert cert.replay(square.presentation.relations) == image
+        assert cert.replay(square.relations) == image
 
 
 def test_substitute_missing_image(bm):

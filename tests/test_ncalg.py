@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -66,9 +67,9 @@ def perturbed_rmatrix():
 def builder_presentations():
     R, Rp = glq2_rmatrix(), perturbed_rmatrix()
     return [frt_algebra(R), braided_matrices(R), braided_chain(R, 2), braided_chain(R, 3),
-            braided_tensor_square(braided_matrices(R), R).presentation,
+            braided_tensor_square(braided_matrices(R), R),
             braided_matrices(Rp), braided_chain(Rp, 2),
-            braided_tensor_square(braided_matrices(Rp), Rp).presentation]
+            braided_tensor_square(braided_matrices(Rp), Rp)]
 
 
 def test_parse_and_format_roundtrip():
@@ -81,7 +82,7 @@ def test_parse_and_format_roundtrip():
         p = parse_poly(src, P)
         assert parse_poly(format_poly(p, P), P) == p
     Rp = perturbed_rmatrix()
-    for P in (P, braided_chain(R, 2), braided_tensor_square(P, R).presentation,
+    for P in (P, braided_chain(R, 2), braided_tensor_square(P, R),
               braided_matrices(Rp)):
         for r in P.relations:
             assert parse_poly(format_poly(r, P), P) == r
@@ -238,7 +239,7 @@ def test_orientation_solvable_for_glq2_presets():
     R = glq2_rmatrix()
     from braidalg.presents import braided_chain, braided_tensor_square
     for P in (braided_matrices(R), braided_chain(R, 2),
-              braided_tensor_square(braided_matrices(R), R).presentation):
+              braided_tensor_square(braided_matrices(R), R)):
         rules = orient_relations(P)
         assert len(rules) == len(P.relations)
 
@@ -251,7 +252,7 @@ def test_rules_read_off_pruned_relations_match_the_general_solve():
     base = braided_matrices(Rp)
     for P, given in ((braided_matrices(R), self_block(R)),
                      (braided_chain(R, 2), chain_relations_at_offsets(R, 2)),
-                     (braided_tensor_square(base, Rp).presentation,
+                     (braided_tensor_square(base, Rp),
                       square_relations_at_offsets(base, Rp))):
         ech = SparseEchelon(P.order.key)
         for r in given:
@@ -268,8 +269,8 @@ def test_rules_read_off_pruned_relations_match_the_general_solve():
 @pytest.mark.parametrize("preset, n", [("bm", 1), ("chain", 2), ("square", 1)])
 @pytest.mark.parametrize("rmatrix", [glq2_rmatrix, perturbed_rmatrix], ids=["glq2", "pert2"])
 def test_specialized_relations_are_the_entrywise_specialization(rmatrix, preset, n):
-    # evaluate_mod prunes the specialized relations again; that must keep
-    # each relation as it is and in its place, so verdicts stay aligned
+    # evaluate_mod keeps each specialized relation in its place without
+    # pruning again, so verdicts stay aligned with the symbolic relations
     R = rmatrix()
     P = build_preset(preset, R, n)
     dens = {qs.RatFunc(0, c.den) for r in P.relations for c in r.terms.values()}
@@ -279,6 +280,29 @@ def test_specialized_relations_are_the_entrywise_specialization(rmatrix, preset,
     for x in images + [ring.crt(images)]:
         want = tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in P.relations)
         assert P.evaluate_mod(x).relations == want, (preset, x)
+
+
+def test_specialization_evaluates_each_distinct_coefficient_once(monkeypatch):
+    R = perturbed_rmatrix()
+    P = braided_tensor_square(braided_chain(R, 2), R)
+    distinct = {c for r in P.relations for c in r.terms.values()}
+    occurrences = sum(len(r.terms) for r in P.relations)
+    assert len(distinct) < occurrences
+    x = qs.ModRing(PRIMES[:1]).image(Fraction(7, 6))
+    calls = []
+    evaluate_mod = qs.RatFunc.evaluate_mod
+
+    def counting(c, x):
+        calls.append(c)
+        return evaluate_mod(c, x)
+
+    monkeypatch.setattr(qs.RatFunc, "evaluate_mod", counting)
+    P_x = P.evaluate_mod(x)
+    assert sorted(map(id, calls)) == sorted(map(id, distinct))
+    # a copy over Z/MZ with the roster, order and orientation of P
+    assert (P_x.field, P_x.roster, P_x.source_leads) == (x.ring, P.roster, P.source_leads)
+    assert P_x._cache == {} and P_x._cache is not P._cache
+    assert [r.lhs for r in orient_relations(P_x)] == [r.lhs for r in orient_relations(P)]
 
 
 # -- normal form --------------------------------------------------------------

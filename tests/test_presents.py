@@ -21,8 +21,8 @@ from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix,
                            ybe_check)
 from braidalg.linalg import SingularMatrixError
 
-from oracles import (chain_relations_at_offsets, relation_span_equal,
-                     square_relations_at_offsets)
+from oracles import (chain_relations_at_offsets, rearranged_cross_block,
+                     relation_span_equal, square_relations_at_offsets)
 
 ONE = qs.ONE
 
@@ -120,20 +120,20 @@ def test_builders_self_certify():
 def test_square_identity_r_is_two_commuting_copies():
     base = braided_matrices(identity_rmatrix(2))
     sq = braided_tensor_square(base, identity_rmatrix(2))
-    assert is_commutator_presentation(sq.presentation)
-    assert len(sq.presentation.roster) == 8
+    assert is_commutator_presentation(sq)
+    assert len(sq.roster) == 8
 
 
 def test_square_glq2_mixed_component_dimension():
     base = braided_matrices(glq2_rmatrix())
     sq = braided_tensor_square(base, glq2_rmatrix())
-    left = set(range(sq.base.ngens))
-    right = set(range(sq.base.ngens, sq.presentation.ngens))
-    mixed = [r for r in sq.presentation.relations
+    left = set(range(base.ngens))
+    right = set(range(base.ngens, sq.ngens))
+    mixed = [r for r in sq.relations
              if r.generators() & left and r.generators() & right]
     assert len(mixed) == 16
     # all right-then-left words rewrite: their rules exist
-    lhs = {r.lhs for r in orient_relations(sq.presentation)}
+    lhs = {r.lhs for r in orient_relations(sq)}
     for v in right:
         for u in left:
             assert (v, u) in lhs
@@ -144,7 +144,7 @@ def test_square_dims_are_convolution_of_factor_dims():
     sq = braided_tensor_square(base, glq2_rmatrix())
     factor = hilbert_dims(base, 3)
     conv = [sum(factor[i] * factor[d - i] for i in range(d + 1)) for d in range(4)]
-    assert hilbert_dims(sq.presentation, 3) == conv
+    assert hilbert_dims(sq, 3) == conv
 
 
 def test_square_requires_matrix_roster():
@@ -171,7 +171,7 @@ def test_chain_cross_block_r21_equals_rearranged_span():
     R = glq2_rmatrix()
     roster = matrix_roster("u1", 2) + matrix_roster("u2", 2)
     P1 = Presentation(2, roster, cross_block(R, form="r21"))
-    P2 = Presentation(2, roster, cross_block(R, form="rearranged"))
+    P2 = Presentation(2, roster, rearranged_cross_block(R))
     assert relation_span_equal(P1, P2)
 
 
@@ -191,7 +191,7 @@ def test_placed_blocks_equal_blocks_built_at_their_offsets(rmatrix, n, monkeypat
 
     monkeypatch.setattr(presents, "Presentation", recording)
     chain = braided_chain(R, n)
-    square = braided_tensor_square(chain, R).presentation
+    square = braided_tensor_square(chain, R)
     for P, reference in ((chain, chain_relations_at_offsets(R, n)),
                          (square, square_relations_at_offsets(chain, R))):
         assert given.pop(0) == [r.terms for r in reference], P.name
@@ -219,6 +219,15 @@ def test_each_block_form_is_built_once(monkeypatch):
     calls.clear()
     braided_chain(R, 1)
     assert sorted(calls) == ["invert", "self_block"]
+
+
+def test_built_presentations_keep_no_rules():
+    # the builders orient only to fail fast on a singular exchange block;
+    # completion orients again, so no rules stay cached on the presentation
+    R = glq2_rmatrix()
+    chain = braided_chain(R, 2)
+    assert chain._cache == {}
+    assert braided_tensor_square(chain, R)._cache == {}
 
 
 def test_chain_rejects_bad_copies():
