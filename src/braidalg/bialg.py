@@ -421,7 +421,11 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
             points = sample_points(R, seed, DEFAULT_POINTS, denominators, dropped)
             x = ring.crt([f.image(q0) for f, q0 in zip(ring.fields, points)])
             try:
+                if SQ is None:  # dropped at the previous point
+                    SQ = presents.braided_tensor_square(P, R)
                 P_x, SQ_x = P.evaluate_mod(x), SQ.evaluate_mod(x)
+                # only a redrawn point reads the symbolic square again
+                SQ = None
                 spec = matrix_coproduct(P_x)
                 verdicts, warning = verify_homomorphism(P_x, spec, SQ_x, bound)
                 break

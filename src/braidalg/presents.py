@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ncalg import Generator, NCPoly, Presentation
-from .rewrite import orient_relations
+from .rewrite import relation_leads
 from .rmat import RMatrix, TensorOperator, invert, leg_embed
 from . import ideals
 
@@ -158,7 +158,7 @@ def braided_tensor_square(base: Presentation, R: RMatrix) -> Presentation:
             rels.extend(_place(statistics, size, (u, k + v)))
     P = Presentation(base.dim, roster, rels, field=base.field,
                      name=f"square({base.name})" if base.name else "square")
-    orient_relations(P)  # fail fast when the statistics block is singular
+    relation_leads(P)  # fail fast when the statistics block is singular
     return P
 
 
@@ -180,7 +180,7 @@ def braided_chain(R: RMatrix, n: int) -> Presentation:
             rels.extend(_place(cross, size, (j, i)))
     P = Presentation(R.dim, roster, rels, field=R.field, name=f"chain{n}")
     if n > 1:
-        orient_relations(P)  # fail fast when a cross block is singular
+        relation_leads(P)  # fail fast when a cross block is singular
     return P
 
 

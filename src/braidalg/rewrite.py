@@ -9,7 +9,7 @@ stores as its relations, gives rules
 
 and orientation fails exactly when solving forces a rule whose left side
 is an ascending cross-copy word, which is what a singular exchange block
-produces (see orient_relations).  Each rule carries its source: the stored
+produces (see relation_leads).  Each rule carries its source: the stored
 relation it was read off, or the derivation of an adjoined rule from
 earlier rules, which ideals expands into membership certificates.
 
@@ -18,9 +18,13 @@ base-n integer of its roster positions, n = max(ngens, 2).  Every position
 is below n, so among words of one length integer order is tuple order,
 which is deg-lex; and the subword of length ell at position i is
 w // n**(L-i-ell) % n**ell.  The rules are indexed once, by left-side
-length, on these codes.  reduce rewrites one degree part at a time (every
-rule is homogeneous), largest word first at its leftmost redex, decoding
-words only for the residue and the collected steps.  Invariant: the left
+length, on these codes.  The reducer codes coefficients too: each is its
+index into the system's value table, index 0 being zero, and a product or
+a sum is a lookup of indices that computes with the field's own * and +
+only on a miss, so one loop serves Q(q) and Z/MZ.  reduce rewrites one
+degree part at a time (every rule is homogeneous), largest word first at
+its leftmost redex, coding the coefficients on entry and decoding words
+and values only for the residue and the collected steps.  Invariant: the left
 sides form an antichain under the subword order, so at most one matches
 at any position.  It holds because the quadratic left sides are distinct,
 an adjoined left side leads a fully reduced residue, and adjoined lengths
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import threading
 
 from .ncalg import NCPoly, Presentation, word_str
 
@@ -88,14 +93,28 @@ class Rule:
 
 
 class RewriteSystem:
-    """Rules over one presentation's order.  index maps each left-side
-    length to {lhs code: (rule, ((rhs code, coeff), ...))}, and _probes each
-    word length to the places a left side fits, leftmost first."""
+    """Rules over one presentation's order.
+
+    The reducer codes every coefficient it touches as its index into the
+    value table values, where index 0 is zero.  index maps each left-side
+    length to {lhs code: (rule, ((rhs code, value index, product row),
+    ...))}; the product row of a right-side value r is shared by every term
+    with that value and maps an index c to the index of values[c] *
+    values[r], and _sums maps a pair of indices to the index of their sum.
+    A miss computes with the field's own * and + and indexes the result
+    under a lock, so threads reducing at once never give one value two
+    indices, and every memo entry names the one index of its value.
+    _probes maps each word length to the places a left side fits,
+    leftmost first."""
 
     def __init__(self, presentation: Presentation, rules):
         self.presentation = presentation
         self.n = max(presentation.ngens, 2)
         self.rules, self.index, self._probes = {}, {}, {}
+        field = presentation.field
+        self.values, self._ids = [field.zero], {field.zero: 0}
+        self._rows, self._sums, self._lock = {}, {}, threading.Lock()
+        self._minus = self.value_index(-field.one)
         for rule in rules:
             self.add(rule)
 
@@ -107,14 +126,45 @@ class RewriteSystem:
             self.index[ell] = {}
             self._probes.clear()
         self.rules[rule.lhs] = rule
-        self.index[ell][self.code(rule.lhs)] = (
-            rule, tuple((self.code(w), c) for w, c in rule.rhs.terms.items()))
+        coded = []
+        for w, c in rule.rhs.terms.items():
+            r = self.value_index(c)
+            coded.append((self.code(w), r, self._rows.setdefault(r, {})))
+        self.index[ell][self.code(rule.lhs)] = (rule, tuple(coded))
 
     def __iter__(self):
         return iter(self.rules.values())
 
     def __len__(self):
         return len(self.rules)
+
+    def value_index(self, x) -> int:
+        """The index of the value x, added to the table on a miss."""
+        i = self._ids.get(x)
+        if i is None:
+            if not x:
+                return 0
+            with self._lock:
+                i = self._ids.get(x)
+                if i is None:
+                    i = len(self.values)
+                    self.values.append(x)
+                    self._ids[x] = i
+        return i
+
+    def _times(self, c, r, row) -> int:
+        """The index of values[c] * values[r], row being r's product row."""
+        v = row.get(c)
+        if v is None:
+            v = row[c] = self.value_index(self.values[c] * self.values[r])
+        return v
+
+    def _plus(self, s, v) -> int:
+        """The index of values[s] + values[v]."""
+        t = self._sums.get((s, v))
+        if t is None:
+            t = self._sums[s, v] = self.value_index(self.values[s] + self.values[v])
+        return t
 
     def code(self, word) -> int:
         n, w = self.n, 0
@@ -128,19 +178,23 @@ class RewriteSystem:
             w, out[i] = divmod(w, n)
         return tuple(out)
 
-    def find_redex(self, w: int, length: int):
-        """Leftmost redex of the word of this length coded w, or None:
-        (position, divisor, rest, (rule, coded rhs)) with
-        w = rest + divisor * (code of rule.lhs)."""
-        try:
-            probes = self._probes[length]
-        except KeyError:
+    def _probes_at(self, length: int) -> list:
+        """(position, divisor, modulus, lookup) of each place a left side
+        of some length fits in a word of this length, leftmost first."""
+        probes = self._probes.get(length)
+        if probes is None:
             n = self.n
             probes = self._probes[length] = [
                 (i, n ** (length - i - ell), n ** ell, table.get)
                 for i in range(length) for ell, table in sorted(self.index.items())
                 if i + ell <= length]
-        for i, div, mod, get in probes:
+        return probes
+
+    def find_redex(self, w: int, length: int):
+        """Leftmost redex of the word of this length coded w, or None:
+        (position, divisor, rest, (rule, coded rhs)) with
+        w = rest + divisor * (code of rule.lhs)."""
+        for i, div, mod, get in self._probes_at(length):
             key = w // div % mod
             hit = get(key)
             if hit is not None:
@@ -149,10 +203,12 @@ class RewriteSystem:
 
     def _reduce_coded(self, terms: dict, length: int, steps=None) -> int:
         """Fully reduce terms, a dict from codes of words of this length to
-        coefficients, in place: largest word first, its leftmost redex.
+        value indices, in place: largest word first, its leftmost redex.
         Returns the number of steps and appends (code, position, rule,
-        coeff) of each to steps when given."""
-        find, push, pop = self.find_redex, heapq.heappush, heapq.heappop
+        coeff index) of each to steps when given.  The redex search is
+        find_redex's, read inline."""
+        probes, push, pop = self._probes_at(length), heapq.heappush, heapq.heappop
+        sums, times, plus = self._sums, self._times, self._plus
         # max-heap of negated codes; a word is searched when it comes up
         heap = [-w for w in terms]
         heapq.heapify(heap)
@@ -162,21 +218,32 @@ class RewriteSystem:
             c = terms.get(w)
             if c is None:
                 continue
-            hit = find(w, length)
-            if hit is None:
+            for i, div, mod, get in probes:
+                key = w // div % mod
+                hit = get(key)
+                if hit is not None:
+                    break
+            else:
                 continue
             del terms[w]
             count += 1
-            i, div, rest, (rule, rhs) = hit
-            for u, rc in rhs:
+            rule, rhs = hit
+            rest = w - key * div
+            for u, r, row in rhs:
                 nw = u * div + rest
-                v = c * rc
+                v = row.get(c)
+                if v is None:
+                    v = times(c, r, row)
                 s = terms.get(nw)
                 if s is None:
                     terms[nw] = v
                     push(heap, -nw)
-                elif s := s + v:
-                    terms[nw] = s
+                    continue
+                t = sums.get((s, v))
+                if t is None:
+                    t = plus(s, v)
+                if t:
+                    terms[nw] = t
                 else:
                     del terms[nw]
             if steps is not None:
@@ -186,21 +253,22 @@ class RewriteSystem:
     def reduce(self, p: NCPoly, collect=False):
         """Fully reduce p; returns (residue, steps).
 
-        One degree part at a time, longest first.  steps is a list of
-        (left word, rule, right word, coeff) with
-        p = residue + sum coeff * left * (lhs - rhs) * right.
+        One degree part at a time, longest first, its coefficients coded
+        through the value table.  steps is a list of (left word, rule,
+        right word, coeff) with p = residue + sum coeff * left * (lhs - rhs) * right.
         """
         parts, residue, steps = {}, {}, [] if collect else None
+        values = self.values
         for w, c in p.terms.items():
-            parts.setdefault(len(w), {})[self.code(w)] = c
+            parts.setdefault(len(w), {})[self.code(w)] = self.value_index(c)
         for length in sorted(parts, reverse=True):
             terms, coded = parts[length], [] if collect else None
             self._reduce_coded(terms, length, coded)
             for w, c in terms.items():
-                residue[self.decode(w, length)] = c
+                residue[self.decode(w, length)] = values[c]
             for w, i, rule, c in coded or ():
                 word = self.decode(w, length)
-                steps.append((word[:i], rule, word[i + len(rule.lhs):], c))
+                steps.append((word[:i], rule, word[i + len(rule.lhs):], values[c]))
         return NCPoly._raw(residue), steps
 
     def normal_word_counts(self, bound):
@@ -248,6 +316,34 @@ class RewriteSystem:
 # orientation
 # ---------------------------------------------------------------------------
 
+def relation_leads(P: Presentation) -> tuple:
+    """The leading word of each stored relation, in order.
+
+    Cross-copy relations are exchange blocks: they may only rewrite
+    "wrong-order" words (a later-copy generator passing an earlier-copy one)
+    downwards.  When the exchange coefficient matrix is singular, solving
+    the system forces a rule for an ascending cross-copy word that no given
+    relation led with (P.source_leads); that is the unsolvable case
+    reported as OrientationError (permuting the generator precedence may
+    help).  A relation explicitly written with an ascending leading word is
+    taken at face value and oriented as given.  The builders call this
+    alone to fail fast.
+    """
+    order = P.order
+    copy_rank = {}
+    for g in P.roster:
+        copy_rank.setdefault(g.copy, len(copy_rank))
+    rank = [copy_rank[g.copy] for g in P.roster]
+    leads = tuple(map(order.leading_word, P.relations))
+    for g, h in leads:
+        if rank[g] < rank[h] and (g, h) not in P.source_leads:
+            raise OrientationError(
+                f"cannot orient for this order: exchange coefficient matrix "
+                f"is singular (forced a rule for the ascending cross-copy "
+                f"word {word_str((g, h), P.roster)})")
+    return leads
+
+
 def orient_relations(P: Presentation) -> tuple:
     """The Rules that solve the quadratic relations for their leading
     monomials, as a tuple (a RewriteSystem indexes them).
@@ -255,47 +351,26 @@ def orient_relations(P: Presentation) -> tuple:
     The reduced echelon basis of the relation span yields one rule per
     pivot word.  A presentation stores exactly that basis, so the rules
     are read off the stored relations, each with source the relation's
-    index.  Cross-copy relations are exchange blocks: they may only
-    rewrite "wrong-order" words (a later-copy generator passing an
-    earlier-copy one) downwards.  When the exchange coefficient matrix is
-    singular, solving the system forces a rule for an ascending cross-copy
-    word that no given relation led with (P.source_leads); that is the
-    unsolvable case reported as OrientationError (permuting the generator
-    precedence may help).  A relation explicitly written with an ascending
-    leading word is taken at face value and oriented as given.
+    index; relation_leads raises OrientationError where that fails.
     """
-    order = P.order
-    copy_rank = {}
-    for g in P.roster:
-        copy_rank.setdefault(g.copy, len(copy_rank))
-    rank = [copy_rank[g.copy] for g in P.roster]
-    rules = []
-    for i, r in enumerate(P.relations):
-        lead = order.leading_word(r)
-        g, h = lead
-        if rank[g] < rank[h] and lead not in P.source_leads:
-            raise OrientationError(
-                f"cannot orient for this order: exchange coefficient matrix "
-                f"is singular (forced a rule for the ascending cross-copy "
-                f"word {word_str(lead, P.roster)})")
-        rhs = NCPoly({w: -c for w, c in r.terms.items() if w != lead})
-        rules.append(Rule(lead, rhs, i))
-    return tuple(rules)
+    return tuple(Rule(lead, NCPoly({w: -c for w, c in r.terms.items() if w != lead}), i)
+                 for i, (r, lead) in enumerate(zip(P.relations, relation_leads(P))))
 
 
 # ---------------------------------------------------------------------------
 # degree-bounded completion
 # ---------------------------------------------------------------------------
 
-def _overlap_terms(pairs, n, a, b, c):
-    """rhs(ab)*c - a*rhs(bc) as a dict from word code to coefficient; pairs
-    is the index of the length-2 left sides."""
-    terms = {v * n + c: rc for v, rc in pairs[a * n + b][1]}
+def _overlap_terms(rs: RewriteSystem, a, b, c):
+    """rhs(ab)*c - a*rhs(bc) as a dict from word code to value index, for
+    quadratic rules ab -> ... and bc -> ... of rs."""
+    n, pairs, minus = rs.n, rs.index[2], rs._minus
+    terms = {v * n + c: r for v, r, _ in pairs[a * n + b][1]}
     hi = a * n * n
-    for v, rc in pairs[b * n + c][1]:
-        w, nc = hi + v, -rc
+    for v, r, row in pairs[b * n + c][1]:
+        w, nr = hi + v, rs._times(minus, r, row)
         s = terms.get(w)
-        s = nc if s is None else s + nc
+        s = nr if s is None else rs._plus(s, nr)
         if s:
             terms[w] = s
         else:
@@ -325,7 +400,9 @@ class TruncatedGB(RewriteSystem):
     every bound.  The pass needs only whether each residue is zero and how
     many steps it took, so it builds each difference as coded degree-3
     terms (_overlap_terms) and reduces them with reduce's own loop
-    (_reduce_coded), decoding no word and building no polynomial.
+    (_reduce_coded), decoding no word or value and building no polynomial:
+    its products and sums are lookups in the value table it shares with
+    reduce and with the rules _complete adjoins.
     classes, class_overlaps (reduced), fell_back and work (units spent)
     record what construction did.
     """
@@ -387,14 +464,13 @@ class TruncatedGB(RewriteSystem):
         follow = {}
         for b, c in self.rules:
             follow.setdefault(b, []).append(c)
-        n, pairs = self.n, self.index.get(2, {})
         for s in classes.values():
             for r1 in itertools.chain.from_iterable(on.get(t, ()) for t in parts(s)):
                 a, b = r1.lhs
                 for c in follow.get(b, ()):
                     if {a // size, b // size, c // size} != set(s):
                         continue
-                    terms = _overlap_terms(pairs, n, a, b, c)
+                    terms = _overlap_terms(self, a, b, c)
                     if terms:
                         self._charge(1 + self._reduce_coded(terms, 3))
                         self.class_overlaps += 1

@@ -1,6 +1,11 @@
 """Completion by copy classes: the class pass of TruncatedGB against full
 completion, its fallbacks, and its share of the work budget."""
 
+import random
+import sys
+import threading
+import time
+
 import pytest
 
 from braidalg import qscalar as qs
@@ -90,8 +95,10 @@ def test_class_pass_gives_full_completions_verdict(name, build, classes, reduced
     assert full.fell_back and full.classes == 0
 
 
-def _decode(terms, n):
-    return {(w // (n * n), w // n % n, w % n): c for w, c in terms.items()}
+def _decode(terms, gb):
+    """Coded degree-3 terms as {word: value}, through gb's value table."""
+    n = gb.n
+    return {(w // (n * n), w // n % n, w % n): gb.values[c] for w, c in terms.items()}
 
 
 def assert_class_pass_steps_match_reduce(P, monkeypatch):
@@ -102,8 +109,8 @@ def assert_class_pass_steps_match_reduce(P, monkeypatch):
     seen, counts = [], []
     overlap_terms, reduce_coded = rewrite._overlap_terms, TruncatedGB._reduce_coded
 
-    def recording_overlap(pairs, n, a, b, c):
-        terms = overlap_terms(pairs, n, a, b, c)
+    def recording_overlap(rs, a, b, c):
+        terms = overlap_terms(rs, a, b, c)
         if terms:
             # a copy of the difference, and the dict the pass reduces in place
             seen.append(((a, b, c), dict(terms), terms))
@@ -125,12 +132,78 @@ def assert_class_pass_steps_match_reduce(P, monkeypatch):
     for ((a, b, c), diff_terms, residue_terms), count in zip(seen, counts):
         r1, r2 = by_lhs[(a, b)], by_lhs[(b, c)]
         diff = r1.rhs.sandwich((), (c,)) - r2.rhs.sandwich((a,), ())
-        assert _decode(diff_terms, gb.n) == diff.terms
+        assert _decode(diff_terms, gb) == diff.terms
         residue, steps = reference_reduce(quadratic, diff, collect=True)
         assert count == len(steps)
-        assert _decode(residue_terms, gb.n) == residue.terms
+        assert _decode(residue_terms, gb) == residue.terms
         reduced.append((residue, len(steps)))
     return gb, reduced
+
+
+def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
+    # the bm GL_q(4) square at q = 123456789 in GF(2^61 - 1): the class
+    # pass over residues gives the counters it gives over Q(q)
+    R = glq_rmatrix(4)
+    x = qs.ModRing((2 ** 61 - 1,)).from_int(123456789)
+    P = square(braided_matrices(R), R).evaluate_mod(x)
+    gb, steps = assert_class_pass_steps_match_reduce(P, monkeypatch)
+    assert not gb.fell_back and gb.added_rules == []
+    assert (gb.classes, gb.class_overlaps, gb.work) == (2, 4400, 83137)
+    assert not any(residue for residue, _ in steps)
+    assert gb.work == sum(1 + n for _, n in steps)
+
+
+def test_threads_reducing_on_one_cached_system_get_the_serial_results():
+    R = glq_rmatrix(3)
+    P = square(braided_matrices(R), R)
+    rng = random.Random(19)
+    coeffs = [qs.ONE, qs.Q, -qs.QINV, qs.Q - qs.QINV, qs.parse_scalar("1/(1 + q)"),
+              qs.parse_scalar("2*q^2 - 3")]
+    polys = [NCPoly({tuple(rng.randrange(P.ngens) for _ in range(rng.choice((3, 4)))):
+                     rng.choice(coeffs) for _ in range(4)}) for _ in range(40)]
+
+    def plain(result):
+        residue, steps = result
+        return residue, [(left, rule.lhs, right, c) for left, rule, right, c in steps]
+
+    serial = [plain(TruncatedGB(P, BOUND).reduce(p, collect=True)) for p in polys]
+    gb = rewrite.truncated_gb(P, BOUND)
+
+    class SlowMisses(dict):
+        # a miss yields to the other threads, which are after the same value
+        def get(self, key, default=None):
+            out = super().get(key, default)
+            if out is None:
+                time.sleep(1e-4)
+            return out
+
+    gb._ids = SlowMisses(gb._ids)
+    start, results = threading.Barrier(4, timeout=60), {}
+
+    def work(k):
+        start.wait()
+        results[k] = [plain(gb.reduce(p, collect=True)) for p in polys]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(k) for k in range(4)] == [serial] * 4
+    # one index per value, and each memo entry names the index of its value
+    assert len(set(gb.values)) == len(gb.values) == len(gb._ids)
+    assert all(gb._ids[v] == i for i, v in enumerate(gb.values))
+    values = gb.values
+    for (s, v), i in gb._sums.items():
+        assert values[i] == values[s] + values[v]
+    for r, row in gb._rows.items():
+        assert all(values[i] == values[c] * values[r] for c, i in row.items())
 
 
 def test_non_confluent_square_falls_back_to_full_completion():

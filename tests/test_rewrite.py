@@ -2,7 +2,7 @@
 oracles: the leftmost match found naively, the tuple-word trie reducer that
 the coded reducer replaced, the overlap difference of two quadratic rules,
 and normal words counted by brute force, over random antichains of left
-sides."""
+sides with coefficients in Q(q) or GF(p)."""
 
 import heapq
 import itertools
@@ -16,8 +16,12 @@ from braidalg.ncalg import Generator, NCPoly, Presentation
 from braidalg.rewrite import RewriteSystem, Rule, _overlap_terms
 
 # interned values, so that equal coefficients are the same object
-COEFFS = st.sampled_from([qs.ONE, -qs.ONE, qs.Q, qs.QINV, qs.Q - qs.QINV,
-                          qs.parse_scalar("1/(1 + q)"), qs.RatFunc.from_int(2)])
+VALUES = [qs.ONE, -qs.ONE, qs.Q, qs.QINV, qs.Q - qs.QINV,
+          qs.parse_scalar("1/(1 + q)"), qs.RatFunc.from_int(2)]
+# the same values at q = 3 in GF(7), where they collide and cancel often
+GF7 = qs.ModRing((7,))
+COEFFS = {qs.QQ_Q: st.sampled_from(VALUES),
+          GF7: st.sampled_from([c.evaluate_mod(GF7.from_int(3)) for c in VALUES])}
 
 
 def _contains(word, sub):
@@ -97,10 +101,11 @@ def reference_reduce(rules, p: NCPoly, collect=False):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _antichain_systems(draw, min_gens=2):
-    """A RewriteSystem over min_gens-4 generators whose left sides (length
-    2-4) form an antichain under the subword order; each right side is a
-    combination of up to three smaller words of its left side's length."""
+def _antichain_systems(draw, min_gens=2, field=qs.QQ_Q):
+    """A RewriteSystem over min_gens-4 generators and field whose left
+    sides (length 2-4) form an antichain under the subword order; each
+    right side is a combination of up to three smaller words of its left
+    side's length."""
     ngens = draw(st.integers(min_gens, 4))
     words = draw(st.lists(st.lists(st.integers(0, ngens - 1), min_size=2, max_size=4)
                           .map(tuple), min_size=1, max_size=12))
@@ -113,9 +118,9 @@ def _antichain_systems(draw, min_gens=2):
         smaller = [v for v in itertools.product(range(ngens), repeat=len(w)) if v < w]
         rhs = {}
         if smaller:
-            rhs = draw(st.dictionaries(st.sampled_from(smaller), COEFFS, max_size=3))
+            rhs = draw(st.dictionaries(st.sampled_from(smaller), COEFFS[field], max_size=3))
         rules.append(Rule(w, NCPoly(rhs), ()))
-    P = Presentation(ngens, [Generator("x", 1, j) for j in range(ngens)], [])
+    P = Presentation(ngens, [Generator("x", 1, j) for j in range(ngens)], [], field=field)
     return RewriteSystem(P, rules)
 
 
@@ -136,34 +141,51 @@ def test_find_redex_is_the_leftmost_match(rs, data):
         # the redex is the left side's code at its position
         assert w == rest + div * rs.code(rule.lhs)
         assert div == rs.n ** (len(word) - pos - len(rule.lhs))
-        assert rhs == tuple((rs.code(v), c) for v, c in rule.rhs.terms.items())
+        # each right-side term: its code, its value's index and that value's product row
+        assert tuple((u, rs.values[r]) for u, r, _ in rhs) == tuple(
+            (rs.code(v), c) for v, c in rule.rhs.terms.items())
+        assert all(row is rs._rows[r] for _, r, row in rhs)
     assert rs.decode(w, len(word)) == word
 
 
-@settings(max_examples=200, deadline=None)
-@given(rs=_antichain_systems(min_gens=1), data=st.data())
-def test_coded_reduce_takes_the_steps_of_the_reference(rs, data):
+def _check_coded_reduce(rs, data):
+    field, coeffs = rs.presentation.field, COEFFS[rs.presentation.field]
     ngens = rs.presentation.ngens
     word = st.lists(st.integers(0, ngens - 1), max_size=6).map(tuple)
-    p = NCPoly(data.draw(st.dictionaries(word, COEFFS, max_size=8)))
+    p = NCPoly(data.draw(st.dictionaries(word, coeffs, max_size=8)))
     # multiples of rule elements, so that terms cancel and residues vanish
     for _ in range(data.draw(st.integers(0, 3))):
-        element = data.draw(st.sampled_from(list(rs))).element(qs.ONE)
+        element = data.draw(st.sampled_from(list(rs))).element(field.one)
         left, right = data.draw(word), data.draw(word)
-        p = p + element.sandwich(left, right).scale(data.draw(COEFFS))
+        p = p + element.sandwich(left, right).scale(data.draw(coeffs))
     residue, steps = rs.reduce(p, collect=True)
     ref_residue, ref_steps = reference_reduce(rs, p, collect=True)
     assert residue == ref_residue
     assert len(steps) == len(ref_steps)
     for (left, rule, right, c), (rleft, rrule, rright, rc) in zip(steps, ref_steps):
         assert (left, right) == (rleft, rright)
-        assert rule is rrule and c is rc
+        assert rule is rrule and c == rc
+        # interned: the value is the reference's own object
+        assert field is not qs.QQ_Q or c is rc
     assert rs.reduce(p) == (residue, None)
+    # the table gives each value one index, zero index 0
+    assert rs.values[0] == field.zero and all(rs.values[1:])
+    assert len(set(rs.values)) == len(rs.values) == len(rs._ids)
 
 
-@settings(max_examples=100, deadline=None)
-@given(rs=_antichain_systems())
-def test_overlap_terms_are_the_overlap_difference(rs):
+@settings(max_examples=200, deadline=None)
+@given(rs=_antichain_systems(min_gens=1), data=st.data())
+def test_coded_reduce_takes_the_steps_of_the_reference(rs, data):
+    _check_coded_reduce(rs, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rs=_antichain_systems(min_gens=1, field=GF7), data=st.data())
+def test_coded_reduce_over_gf_p_takes_the_steps_of_the_reference(rs, data):
+    _check_coded_reduce(rs, data)
+
+
+def _check_overlap_terms(rs):
     # the class pass's coded difference for each pair of quadratic rules
     # ab -> ..., bc -> ...
     for (a, b, *longer), r1 in rs.rules.items():
@@ -171,8 +193,22 @@ def test_overlap_terms_are_the_overlap_difference(rs):
             r2 = rs.rules.get((b, c))
             if not longer and r2 is not None:
                 diff = r1.rhs.sandwich((), (c,)) - r2.rhs.sandwich((a,), ())
-                assert _overlap_terms(rs.index[2], rs.n, a, b, c) == {
+                terms = _overlap_terms(rs, a, b, c)
+                assert all(terms.values())
+                assert {w: rs.values[v] for w, v in terms.items()} == {
                     rs.code(w): v for w, v in diff.terms.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rs=_antichain_systems())
+def test_overlap_terms_are_the_overlap_difference(rs):
+    _check_overlap_terms(rs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rs=_antichain_systems(field=GF7))
+def test_overlap_terms_over_gf_p_are_the_overlap_difference(rs):
+    _check_overlap_terms(rs)
 
 
 @settings(max_examples=100, deadline=None)
