@@ -23,7 +23,7 @@ import copy
 from typing import NamedTuple
 
 from .linalg import SparseEchelon
-from .qscalar import Q, QQ_Q, DescentParser, bounded_pow, read_int
+from .qscalar import Q, QQ_Q, DescentParser, bounded_pow, tokenize
 
 
 class NCAlgError(ValueError):
@@ -273,38 +273,13 @@ def _prune(relations, order):
 # as copy[i,j], '*' both for scalar multiple and word concatenation.
 # ---------------------------------------------------------------------------
 
-def _poly_tokenize(text):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            v, i = read_int(text, i, PolyParseError)
-            toks.append(("int", v))
-        elif ch in "+-*/^()[],":
-            toks.append((ch, ch))
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            toks.append(("name", text[i:j]))
-            i = j
-        else:
-            raise PolyParseError(f"unexpected character {ch!r} at position {i}")
-    toks.append(("end", None))
-    return toks
-
-
 class _PolyParser(DescentParser):
     """Recursive-descent parser producing an NCPoly over a roster."""
 
     error = PolyParseError
 
     def __init__(self, text, presentation):
-        super().__init__(_poly_tokenize(text), text)
+        super().__init__(tokenize(text, PolyParseError), text)
         self.field = presentation.field
         self.positions = presentation.positions
 

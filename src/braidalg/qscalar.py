@@ -498,36 +498,37 @@ MAX_POWER_SPAN = 512
 MAX_NESTING = 100
 
 
-def read_int(text, i, error):
-    """The decimal integer starting at text[i], as (value, end position)."""
-    j = i
-    while j < len(text) and text[j].isdigit():
-        j += 1
-    try:
-        return int(text[i:j]), j
-    except ValueError:  # beyond the interpreter's integer-string limit
-        raise error(f"integer literal at position {i} is too long") from None
-
-
-def _tokenize(text):
+def tokenize(text, error):
+    """Tokens of the scalar and polynomial grammars: ("int", value), ("name",
+    text) of a letter or _ then letters, digits, . and _, (s, s) of each
+    symbol s in +-*/^()[], and a last ("end", "end"); error at all else."""
     toks = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
-            v, i = read_int(text, i, ScalarParseError)
-            toks.append(("int", v))
-        elif ch in "+-*/^()":
+        elif ch in "+-*/^()[],":
             toks.append((ch, ch))
             i += 1
-        elif ch == "q":
-            toks.append(("q", "q"))
-            i += 1
+        elif ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            try:
+                toks.append(("int", int(text[i:j])))
+            except ValueError:  # beyond the interpreter's integer-string limit
+                raise error(f"integer literal at position {i} is too long") from None
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "._"):
+                j += 1
+            toks.append(("name", text[i:j]))
+            i = j
         else:
-            raise ScalarParseError(f"unexpected character {ch!r} at position {i}")
-    toks.append(("end", None))
+            raise error(f"unexpected character {ch!r} at position {i}")
+    toks.append(("end", "end"))
     return toks
 
 
@@ -625,7 +626,7 @@ class DescentParser:
 
 class _ScalarParser(DescentParser):
     def __init__(self, text):
-        super().__init__(_tokenize(text), text)
+        super().__init__(tokenize(text, ScalarParseError), text)
 
     def divide(self, v, w):
         return v / w
@@ -637,11 +638,11 @@ class _ScalarParser(DescentParser):
         kind, val = self.next()
         if kind == "int":
             return RatFunc.from_int(val)
-        if kind == "q":
+        if kind == "name" and val == "q":
             return Q
         if kind == "(":
             return self.parenthesized()
-        raise ScalarParseError(f"unexpected token {kind!r} in {self.text!r}")
+        raise ScalarParseError(f"unexpected token {val!r} in {self.text!r}")
 
 
 def parse_scalar(text: str) -> RatFunc:

@@ -42,10 +42,11 @@ rule is reported as a completion warning: the quadratic system by itself
 was not confluent.  A class pass runs first: it resolves the degree-3
 overlaps of one copy subset per class of subsets whose rules agree up to
 an order-preserving relabelling, and when all vanish no other overlap is
-touched (see TruncatedGB).  It builds each overlap difference as coded
-terms and reduces it with the same loop that reduce runs.  Work over
-MAX_COMPLETION_WORK units (one per overlap reduction plus its steps)
-raises CompletionBudgetError.
+touched (see TruncatedGB).  Both passes build each overlap difference
+as coded terms with one builder (_overlap_terms) and reduce it with the
+loop that reduce runs; completion decodes words and values only for a
+residue it adjoins.  Work over MAX_COMPLETION_WORK units (one per overlap
+reduction plus its steps) raises CompletionBudgetError.
 """
 
 from __future__ import annotations
@@ -266,10 +267,16 @@ class RewriteSystem:
             self._reduce_coded(terms, length, coded)
             for w, c in terms.items():
                 residue[self.decode(w, length)] = values[c]
-            for w, i, rule, c in coded or ():
-                word = self.decode(w, length)
-                steps.append((word[:i], rule, word[i + len(rule.lhs):], values[c]))
+            if collect:
+                steps.extend(self._decode_steps(coded, length))
         return NCPoly._raw(residue), steps
+
+    def _decode_steps(self, coded, length):
+        """_reduce_coded's steps on words of this length as reduce's."""
+        values = self.values
+        for w, i, rule, c in coded:
+            word = self.decode(w, length)
+            yield word[:i], rule, word[i + len(rule.lhs):], values[c]
 
     def normal_word_counts(self, bound):
         """Numbers of words of degrees 0..bound that contain no left side.
@@ -361,14 +368,15 @@ def orient_relations(P: Presentation) -> tuple:
 # degree-bounded completion
 # ---------------------------------------------------------------------------
 
-def _overlap_terms(rs: RewriteSystem, a, b, c):
-    """rhs(ab)*c - a*rhs(bc) as a dict from word code to value index, for
-    quadratic rules ab -> ... and bc -> ... of rs."""
-    n, pairs, minus = rs.n, rs.index[2], rs._minus
-    terms = {v * n + c: r for v, r, _ in pairs[a * n + b][1]}
-    hi = a * n * n
-    for v, r, row in pairs[b * n + c][1]:
-        w, nr = hi + v, rs._times(minus, r, row)
+def _overlap_terms(rs: RewriteSystem, r1: Rule, r2: Rule, ell: int):
+    """rhs(r1)*s - p*rhs(r2) as a dict from word code to value index, for
+    rules p+m -> ... and m+s -> ... of rs, m of ell letters."""
+    n, n2, k1, k2 = rs.n, len(r2.lhs), rs.code(r1.lhs), rs.code(r2.lhs)
+    tail = n ** (n2 - ell)
+    terms = {v * tail + k2 % tail: r for v, r, _ in rs.index[len(r1.lhs)][k1][1]}
+    hi = k1 // n ** ell * n ** n2
+    for v, r, row in rs.index[n2][k2][1]:
+        w, nr = hi + v, rs._times(rs._minus, r, row)
         s = terms.get(w)
         s = nr if s is None else rs._plus(s, nr)
         if s:
@@ -397,14 +405,14 @@ class TruncatedGB(RewriteSystem):
     rules; and a subset's key holds the signatures of its single copies and
     copy pairs, which hold all its rules.  Quadratic left sides overlap only
     in degree 3, so if every class resolves to zero they are the basis for
-    every bound.  The pass needs only whether each residue is zero and how
-    many steps it took, so it builds each difference as coded degree-3
-    terms (_overlap_terms) and reduces them with reduce's own loop
-    (_reduce_coded), decoding no word or value and building no polynomial:
-    its products and sums are lookups in the value table it shares with
-    reduce and with the rules _complete adjoins.
-    classes, class_overlaps (reduced), fell_back and work (units spent)
-    record what construction did.
+    every bound.
+
+    Both passes build each overlap difference as coded terms
+    (_overlap_terms) and reduce it with reduce's own loop (_reduce_coded).
+    The class pass decodes nothing; _complete decodes words, values and
+    steps only for a residue it adjoins, whose leading word is its largest
+    code (codes of one length compare in deg-lex).  classes, class_overlaps
+    (reduced), fell_back and work (units spent) record what construction did.
     """
 
     def __init__(self, P: Presentation, bound: int):
@@ -460,17 +468,17 @@ class TruncatedGB(RewriteSystem):
             for s in itertools.combinations(range(ncopies), k):
                 classes.setdefault(tuple(sig[t] for t in parts(s)), s)
         self.classes = len(classes)
-        # every rule is quadratic here: the right letters of the rules on b
+        # every rule is quadratic here: the rules that start with b
         follow = {}
-        for b, c in self.rules:
-            follow.setdefault(b, []).append(c)
+        for rule in self:
+            follow.setdefault(rule.lhs[0], []).append(rule)
         for s in classes.values():
             for r1 in itertools.chain.from_iterable(on.get(t, ()) for t in parts(s)):
                 a, b = r1.lhs
-                for c in follow.get(b, ()):
-                    if {a // size, b // size, c // size} != set(s):
+                for r2 in follow.get(b, ()):
+                    if {a // size, b // size, r2.lhs[1] // size} != set(s):
                         continue
-                    terms = _overlap_terms(self, a, b, c)
+                    terms = _overlap_terms(self, r1, r2, 1)
                     if terms:
                         self._charge(1 + self._reduce_coded(terms, 3))
                         self.class_overlaps += 1
@@ -481,7 +489,7 @@ class TruncatedGB(RewriteSystem):
     def _complete(self):
         """Resolve every overlap of composed degree <= bound, smallest word
         first, equal words in the order they were paired."""
-        bound, P = self.bound, self.presentation
+        bound = self.bound
         pending, arrived, seq = [], [], itertools.count()
         by_first, by_last = {}, {}
 
@@ -512,26 +520,26 @@ class TruncatedGB(RewriteSystem):
 
         for rule in self:
             arrive(rule)
-        one = P.field.one
+        one, values = self.presentation.field.one, self.values
         while pending:
-            _, w, _, r1, r2 = heapq.heappop(pending)
-            suffix = w[len(r1.lhs):]
-            prefix = w[:len(w) - len(r2.lhs)]
-            diff = r1.rhs.sandwich((), suffix) - r2.rhs.sandwich(prefix, ())
-            if not diff:
+            length, w, _, r1, r2 = heapq.heappop(pending)
+            terms = _overlap_terms(self, r1, r2, len(r1.lhs) + len(r2.lhs) - length)
+            if not terms:
                 continue
-            residue, steps = self.reduce(diff, collect=True)
-            self._charge(1 + len(steps))
-            if not residue:
+            steps = []
+            self._charge(1 + self._reduce_coded(terms, length, steps))
+            if not terms:
                 continue
-            lead = P.order.leading_word(residue)
-            inv = one / residue.terms[lead]
+            lead = max(terms)
+            inv = one / values[terms.pop(lead)]
             ninv = -inv
-            rhs = NCPoly({ww: c * ninv for ww, c in residue.terms.items() if ww != lead})
+            rhs = NCPoly({self.decode(u, length): values[c] * ninv for u, c in terms.items()})
+            prefix, suffix = w[:length - len(r2.lhs)], w[len(r1.lhs):]
             # residue = prefix * r2 - r1 * suffix - sum c * left * rule * right
-            new = Rule(lead, rhs, ((prefix, r2, (), inv), ((), r1, suffix, ninv),
-                                   *((left, rule, right, c * ninv)
-                                     for left, rule, right, c in steps)))
+            new = Rule(self.decode(lead, length), rhs, (
+                (prefix, r2, (), inv), ((), r1, suffix, ninv),
+                *((left, rule, right, c * ninv)
+                  for left, rule, right, c in self._decode_steps(steps, length))))
             self.added_rules.append(new)
             self.add(new)
             arrive(new)

@@ -469,6 +469,9 @@ def _entry(coeff):
     {"dim": 1, "entries": [_entry("(1+q)^1600")]},
     {"dim": 1, "entries": [_entry("(" * 5000 + "q" + ")" * 5000)]},
     {"dim": 1, "entries": [_entry("9" * 5000)]},
+    # the scalar grammar knows one name, q
+    {"dim": 1, "entries": [_entry("2*x")]},
+    {"dim": 1, "entries": [_entry("u[1,1]")]},
 ])
 def test_bad_documents_are_usage_errors(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Completion by copy classes: the class pass of TruncatedGB against full
 completion, its fallbacks, and its share of the work budget."""
 
+import itertools
 import random
 import sys
 import threading
@@ -95,10 +96,10 @@ def test_class_pass_gives_full_completions_verdict(name, build, classes, reduced
     assert full.fell_back and full.classes == 0
 
 
-def _decode(terms, gb):
-    """Coded degree-3 terms as {word: value}, through gb's value table."""
-    n = gb.n
-    return {(w // (n * n), w // n % n, w % n): gb.values[c] for w, c in terms.items()}
+def _decode(terms, gb, length=3):
+    """Coded terms of words of this length as {word: value}, through gb's
+    value table."""
+    return {gb.decode(w, length): gb.values[c] for w, c in terms.items()}
 
 
 def assert_class_pass_steps_match_reduce(P, monkeypatch):
@@ -106,30 +107,43 @@ def assert_class_pass_steps_match_reduce(P, monkeypatch):
     class pass reduces, the steps it took and the residue it left; check
     each against the reference reducer with the quadratic rules.  Returns
     the system and (residue, steps) of each."""
-    seen, counts = [], []
+    seen, counts, in_pass = [], [], []
     overlap_terms, reduce_coded = rewrite._overlap_terms, TruncatedGB._reduce_coded
+    resolved_by_classes = TruncatedGB._resolved_by_classes
 
-    def recording_overlap(rs, a, b, c):
-        terms = overlap_terms(rs, a, b, c)
-        if terms:
+    def recording_pass(self):
+        # full completion builds and reduces its overlaps with the same
+        # functions; only the class pass's calls are recorded
+        in_pass.append(True)
+        try:
+            return resolved_by_classes(self)
+        finally:
+            in_pass.clear()
+
+    def recording_overlap(rs, r1, r2, ell):
+        terms = overlap_terms(rs, r1, r2, ell)
+        if terms and in_pass:
             # a copy of the difference, and the dict the pass reduces in place
-            seen.append(((a, b, c), dict(terms), terms))
+            seen.append((r1.lhs, r2.lhs, ell, dict(terms), terms))
         return terms
 
     def recording_reduce(self, terms, length, steps=None):
         count = reduce_coded(self, terms, length, steps)
-        counts.append(count)
+        if in_pass:
+            counts.append(count)
         return count
 
     with monkeypatch.context() as m:
+        m.setattr(TruncatedGB, "_resolved_by_classes", recording_pass)
         m.setattr(rewrite, "_overlap_terms", recording_overlap)
         m.setattr(TruncatedGB, "_reduce_coded", recording_reduce)
         gb = TruncatedGB(P, BOUND)
-    # the pass reduces each recorded difference before any other reduction
-    assert len(seen) == gb.class_overlaps <= len(counts)
+    # the pass reduces each recorded difference, and nothing else
+    assert len(seen) == gb.class_overlaps == len(counts)
     quadratic, reduced = rewrite.orient_relations(P), []
     by_lhs = {r.lhs: r for r in quadratic}
-    for ((a, b, c), diff_terms, residue_terms), count in zip(seen, counts):
+    for ((a, b), (b2, c), ell, diff_terms, residue_terms), count in zip(seen, counts):
+        assert (b2, ell) == (b, 1)
         r1, r2 = by_lhs[(a, b)], by_lhs[(b, c)]
         diff = r1.rhs.sandwich((), (c,)) - r2.rhs.sandwich((a,), ())
         assert _decode(diff_terms, gb) == diff.terms
@@ -213,6 +227,39 @@ def test_non_confluent_square_falls_back_to_full_completion():
     assert len(gb.added_rules) == 361
     # the pass's reductions are charged on top of completion's
     assert gb.work > full.work
+    assert (gb.work, full.work) == (51651, 51646)
+
+
+def test_completion_builds_and_reduces_overlaps_without_reduce(monkeypatch):
+    def refuse(self, p, collect=False):
+        raise AssertionError("completion called RewriteSystem.reduce")
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "reduce", refuse)
+    Rp = pert2_rmatrix()
+    gb = TruncatedGB(square(braided_chain(Rp, 2), Rp), BOUND)
+    assert gb.fell_back and len(gb.added_rules) == 361 and gb.work == 51651
+    # the hilbert chain pert2 -n 3 -D 5 benchmark job's completion
+    chain = TruncatedGB(braided_chain(Rp, 3), 5)
+    assert chain.fell_back and (chain.work, len(chain.added_rules)) == (21123, 105)
+
+
+def test_overlap_terms_of_adjoined_rules_are_the_overlap_difference():
+    # pairs of the length-3 rules adjoined on the pert2 square, overlapping
+    # in one letter (a degree-5 word) or two (degree 4)
+    Rp = pert2_rmatrix()
+    gb = TruncatedGB(square(braided_chain(Rp, 2), Rp), BOUND)
+    cubic = [r for r in gb.added_rules if len(r.lhs) == 3]
+    checked = {1: 0, 2: 0}
+    for r1, r2 in itertools.product(cubic, repeat=2):
+        for ell in (1, 2):
+            if r1.lhs[3 - ell:] == r2.lhs[:ell]:
+                diff = (r1.rhs.sandwich((), r2.lhs[ell:])
+                        - r2.rhs.sandwich(r1.lhs[:3 - ell], ()))
+                terms = rewrite._overlap_terms(gb, r1, r2, ell)
+                assert all(terms.values())
+                assert _decode(terms, gb, 6 - ell) == diff.terms
+                checked[ell] += 1
+    assert checked[1] and checked[2]
 
 
 def _mutated_chain3(k):

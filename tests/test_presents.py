@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 
 import pytest
@@ -11,7 +12,7 @@ from braidalg import presents
 from braidalg import qscalar as qs
 from braidalg.cli import main
 from braidalg.ideals import hilbert_dims, ideal_membership
-from braidalg.ncalg import NCPoly, Presentation
+from braidalg.ncalg import DegLexOrder, NCPoly, Presentation, _prune
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, build_preset, cross_block,
                                frt_algebra, matrix_roster, square_iso_witness)
@@ -196,6 +197,37 @@ def test_placed_blocks_equal_blocks_built_at_their_offsets(rmatrix, n, monkeypat
                          (square, square_relations_at_offsets(chain, R))):
         assert given.pop(0) == [r.terms for r in reference], P.name
         assert P.relations == Presentation(R.dim, P.roster, reference, field=R.field).relations
+
+
+@pytest.mark.parametrize("rmatrix, ns", [(glq2_rmatrix, (1, 2, 3, 4)),
+                                         (perturbed_rmatrix, (1, 2, 3, 4)),
+                                         (lambda: glq_rmatrix(3), (1, 2))],
+                         ids=["glq2", "pert2", "glq3"])
+def test_stored_relations_are_the_placed_block_bases(rmatrix, ns):
+    # the blocks have disjoint word supports, so the canonical echelon basis
+    # of a chain or a square is the union of the canonical bases of its
+    # placed block forms, by descending leading word
+    R = rmatrix()
+    size, order = R.dim * R.dim, DegLexOrder()
+    own, cross, statistics = (_prune(block, order) for block in (
+        presents.self_block(R), cross_block(R, "r21"), cross_block(R, "statistics")))
+
+    def chain_blocks(copies):
+        # the self block on each copy, the r21 block on each pair of them
+        return ([(own, (c,)) for c in copies]
+                + [(cross, pair) for pair in itertools.combinations(copies, 2)])
+
+    def union(blocks):
+        rels = [r for block, copies in blocks for r in presents._place(block, size, copies)]
+        return sorted(rels, key=lambda r: order.key(order.leading_word(r)), reverse=True)
+
+    for n in ns:
+        chain = braided_chain(R, n)
+        assert list(chain.relations) == union(chain_blocks(range(n)))
+        square = braided_tensor_square(chain, R)
+        assert list(square.relations) == union(
+            chain_blocks(range(n)) + chain_blocks(range(n, 2 * n))
+            + [(statistics, (u, n + v)) for u in range(n) for v in range(n)])
 
 
 def test_each_block_form_is_built_once(monkeypatch):

@@ -1,6 +1,6 @@
 """RewriteSystem's coded redex search and reducer against reference
 oracles: the leftmost match found naively, the tuple-word trie reducer that
-the coded reducer replaced, the overlap difference of two quadratic rules,
+the coded reducer replaced, the overlap difference of two rules,
 and normal words counted by brute force, over random antichains of left
 sides with coefficients in Q(q) or GF(p)."""
 
@@ -186,14 +186,15 @@ def test_coded_reduce_over_gf_p_takes_the_steps_of_the_reference(rs, data):
 
 
 def _check_overlap_terms(rs):
-    # the class pass's coded difference for each pair of quadratic rules
-    # ab -> ..., bc -> ...
-    for (a, b, *longer), r1 in rs.rules.items():
-        for c in range(rs.presentation.ngens):
-            r2 = rs.rules.get((b, c))
-            if not longer and r2 is not None:
-                diff = r1.rhs.sandwich((), (c,)) - r2.rhs.sandwich((a,), ())
-                terms = _overlap_terms(rs, a, b, c)
+    # the coded difference rhs(r1)*s - p*rhs(r2) for every overlap of two
+    # left sides p+m and m+s, m of ell letters
+    for r1, r2 in itertools.product(rs, repeat=2):
+        n1, n2 = len(r1.lhs), len(r2.lhs)
+        for ell in range(1, min(n1, n2)):
+            if r1.lhs[n1 - ell:] == r2.lhs[:ell]:
+                p, s = r1.lhs[:n1 - ell], r2.lhs[ell:]
+                diff = r1.rhs.sandwich((), s) - r2.rhs.sandwich(p, ())
+                terms = _overlap_terms(rs, r1, r2, ell)
                 assert all(terms.values())
                 assert {w: rs.values[v] for w, v in terms.items()} == {
                     rs.code(w): v for w, v in diff.terms.items()}
