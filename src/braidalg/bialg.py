@@ -325,9 +325,9 @@ class VerificationReport:
 
 
 def _denominators(P: Presentation, SQ: Presentation):
-    """The distinct denominators of the relation coefficients of P and SQ,
-    all that sampled mode specializes (the coproduct's are 1 and 0)."""
-    coeffs = {c for p in P.relations + SQ.relations for c in p.terms.values()}
+    """The distinct denominators of the coefficients of the forms of P and
+    SQ, all that sampled mode specializes (the coproduct's are 1 and 0)."""
+    coeffs = {c for form in P.forms + SQ.forms for r in form for c in r.terms.values()}
     return {RatFunc(0, c.den) for c in coeffs}
 
 

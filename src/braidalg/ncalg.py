@@ -14,12 +14,24 @@ roster positions.  Builders list later chain copies (and the right tensor
 factor) after earlier ones, so "later copy passes earlier copy" words are
 leading.
 
+A presentation's relations are placements of block forms.  A form is a
+list of relations on k copies of size generators, copy j being positions
+j*size .. j*size + size - 1; a placement (form, size, copies) puts it on k
+increasing roster copies by a relabelling that keeps the order.  A plain
+relation list is one form on all of its generators.  Placements share one
+size and put words on distinct copies, so their word supports are
+disjoint, and the stored relations, the placed canonical forms sorted by
+descending leading word, are the canonical basis of the whole span.
+Completion's class pass reads copy classes off the placements, so a plain
+list on a roster of several copies takes the full-completion fallback.
+
 Everything here is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import copy
+from operator import itemgetter
 from typing import NamedTuple
 
 from .linalg import SparseEchelon
@@ -198,13 +210,15 @@ class DegLexOrder:
 # ---------------------------------------------------------------------------
 
 class Presentation:
-    """Generator roster plus homogeneous quadratic relation set.
+    """Generator roster plus homogeneous quadratic relations, given as
+    placements (form, size, copies) or as a plain relation list.
 
-    relations are always stored as the canonical reduced echelon basis of
-    their span (monic leading words, fully reduced), ordered by descending
-    leading word, so equal spans give equal stored relation lists.
-    source_leads is the set of leading words of the relations as given,
-    all that orientation reads of them.
+    Each distinct form is pruned once to its canonical reduced echelon
+    basis (forms; placements holds them), and relations is their placed
+    union by descending leading word, so equal spans store equal relation
+    lists.  leads are the relations' leading words, and forced, descending,
+    the leads that no relation as given led with and that put a generator
+    of an earlier copy (by first roster appearance) before a later one.
     """
 
     def __init__(self, dim, roster, relations, field=QQ_Q, name=""):
@@ -216,14 +230,40 @@ class Presentation:
         self.field = field
         self.name = name
         self.order = DegLexOrder()
-        gens = set(range(len(self.roster)))
-        for r in relations:
-            if not r.is_homogeneous(2):
-                raise NCAlgError("relations must be homogeneous of degree 2")
-            if not r.generators() <= gens:
+        relations = list(relations)
+        if relations and isinstance(relations[0], NCPoly):
+            relations = [(relations, len(self.roster), (0,))]
+        labels = {c: i for i, c in enumerate(dict.fromkeys(g.copy for g in self.roster))}
+        rank = [labels[g.copy] for g in self.roster]
+        forms, owners, placements, forced = {}, {}, [], []
+        for given, size, copies in relations:
+            copies = tuple(copies)
+            to = [c * size + g for c in copies for g in range(size)]
+            if size != relations[0][1] or not (to and 0 <= to[0] and to[-1] < self.ngens) or any(
+                    b <= a for a, b in zip(copies, copies[1:])):
+                raise NCAlgError("placements must share one block size and lie on "
+                                 "increasing roster copies")
+            if id(given) not in forms:
+                if not all(r.is_homogeneous(2) for r in given):
+                    raise NCAlgError("relations must be homogeneous of degree 2")
+                form = tuple(_prune(given, self.order))
+                sourced = {max(r.terms) for r in given if r}
+                contents = {tuple(sorted(g // size for g in w)) for r in form for w in r.terms}
+                unsourced = [w for w in (max(r.terms) for r in form) if w not in sourced]
+                forms[id(given)] = form, contents, unsourced
+            form, contents, unsourced = forms[id(given)]
+            if any(c[0] < 0 or c[-1] >= len(copies) for c in contents):
                 raise NCAlgError("relation uses generators outside the roster")
-        self.source_leads = frozenset(self.order.leading_word(r) for r in relations if r)
-        self.relations = tuple(_prune(relations, self.order))
+            for key in {tuple(copies[j] for j in content) for content in contents}:
+                if owners.setdefault(key, len(placements)) != len(placements):
+                    raise NCAlgError("two placements put words on the same copies")
+            forced += [(to[a], to[b]) for a, b in unsourced if rank[to[a]] < rank[to[b]]]
+            placements.append((form, size, copies))
+        led = sorted(((max(r.terms), r) for form, size, copies in placements
+                      for r in _place(form, size, copies)), key=itemgetter(0), reverse=True)
+        self.forms, self.placements = [f[0] for f in forms.values()], tuple(placements)
+        self.relations, self.leads = tuple(r for _, r in led), tuple(w for w, _ in led)
+        self.forced = tuple(sorted(forced, reverse=True))
         self._cache = {}
 
     @property
@@ -239,18 +279,19 @@ class Presentation:
 
     def evaluate_mod(self, x) -> "Presentation":
         """The specialization q -> x in x's ring Z/MZ, each distinct
-        coefficient evaluated once; raises PoleError at a pole of a
-        relation coefficient.
-
-        Specialization keeps every monic leading term and every zero, so
-        the specialized relations are still a canonical echelon basis in
-        the symbolic order, with the same leading words: the result is a
-        copy of self with only its relations, field and cache replaced.
-        """
-        coeffs = dict.fromkeys(c for r in self.relations for c in r.terms.values())
-        values = {c: c.evaluate_mod(x) for c in coeffs}
+        coefficient of the forms evaluated once; raises PoleError at a pole
+        of a relation coefficient.  It keeps every monic leading term, so
+        the specialized forms are canonical bases with the same leading
+        words, and the placed relations, which hold the forms' coefficients,
+        take the same values on the same words."""
+        coeffs = dict.fromkeys(c for form in self.forms for r in form for c in r.terms.values())
+        special = {c: c.evaluate_mod(x) for c in coeffs}.__getitem__
+        forms = {id(form): tuple(r.map_coefficients(special) for r in form) for form in self.forms}
         P = copy.copy(self)
-        P.relations = tuple(r.map_coefficients(values.__getitem__) for r in self.relations)
+        P.forms = list(forms.values())
+        P.placements = tuple((forms[id(form)], size, copies)
+                             for form, size, copies in self.placements)
+        P.relations = tuple(r.map_coefficients(special) for r in self.relations)
         P.field, P._cache = x.ring, {}
         return P
 
@@ -266,6 +307,15 @@ def _prune(relations, order):
         if r:
             ech.insert(dict(r.terms))
     return [NCPoly(row) for row, _ in ech.canonical()]
+
+
+def _place(form, size: int, copies):
+    """The relations of form moved onto the increasing copies given (every
+    word has length 2); form's own relations when they stay in place."""
+    if list(copies) == list(range(len(copies))):
+        return list(form)
+    to = [c * size + g for c in copies for g in range(size)]
+    return [NCPoly._raw({(to[a], to[b]): c for (a, b), c in r.terms.items()}) for r in form]
 
 
 # ---------------------------------------------------------------------------

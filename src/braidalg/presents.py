@@ -9,10 +9,10 @@ are u1 = u (x) 1 and u2 = 1 (x) u, each with N^3 generator entries.  A
 block is the list of nonzero entry differences of two such products
 (TensorOperator.differences), in row-major order of the (output, input)
 index pairs.  Each form is built once, on copy 0 or copies 0 and 1 (entry
-u[i,j] of copy c is roster position c*N^2 + (i-1)*N + (j-1)), and moved
-onto other copies by an order-preserving relabelling (_place).
-Presentation stores the canonical echelon basis of the blocks, so equal
-spans store equal relation lists.
+u[i,j] of copy c is roster position c*N^2 + (i-1)*N + (j-1)), and placed
+on other copies as Presentation placements (form, N^2, copies), relabelled
+in order by ncalg._place; the stored relations are the canonical basis of
+the union of the placed blocks, so equal spans store equal relation lists.
 
 Builders:
 
@@ -31,7 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .ncalg import Generator, NCPoly, Presentation
+from .ncalg import Generator, NCPoly, Presentation, _place  # noqa: F401 (_place re-exported)
 from .rewrite import relation_leads
 from .rmat import RMatrix, TensorOperator, invert, leg_embed
 from . import ideals
@@ -63,14 +63,6 @@ def _block(lhs_factors, rhs_factors):
     lhs = functools.reduce(TensorOperator.matmul, lhs_factors)
     rhs = functools.reduce(TensorOperator.matmul, rhs_factors)
     return [d for _, _, d in lhs.differences(rhs)]
-
-
-def _place(block, size: int, copies):
-    """block, on copies 0, 1, ... of size generators, moved onto the increasing
-    copies given: a relabelling that keeps the monomial order."""
-    to = [c * size + g for c in copies for g in range(size)]
-    return [NCPoly._raw({tuple([to[g] for g in w]): c for w, c in r.terms.items()})
-            for r in block]
 
 
 def matrix_roster(copy: str, N: int):
@@ -124,15 +116,15 @@ def frt_algebra(R: RMatrix) -> Presentation:
     t1 = _generators(0, 1, R.dim, one)
     t2 = _generators(0, 2, R.dim, one)
     rels = _block([r, t1, t2], [t2, t1, r])
-    return Presentation(R.dim, matrix_roster("t", R.dim), rels,
+    return Presentation(R.dim, matrix_roster("t", R.dim), [(rels, R.dim * R.dim, (0,))],
                         field=R.field, name="frt")
 
 
 def braided_matrices(R: RMatrix) -> Presentation:
     """Braided matrices B(R): generators u, relations R21 u1 R u2 = u2 R21 u1 R."""
     invert(R)
-    return Presentation(R.dim, matrix_roster("u", R.dim), self_block(R),
-                        field=R.field, name="bm")
+    return Presentation(R.dim, matrix_roster("u", R.dim),
+                        [(self_block(R), R.dim * R.dim, (0,))], field=R.field, name="bm")
 
 
 def braided_tensor_square(base: Presentation, R: RMatrix) -> Presentation:
@@ -146,17 +138,16 @@ def braided_tensor_square(base: Presentation, R: RMatrix) -> Presentation:
     and raises OrientationError otherwise.
     """
     labels = list(dict.fromkeys(g.copy for g in base.roster))
-    if list(base.roster) != [g for c in labels for g in matrix_roster(c, base.dim)]:
-        raise ValueError("base roster is not a row-major matrix roster")
     k, size = len(labels), base.dim * base.dim
+    if list(base.roster) != [g for c in labels for g in matrix_roster(c, base.dim)] or any(
+            s != size for _, s, _ in base.placements):
+        raise ValueError("base is not placed on the copies of a row-major matrix roster")
     roster = [Generator(f"{t}.{g.copy}", g.row, g.col) for t in ("L", "R") for g in base.roster]
-    rels = list(base.relations)
-    rels.extend(_place(base.relations, size, range(k, 2 * k)))
+    placements = list(base.placements)
+    placements += [(form, size, tuple(c + k for c in copies)) for form, _, copies in base.placements]
     statistics = cross_block(R, form="statistics")
-    for v in range(k):
-        for u in range(k):
-            rels.extend(_place(statistics, size, (u, k + v)))
-    P = Presentation(base.dim, roster, rels, field=base.field,
+    placements += [(statistics, size, (u, k + v)) for v in range(k) for u in range(k)]
+    P = Presentation(base.dim, roster, placements, field=base.field,
                      name=f"square({base.name})" if base.name else "square")
     relation_leads(P)  # fail fast when the statistics block is singular
     return P
@@ -167,20 +158,14 @@ def braided_chain(R: RMatrix, n: int) -> Presentation:
     if n < 1:
         raise ValueError("chain needs at least one copy")
     invert(R)
-    roster = []
-    rels = []
     size = R.dim * R.dim
+    roster = [g for i in range(n) for g in matrix_roster(f"u{i + 1}", R.dim)]
     own = self_block(R)
     cross = cross_block(R, form="r21") if n > 1 else ()
-    for i in range(n):
-        roster.extend(matrix_roster(f"u{i + 1}", R.dim))
-        rels.extend(_place(own, size, (i,)))
-    for i in range(n):
-        for j in range(i):
-            rels.extend(_place(cross, size, (j, i)))
-    P = Presentation(R.dim, roster, rels, field=R.field, name=f"chain{n}")
-    if n > 1:
-        relation_leads(P)  # fail fast when a cross block is singular
+    placements = [(own, size, (i,)) for i in range(n)]
+    placements += [(cross, size, (j, i)) for i in range(n) for j in range(i)]
+    P = Presentation(R.dim, roster, placements, field=R.field, name=f"chain{n}")
+    relation_leads(P)  # fail fast when a cross block is singular
     return P
 
 

@@ -14,39 +14,29 @@ relation it was read off, or the derivation of an adjoined rule from
 earlier rules, which ideals expands into membership certificates.
 
 A RewriteSystem has one reducer, on word codes: a word of length L is the
-base-n integer of its roster positions, n = max(ngens, 2).  Every position
-is below n, so among words of one length integer order is tuple order,
-which is deg-lex; and the subword of length ell at position i is
-w // n**(L-i-ell) % n**ell.  The rules are indexed once, by left-side
-length, on these codes.  The reducer codes coefficients too: each is its
-index into the system's value table, index 0 being zero, and a product or
-a sum is a lookup of indices that computes with the field's own * and +
-only on a miss, so one loop serves Q(q) and Z/MZ.  reduce rewrites one
-degree part at a time (every rule is homogeneous), largest word first at
-its leftmost redex, coding the coefficients on entry and decoding words
-and values only for the residue and the collected steps.  Invariant: the left
-sides form an antichain under the subword order, so at most one matches
-at any position.  It holds because the quadratic left sides are distinct,
-an adjoined left side leads a fully reduced residue, and adjoined lengths
+base-n integer of its roster positions, n = max(ngens, 2), so among words
+of one length integer order is deg-lex, and the subword of length ell at
+position i is w // n**(L-i-ell) % n**ell.  The rules are indexed once, by
+left-side length, on these codes, and each coefficient is coded as its
+index into the system's value table, so one loop serves Q(q) and Z/MZ.
+reduce rewrites one degree part at a time (every rule is homogeneous),
+largest word first at its leftmost redex.  Invariant: the left sides form
+an antichain under the subword order, so at most one matches at any
+position.  It holds because the quadratic left sides are distinct, an
+adjoined left side leads a fully reduced residue, and adjoined lengths
 never decrease.
 
 Because no confluence is guaranteed for quadratic rewrite systems in
 general, reduction alone only proves membership (residue zero), never
 non-membership.  TruncatedGB closes the gap exactly: it resolves every
 overlap ambiguity of composed degree <= D, adjoining the reduced residues
-as extra rules derived by that reduction; each rule, initial or adjoined,
-is paired on arrival with itself and every earlier rule.  After that, normal
-forms are canonical on all elements of degree <= D, so a nonzero residue
-is an exact witness of non-membership at that degree bound.  Any adjoined
-rule is reported as a completion warning: the quadratic system by itself
-was not confluent.  A class pass runs first: it resolves the degree-3
-overlaps of one copy subset per class of subsets whose rules agree up to
-an order-preserving relabelling, and when all vanish no other overlap is
-touched (see TruncatedGB).  Both passes build each overlap difference
-as coded terms with one builder (_overlap_terms) and reduce it with the
-loop that reduce runs; completion decodes words and values only for a
-residue it adjoins.  Work over MAX_COMPLETION_WORK units (one per overlap
-reduction plus its steps) raises CompletionBudgetError.
+as extra rules derived by that reduction, after a class pass that settles
+confluent input by copy classes.  After that, normal forms are canonical
+on all elements of degree <= D, so a nonzero residue is an exact witness
+of non-membership at that degree bound.  Any adjoined rule is reported as
+a completion warning: the quadratic system by itself was not confluent.
+Work over MAX_COMPLETION_WORK units (one per overlap reduction plus its
+steps) raises CompletionBudgetError.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ import heapq
 import itertools
 import threading
 
-from .ncalg import NCPoly, Presentation, word_str
+from .ncalg import NCPoly, Presentation, _place, word_str
 
 # far above the ~9.6e4 units of the largest benchmark job, far below a
 # completion without end
@@ -85,10 +75,6 @@ class Rule:
         self.rhs = rhs
         self.source = source
 
-    def element(self, one) -> NCPoly:
-        """lhs - rhs as a polynomial (one is the field unit)."""
-        return NCPoly.term(self.lhs, one) - self.rhs
-
     def __repr__(self):
         return f"Rule({self.lhs} -> ...)"
 
@@ -106,12 +92,15 @@ class RewriteSystem:
     under a lock, so threads reducing at once never give one value two
     indices, and every memo entry names the one index of its value.
     _probes maps each word length to the places a left side fits,
-    leftmost first."""
+    leftmost first.  _arrived lists the rules as they arrived, and
+    _prefixes and _suffixes map each proper prefix and suffix of a left
+    side to the arrival indices of its rules, ascending."""
 
     def __init__(self, presentation: Presentation, rules):
         self.presentation = presentation
         self.n = max(presentation.ngens, 2)
         self.rules, self.index, self._probes = {}, {}, {}
+        self._arrived, self._prefixes, self._suffixes = [], {}, {}
         field = presentation.field
         self.values, self._ids = [field.zero], {field.zero: 0}
         self._rows, self._sums, self._lock = {}, {}, threading.Lock()
@@ -132,6 +121,11 @@ class RewriteSystem:
             r = self.value_index(c)
             coded.append((self.code(w), r, self._rows.setdefault(r, {})))
         self.index[ell][self.code(rule.lhs)] = (rule, tuple(coded))
+        i = len(self._arrived)
+        self._arrived.append(rule)
+        for k in range(1, ell):
+            self._prefixes.setdefault(rule.lhs[:k], []).append(i)
+            self._suffixes.setdefault(rule.lhs[-k:], []).append(i)
 
     def __iter__(self):
         return iter(self.rules.values())
@@ -281,31 +275,21 @@ class RewriteSystem:
     def normal_word_counts(self, bound):
         """Numbers of words of degrees 0..bound that contain no left side.
 
-        The left sides go in a trie (the goto part of an Aho-Corasick
-        automaton) of dicts from generator to child, with the rules as
-        leaves.  A state is the longest suffix read so far that is a proper
-        prefix of a left side: a trie inner node, numbered breadth-first.
-        goto[s][g] is the state after reading g (None when that completes a
-        left side) and fail[s] < s the state of the longest proper suffix
-        of s.
+        A state is the longest suffix read so far that is a proper prefix of
+        a left side, the empty word included.  Reading g from state s leads
+        to the longest suffix of s + (g,) that is a left side, where the
+        word ends (None), or a proper prefix: the left sides are an
+        antichain, so a left side is never a suffix of a proper prefix.
         """
-        trie = {}
-        for lhs, rule in self.rules.items():
-            node = trie
-            for g in lhs[:-1]:
-                node = node.setdefault(g, {})
-            node[lhs[-1]] = rule
-        nodes, fail, goto = [trie], [0], []
-        for s, node in enumerate(nodes):
-            back = goto[fail[s]] if s else [0] * self.presentation.ngens
-            row = list(back)
-            for g, child in node.items():
-                if type(child) is Rule:
-                    row[g] = None
-                else:
-                    fail.append(back[g])
-                    row[g] = len(nodes)
-                    nodes.append(child)
+        rules, states = self.rules, {(): 0}
+        for p in self._prefixes:
+            states[p] = len(states)
+        goto = []
+        for s in states:
+            row = []
+            for t in (s + (g,) for g in range(self.presentation.ngens)):
+                u = next(t[i:] for i in range(len(t) + 1) if t[i:] in rules or t[i:] in states)
+                row.append(None if u in rules else states[u])
             goto.append(row)
         counts, vec = [1], {0: 1}
         for _ in range(bound):
@@ -330,25 +314,18 @@ def relation_leads(P: Presentation) -> tuple:
     "wrong-order" words (a later-copy generator passing an earlier-copy one)
     downwards.  When the exchange coefficient matrix is singular, solving
     the system forces a rule for an ascending cross-copy word that no given
-    relation led with (P.source_leads); that is the unsolvable case
-    reported as OrientationError (permuting the generator precedence may
-    help).  A relation explicitly written with an ascending leading word is
-    taken at face value and oriented as given.  The builders call this
-    alone to fail fast.
+    relation led with (P.forced, which Presentation finds once per form);
+    that is the unsolvable case reported as OrientationError (permuting
+    the generator precedence may help).  A relation explicitly written
+    with an ascending leading word is taken at face value and oriented as
+    given.  The builders call this alone to fail fast.
     """
-    order = P.order
-    copy_rank = {}
-    for g in P.roster:
-        copy_rank.setdefault(g.copy, len(copy_rank))
-    rank = [copy_rank[g.copy] for g in P.roster]
-    leads = tuple(map(order.leading_word, P.relations))
-    for g, h in leads:
-        if rank[g] < rank[h] and (g, h) not in P.source_leads:
-            raise OrientationError(
-                f"cannot orient for this order: exchange coefficient matrix "
-                f"is singular (forced a rule for the ascending cross-copy "
-                f"word {word_str((g, h), P.roster)})")
-    return leads
+    if P.forced:
+        raise OrientationError(
+            f"cannot orient for this order: exchange coefficient matrix "
+            f"is singular (forced a rule for the ascending cross-copy "
+            f"word {word_str(P.forced[0], P.roster)})")
+    return P.leads
 
 
 def orient_relations(P: Presentation) -> tuple:
@@ -397,15 +374,15 @@ class TruncatedGB(RewriteSystem):
 
     The class pass (_resolved_by_classes) runs first, then completion
     (_complete) from scratch unless every class resolved to zero.  One
-    representative decides a class: every rule keeps the copy multiset of
-    its left side, so an overlap's resolution stays on its at most three
-    copies and uses only their rules (the diamond lemma is local); an
-    order-preserving relabelling of copies keeps deg-lex, so it carries
-    reductions on one subset to those on another with equal relabelled
-    rules; and a subset's key holds the signatures of its single copies and
-    copy pairs, which hold all its rules.  Quadratic left sides overlap only
-    in degree 3, so if every class resolves to zero they are the basis for
-    every bound.
+    representative decides a class of copy subsets: every rule keeps the
+    copy multiset of its left side, so an overlap's resolution stays on its
+    at most three copies and uses only their rules (the diamond lemma is
+    local); an order-preserving relabelling of copies keeps deg-lex, so it
+    carries reductions on one subset to those on another with equal
+    relabelled rules; and a subset's key holds the canonical forms placed
+    on its single copies and copy pairs, which give all its rules.
+    Quadratic left sides overlap only in degree 3, so if every class
+    resolves to zero they are the basis for every bound.
 
     Both passes build each overlap difference as coded terms
     (_overlap_terms) and reduce it with reduce's own loop (_reduce_coded).
@@ -434,48 +411,41 @@ class TruncatedGB(RewriteSystem):
     def _resolved_by_classes(self) -> bool:
         """Resolve the degree-3 overlaps of one copy subset per class, on
         word codes.  False at the first nonzero residue, or when bound < 3,
-        the copies are not contiguous equal-size roster blocks, or a rule
-        changes the copy multiset of a word."""
-        roster = self.presentation.roster
-        ncopies = len({g.copy for g in roster})
-        size = len(roster) // max(ncopies, 1)
-        if self.bound < 3 or size * ncopies != len(roster) or any(
+        the roster's copies are not the placements' blocks, a placement has
+        over two copies, or a form's relation has words of two copy multisets."""
+        placements, roster = self.presentation.placements, self.presentation.roster
+        size = placements[0][1] if placements else 0
+        if self.bound < 3 or not size or any(len(c) > 2 for _, _, c in placements) or any(
                 g.copy != roster[i - i % size].copy for i, g in enumerate(roster)):
             return False
-        on, ids = {}, {}
-        for rule in self:
-            copies = sorted(g // size for g in rule.lhs)
-            if any(sorted(g // size for g in w) != copies for w in rule.rhs.terms):
-                return False
-            on.setdefault(tuple(sorted(set(copies))), []).append(rule)
-
-        def signature(content):
-            # the rules on exactly these copies, relabelled in order onto 0..k-1
-            to = {g: g - (c - j) * size for j, c in enumerate(content)
-                  for g in range(c * size, c * size + size)}
-            return ids.setdefault(tuple(sorted(
-                (tuple(map(to.get, r.lhs)),
-                 tuple(sorted((tuple(map(to.get, w)), c) for w, c in r.rhs.terms.items())))
-                for r in on.get(content, ()))), len(ids))
+        ids, keys, on = {}, {}, {}
+        for form, _, copies in placements:
+            if id(form) not in keys:
+                if any(len({tuple(sorted(g // size for g in w)) for w in r.terms}) > 1
+                       for r in form):
+                    return False
+                keys[id(form)] = ids.setdefault(
+                    tuple(tuple(sorted(r.terms.items())) for r in form), len(ids))
+            on.setdefault(copies, []).append(form)
+        sig = {t: tuple(keys[id(form)] for form in forms) for t, forms in on.items()}
 
         def parts(s):
             # the single copies and copy pairs of s
             return [t for k in (1, 2) for t in itertools.combinations(s, k)]
 
-        sig = {t: signature(t) for t in parts(range(ncopies))}
         classes = {}
         for k in (1, 2, 3):
-            for s in itertools.combinations(range(ncopies), k):
-                classes.setdefault(tuple(sig[t] for t in parts(s)), s)
+            for s in itertools.combinations(range(len(roster) // size), k):
+                classes.setdefault(tuple(sig.get(t, ()) for t in parts(s)), s)
         self.classes = len(classes)
-        # every rule is quadratic here: the rules that start with b
-        follow = {}
-        for rule in self:
-            follow.setdefault(rule.lhs[0], []).append(rule)
+        arrived, prefixes = self._arrived, self._prefixes
         for s in classes.values():
-            for r1 in itertools.chain.from_iterable(on.get(t, ()) for t in parts(s)):
+            # the rules of the forms placed on each single copy and copy pair of s
+            for r1 in [self.rules[max(r.terms)] for t in parts(s) for form in on.get(t, ())
+                       for r in _place(form, size, t)]:
                 a, b = r1.lhs
-                for r2 in follow.get(b, ()):
+                # every rule is quadratic here: the rules that start with b
+                for r2 in map(arrived.__getitem__, prefixes.get((b,), ())):
                     if {a // size, b // size, r2.lhs[1] // size} != set(s):
                         continue
                     terms = _overlap_terms(self, r1, r2, 1)
@@ -488,38 +458,32 @@ class TruncatedGB(RewriteSystem):
 
     def _complete(self):
         """Resolve every overlap of composed degree <= bound, smallest word
-        first, equal words in the order they were paired."""
-        bound = self.bound
-        pending, arrived, seq = [], [], itertools.count()
-        by_first, by_last = {}, {}
+        first, equal words in the order they were paired on arrival."""
+        bound, arrived = self.bound, self._arrived
+        prefixes, suffixes = self._prefixes, self._suffixes
+        pending, seq = [], itertools.count()
 
-        def enqueue(r1: Rule, r2: Rule):
-            n1, n2 = len(r1.lhs), len(r2.lhs)
-            for ell in range(1, min(n1, n2)):
-                if r1.lhs[n1 - ell:] == r2.lhs[:ell]:
-                    w = r1.lhs + r2.lhs[ell:]
-                    if len(w) <= bound:
-                        heapq.heappush(pending, (len(w), w, next(seq), r1, r2))
+        def arrive(n: int):
+            # pair rule n with itself and each earlier rule it overlaps within
+            # the bound: by arrival index, (earlier, n) before (n, earlier),
+            # the shortest overlap first
+            lhs = arrived[n].lhs
+            m, pairs = len(lhs), []
+            for ell in range(1, m):
+                # earlier rules ending in lhs[:ell], then starting with lhs[-ell:]
+                for later, index in ((0, suffixes.get(lhs[:ell], ())),
+                                     (1, prefixes.get(lhs[m - ell:], ()))):
+                    for i in itertools.takewhile(lambda i: i + later <= n, index):
+                        if len(arrived[i].lhs) + m - ell <= bound:
+                            pairs.append((i, later, ell))
+            pairs.sort()
+            for i, later, ell in pairs:
+                r1, r2 = (arrived[n], arrived[i]) if later else (arrived[i], arrived[n])
+                w = r1.lhs + r2.lhs[ell:]
+                heapq.heappush(pending, (len(w), w, next(seq), r1, r2))
 
-        def arrive(rule: Rule):
-            # pair rule with itself and, in arrival order, each earlier rule
-            # that ends in lhs[:-1] (a left overlap) or starts in lhs[1:]
-            n, lhs = len(arrived), rule.lhs
-            arrived.append(rule)
-            partners = {n}
-            for g in set(lhs[:-1]):
-                partners.update(by_last.get(g, ()))
-            for g in set(lhs[1:]):
-                partners.update(by_first.get(g, ()))
-            by_first.setdefault(lhs[0], []).append(n)
-            by_last.setdefault(lhs[-1], []).append(n)
-            for i in sorted(partners):
-                enqueue(arrived[i], rule)
-                if i != n:
-                    enqueue(rule, arrived[i])
-
-        for rule in self:
-            arrive(rule)
+        for n in range(len(arrived)):
+            arrive(n)
         one, values = self.presentation.field.one, self.values
         while pending:
             length, w, _, r1, r2 = heapq.heappop(pending)
@@ -542,7 +506,7 @@ class TruncatedGB(RewriteSystem):
                   for left, rule, right, c in self._decode_steps(steps, length))))
             self.added_rules.append(new)
             self.add(new)
-            arrive(new)
+            arrive(len(arrived) - 1)
 
     @property
     def completion_warning(self) -> bool:

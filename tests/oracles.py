@@ -2,8 +2,9 @@
 of degree-2 relation spans, the defining identities of the second
 inverse of an R-matrix, the parser of the presentation documents that
 `braidalg present` writes, the chain and square relations with every
-block built from scratch at its own roster offsets, and the chain cross
-block in its rearranged form."""
+block built from scratch at its own roster offsets, the chain cross
+block in its rearranged form, a rule as an ideal element, and the
+overlaps that completion pairs, found by filtering a superset."""
 
 import itertools
 import operator
@@ -160,3 +161,46 @@ def rearranged_cross_block(R: RMatrix):
     v1 = _generators_at(R.dim * R.dim, 1, R.dim, one)
     u2 = _generators_at(0, 2, R.dim, one)
     return presents._block([v1, r, u2], [r21inv, u2, r21, v1, r])
+
+
+# ---------------------------------------------------------------------------
+# rules and overlaps
+# ---------------------------------------------------------------------------
+
+def rule_element(rule, one) -> NCPoly:
+    """rule.lhs - rule.rhs as a polynomial (one is the field unit)."""
+    return NCPoly.term(rule.lhs, one) - rule.rhs
+
+
+def overlap_pushes(rules, bound: int):
+    """(word, left rule's lhs, right rule's lhs) of each overlap completion
+    queues when rules arrive in this order, in queueing order.  Each rule
+    is paired with itself and, by arrival index, with every earlier rule
+    that ends in a letter of lhs[:-1] or starts with a letter of lhs[1:]
+    (a superset of its overlap partners); each pair is then tested for
+    every overlap length, and kept when its word is within the bound."""
+    arrived, by_first, by_last, out = [], {}, {}, []
+
+    def enqueue(r1, r2):
+        n1, n2 = len(r1.lhs), len(r2.lhs)
+        for ell in range(1, min(n1, n2)):
+            if r1.lhs[n1 - ell:] == r2.lhs[:ell]:
+                w = r1.lhs + r2.lhs[ell:]
+                if len(w) <= bound:
+                    out.append((w, r1.lhs, r2.lhs))
+
+    for rule in rules:
+        n, lhs = len(arrived), rule.lhs
+        arrived.append(rule)
+        partners = {n}
+        for g in set(lhs[:-1]):
+            partners.update(by_last.get(g, ()))
+        for g in set(lhs[1:]):
+            partners.update(by_first.get(g, ()))
+        by_first.setdefault(lhs[0], []).append(n)
+        by_last.setdefault(lhs[-1], []).append(n)
+        for i in sorted(partners):
+            enqueue(arrived[i], rule)
+            if i != n:
+                enqueue(rule, arrived[i])
+    return out

@@ -23,7 +23,7 @@ from braidalg.ncalg import NCPoly, format_poly
 from braidalg.presents import braided_matrices
 from braidalg.rewrite import truncated_gb
 from braidalg.rmat import RMatrix, glq2_rmatrix, load_rmatrix, save_rmatrix
-from oracles import parse_presentation_document
+from oracles import parse_presentation_document, rule_element
 
 
 def run(capsys, *argv):
@@ -211,7 +211,7 @@ def test_nf_is_canonical_on_non_confluent_input(capsys, perturbed_doc):
     rule = truncated_gb(P, 3).added_rules[0]
     assert format_poly(NCPoly.term(rule.lhs, qs.ONE), P) == "u[1,1]*u[1,1]*u[2,2]"
     code, out, err = run(capsys, "nf", "bm", perturbed_doc,
-                         format_poly(rule.element(qs.ONE), P))
+                         format_poly(rule_element(rule, qs.ONE), P))
     assert code == 0 and out == "0\n"
     assert err.count("note:") == 1 and "completion adjoined" in err
 

@@ -1,6 +1,7 @@
 """Completion by copy classes: the class pass of TruncatedGB against full
 completion, its fallbacks, and its share of the work budget."""
 
+import heapq
 import itertools
 import random
 import sys
@@ -15,11 +16,11 @@ from braidalg.cli import format_presentation_document
 from braidalg.ideals import hilbert_dims
 from braidalg.ncalg import NCPoly, Presentation, format_poly, parse_poly
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
-                               frt_algebra, matrix_roster)
+                               cross_block, frt_algebra, matrix_roster, self_block)
 from braidalg.rewrite import CompletionBudgetError, TruncatedGB
 from braidalg.rmat import RMatrix, glq2_rmatrix
 
-from oracles import cross_block_at, parse_presentation_document, self_block_at
+from oracles import overlap_pushes, parse_presentation_document
 from test_rewrite import reference_reduce
 
 BOUND = 4
@@ -159,7 +160,15 @@ def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
     # pass over residues gives the counters it gives over Q(q)
     R = glq_rmatrix(4)
     x = qs.ModRing((2 ** 61 - 1,)).from_int(123456789)
-    P = square(braided_matrices(R), R).evaluate_mod(x)
+    symbolic = square(braided_matrices(R), R)
+    P = symbolic.evaluate_mod(x)
+    # the specialized square keeps its placements, each form specialized
+    # entrywise
+    assert [(size, copies) for _, size, copies in P.placements] == \
+        [(size, copies) for _, size, copies in symbolic.placements]
+    for (form_x, _, _), (form, _, _) in zip(P.placements, symbolic.placements):
+        assert form_x == tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in form)
+    assert len(P.forms) == len(symbolic.forms) == 2
     gb, steps = assert_class_pass_steps_match_reduce(P, monkeypatch)
     assert not gb.fell_back and gb.added_rules == []
     assert (gb.classes, gb.class_overlaps, gb.work) == (2, 4400, 83137)
@@ -243,6 +252,39 @@ def test_completion_builds_and_reduces_overlaps_without_reduce(monkeypatch):
     assert chain.fell_back and (chain.work, len(chain.added_rules)) == (21123, 105)
 
 
+class _RecordingHeapq:
+    """heapq whose heappush records the overlaps completion queues."""
+
+    heapify, heappop = staticmethod(heapq.heapify), staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.pushed = []
+
+    def heappush(self, heap, item):
+        if type(item) is tuple:  # reduction pushes word codes, ints
+            _, w, _, r1, r2 = item
+            self.pushed.append((w, r1.lhs, r2.lhs))
+        heapq.heappush(heap, item)
+
+
+@pytest.mark.parametrize("copies, bound, pushed", [(2, 4, 5616), (3, 5, 2745)],
+                         ids=["square-pert2-n2-D4", "chain-pert2-n3-D5"])
+def test_completion_queues_the_overlaps_of_the_reference_pairing(copies, bound, pushed,
+                                                                 monkeypatch):
+    # completion pairs each arriving rule only with the rules it overlaps,
+    # through its prefix and suffix index; the reference pairs it with a
+    # superset and filters, and both queue the same overlaps in one order
+    Rp = pert2_rmatrix()
+    P = braided_chain(Rp, copies)
+    P = square(P, Rp) if copies == 2 else P
+    recording = _RecordingHeapq()
+    monkeypatch.setattr(rewrite, "heapq", recording)
+    gb = TruncatedGB(P, bound)
+    assert gb.fell_back
+    assert recording.pushed == overlap_pushes(list(gb), bound)
+    assert len(recording.pushed) == pushed
+
+
 def test_overlap_terms_of_adjoined_rules_are_the_overlap_difference():
     # pairs of the length-3 rules adjoined on the pert2 square, overlapping
     # in one letter (a degree-5 word) or two (degree 4)
@@ -264,20 +306,20 @@ def test_overlap_terms_of_adjoined_rules_are_the_overlap_difference():
 
 def _mutated_chain3(k):
     """chain glq2 n=3 with one non-leading coefficient of relation k of the
-    u3/u1 cross block multiplied by 1 + q."""
+    u3/u1 cross block multiplied by 1 + q: the placements of the chain, the
+    changed block placed on its own on copies 0 and 2."""
     R = glq2_rmatrix()
-    rels = [r for i in range(3) for r in self_block_at(R, 4 * i)]
-    for i in range(3):
-        for j in range(i):
-            block = cross_block_at(R, 4 * i, 4 * j, "r21")
-            if (i, j) == (2, 0):
-                terms = dict(block[k].terms)
-                w = min(terms)
-                terms[w] = terms[w] * qs.parse_scalar("1 + q")
-                block[k] = NCPoly(terms)
-            rels.extend(block)
+    own, cross = self_block(R), cross_block(R, "r21")
+    changed = list(cross)
+    terms = dict(changed[k].terms)
+    w = min(terms)
+    terms[w] = terms[w] * qs.parse_scalar("1 + q")
+    changed[k] = NCPoly(terms)
+    placements = [(own, 4, (i,)) for i in range(3)]
+    placements += [(changed if (j, i) == (0, 2) else cross, 4, (j, i))
+                   for i in range(3) for j in range(i)]
     roster = [g for i in range(3) for g in matrix_roster(f"u{i + 1}", 2)]
-    return Presentation(2, roster, rels, field=R.field, name="chain3")
+    return Presentation(2, roster, placements, field=R.field, name="chain3")
 
 
 def test_a_changed_cross_block_separates_its_copy_pair():

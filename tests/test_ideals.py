@@ -16,7 +16,8 @@ from braidalg.presents import (braided_chain, braided_matrices,
 from braidalg.rewrite import RewriteSystem, orient_relations, truncated_gb
 from braidalg.rmat import glq2_rmatrix, identity_rmatrix
 
-from oracles import RosterMismatchError, rearranged_cross_block, relation_span_equal
+from oracles import (RosterMismatchError, rearranged_cross_block, relation_span_equal,
+                     rule_element)
 
 ONE = qs.ONE
 
@@ -164,8 +165,8 @@ def test_non_confluent_input_surfaces_completion_and_engines_agree():
     for rule in gb.added_rules:
         total = NCPoly.zero()
         for lw, earlier, rw, c in rule.source:
-            total = total + earlier.element(ONE).sandwich(lw, rw).scale(c)
-        assert total == rule.element(ONE)
+            total = total + rule_element(earlier, ONE).sandwich(lw, rw).scale(c)
+        assert total == rule_element(rule, ONE)
 
 
 def test_every_adjoined_rule_of_a_deep_completion_is_certified():
@@ -183,7 +184,7 @@ def test_every_adjoined_rule_of_a_deep_completion_is_certified():
     assert len(gb.added_rules) == 60
     assert max(depth.values()) == 7
     for rule in gb.added_rules:
-        element = rule.element(ONE)
+        element = rule_element(rule, ONE)
         residue, cert, warned = reduce_mod_ideal(element, SQ, 8)
         assert residue.is_zero() and warned
         assert cert.replay(SQ.relations) == element
@@ -368,7 +369,7 @@ def test_substitute_reduce_is_canonical_on_non_confluent_input():
     P = braided_matrices(RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")}))
     images = {g: NCPoly.gen(g, ONE) for g in range(P.ngens)}
     rule = truncated_gb(P, 3).added_rules[0]
-    p = rule.element(ONE)
+    p = rule_element(rule, ONE)
     raw = substitute_generators(p, images, P)
     assert raw == p
     assert truncated_gb(P, 3).reduce(raw)[0].is_zero()

@@ -16,7 +16,8 @@ from braidalg.linalg import SparseEchelon
 from braidalg.rewrite import OrientationError, RewriteSystem, orient_relations
 from braidalg.rmat import RMatrix, glq2_rmatrix, identity_rmatrix
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
-                               build_preset, frt_algebra, self_block)
+                               build_preset, cross_block, frt_algebra, matrix_roster,
+                               self_block)
 
 from oracles import (chain_relations_at_offsets, parse_presentation_document,
                      square_relations_at_offsets)
@@ -222,6 +223,39 @@ def test_orient_glq2_contains_expected_rule():
         [dict(r.terms) for r in P_built.relations]
 
 
+def test_a_plain_list_is_one_placement_on_all_generators():
+    R = glq2_rmatrix()
+    roster = [g for c in ("u1", "u2") for g in matrix_roster(c, 2)]
+    given = chain_relations_at_offsets(R, 2)
+    plain = Presentation(2, roster, given, field=R.field)
+    placed = Presentation(2, roster, [(given, 8, (0,))], field=R.field)
+    assert plain.relations == placed.relations == braided_chain(R, 2).relations
+    assert (plain.leads, plain.forced) == (placed.leads, placed.forced)
+    assert [(size, copies) for _, size, copies in plain.placements] == [(8, (0,))]
+
+
+def test_placements_with_overlapping_word_supports_are_refused():
+    R = glq2_rmatrix()
+    own, cross = self_block(R), cross_block(R, "r21")
+    roster = [g for c in ("u1", "u2", "u3") for g in matrix_roster(c, 2)]
+    refused = {
+        "one form twice on one copy": [(own, 4, (0,)), (own, 4, (0,))],
+        "two forms on one copy pair": [(cross, 4, (0, 1)), (list(cross), 4, (0, 1))],
+        "a two-copy form over a placed block": [(own, 4, (1,)), (own + cross, 4, (1, 2))],
+        "two block sizes": [(own, 4, (0,)), (own, 6, (1,))],
+        "copies out of order": [(cross, 4, (1, 0))],
+        "a copy past the roster": [(own, 4, (3,))],
+        "a form too wide for its copies": [(cross, 4, (2,))],
+    }
+    for placements in refused.values():
+        with pytest.raises(NCAlgError):
+            Presentation(2, roster, placements, field=R.field)
+    # disjoint supports on shared copies are placements like any other
+    P = Presentation(2, roster, [(own, 4, (0,)), (own, 4, (2,)), (cross, 4, (0, 2))],
+                     field=R.field)
+    assert len(P.forms) == 2 and len(P.relations) == 2 * 6 + 16
+
+
 def test_orient_singular_exchange_raises():
     # two copies with relations E (vu-words) - F (uv-words) where E is
     # singular: solving forces a rule for an ascending cross-copy word
@@ -300,7 +334,8 @@ def test_specialization_evaluates_each_distinct_coefficient_once(monkeypatch):
     P_x = P.evaluate_mod(x)
     assert sorted(map(id, calls)) == sorted(map(id, distinct))
     # a copy over Z/MZ with the roster, order and orientation of P
-    assert (P_x.field, P_x.roster, P_x.source_leads) == (x.ring, P.roster, P.source_leads)
+    assert (P_x.field, P_x.roster, P_x.leads, P_x.forced) == \
+        (x.ring, P.roster, P.leads, P.forced)
     assert P_x._cache == {} and P_x._cache is not P._cache
     assert [r.lhs for r in orient_relations(P_x)] == [r.lhs for r in orient_relations(P)]
 

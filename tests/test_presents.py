@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import os
+from collections import Counter
 
 import pytest
 
@@ -180,23 +181,32 @@ def test_chain_cross_block_r21_equals_rearranged_span():
                                         (lambda: glq_rmatrix(3), 2)],
                          ids=["glq2-n3", "pert2-n3", "glq3-n2"])
 def test_placed_blocks_equal_blocks_built_at_their_offsets(rmatrix, n, monkeypatch):
-    # the chain and its square are given the relations that building every
-    # block from scratch at its own roster offsets gives, in the same order,
-    # and so store the same relations
+    # the chain and its square are given placements whose placed relations
+    # are those that building every block from scratch at its own roster
+    # offsets gives, and so store the same relations; the square places
+    # its base's canonical forms, which the base stores in another order,
+    # so the relations are compared as multisets
     R = rmatrix()
     given = []
 
-    def recording(dim, roster, relations, **kw):
-        given.append([r.terms for r in relations])
-        return Presentation(dim, roster, relations, **kw)
+    def recording(dim, roster, placements, **kw):
+        given.append([r.terms for form, size, copies in placements
+                      for r in presents._place(form, size, copies)])
+        return Presentation(dim, roster, placements, **kw)
+
+    def multiset(terms):
+        return Counter(frozenset(t.items()) for t in terms)
 
     monkeypatch.setattr(presents, "Presentation", recording)
     chain = braided_chain(R, n)
     square = braided_tensor_square(chain, R)
-    for P, reference in ((chain, chain_relations_at_offsets(R, n)),
-                         (square, square_relations_at_offsets(chain, R))):
-        assert given.pop(0) == [r.terms for r in reference], P.name
-        assert P.relations == Presentation(R.dim, P.roster, reference, field=R.field).relations
+    reference = chain_relations_at_offsets(R, n)
+    assert given.pop(0) == [r.terms for r in reference]
+    assert chain.relations == Presentation(R.dim, chain.roster, reference, field=R.field).relations
+    reference = square_relations_at_offsets(chain, R)
+    assert multiset(given.pop(0)) == multiset(r.terms for r in reference)
+    assert square.relations == Presentation(R.dim, square.roster, reference,
+                                            field=R.field).relations
 
 
 @pytest.mark.parametrize("rmatrix, ns", [(glq2_rmatrix, (1, 2, 3, 4)),

@@ -15,6 +15,8 @@ from braidalg import qscalar as qs
 from braidalg.ncalg import Generator, NCPoly, Presentation
 from braidalg.rewrite import RewriteSystem, Rule, _overlap_terms
 
+from oracles import rule_element
+
 # interned values, so that equal coefficients are the same object
 VALUES = [qs.ONE, -qs.ONE, qs.Q, qs.QINV, qs.Q - qs.QINV,
           qs.parse_scalar("1/(1 + q)"), qs.RatFunc.from_int(2)]
@@ -155,7 +157,7 @@ def _check_coded_reduce(rs, data):
     p = NCPoly(data.draw(st.dictionaries(word, coeffs, max_size=8)))
     # multiples of rule elements, so that terms cancel and residues vanish
     for _ in range(data.draw(st.integers(0, 3))):
-        element = data.draw(st.sampled_from(list(rs))).element(field.one)
+        element = rule_element(data.draw(st.sampled_from(list(rs))), field.one)
         left, right = data.draw(word), data.draw(word)
         p = p + element.sandwich(left, right).scale(data.draw(coeffs))
     residue, steps = rs.reduce(p, collect=True)
