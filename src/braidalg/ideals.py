@@ -3,8 +3,8 @@
 Two independent engines decide membership in the two-sided ideal generated
 by a presentation's quadratic relations:
 
-  * method "rewrite": reduce against the degree-bounded completed rewrite
-    system (TruncatedGB).  Exact in both directions, and the default.
+  * method "rewrite": reduce with the quadratic rules, completed
+    (TruncatedGB) when needed.  Exact in both directions, and the default.
   * method "span": assemble the degree-d sandwich span
     {m * r * m' : deg <= d} by exact sparse elimination and reduce against
     it.  Slower, but shares no reduction machinery with the rewrite path;
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .linalg import SparseEchelon
 from .ncalg import NCAlgError, NCPoly, Presentation
-from .rewrite import TruncatedGB, truncated_gb
+from .rewrite import QuadraticSystem, quadratic_system, truncated_gb
 
 
 class MissingImageError(NCAlgError):
@@ -58,7 +58,7 @@ def _sorted_certificate(acc: dict) -> MembershipCertificate:
     return MembershipCertificate(tuple((lw, i, rw, c) for (i, lw, rw), c in sorted(acc.items())))
 
 
-def _certificate(gb: TruncatedGB, steps) -> MembershipCertificate:
+def _certificate(gb: QuadraticSystem, steps) -> MembershipCertificate:
     """The certificate of the reduction steps (left, rule, right, coeff).
 
     A use of a rule read off relation i is a term.  The uses of each
@@ -86,12 +86,17 @@ def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int, collect=True):
     """Canonical residue of p modulo the ideal, valid for deg(p) <= bound.
 
     Returns (residue, certificate, completion_warning); the certificate
-    accounts for p - residue.
+    accounts for p - residue.  The quadratic rules reduce p first; only a
+    residue they leave while not confluent is reduced again on the
+    completed basis, so a nonzero residue is canonical.
     """
     if p.degree() > bound:
         raise ValueError(f"degree {p.degree()} exceeds bound {bound}")
-    gb = truncated_gb(P, bound)
+    gb = quadratic_system(P, bound)
     residue, steps = gb.reduce(p, collect=collect)
+    if residue and gb.confluent is False:
+        gb = truncated_gb(P, bound)
+        residue, steps = gb.reduce(p, collect=collect)
     cert = _certificate(gb, steps) if collect else None
     return residue, cert, gb.completion_warning
 

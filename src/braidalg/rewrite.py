@@ -28,15 +28,16 @@ never decrease.
 
 Because no confluence is guaranteed for quadratic rewrite systems in
 general, reduction alone only proves membership (residue zero), never
-non-membership.  TruncatedGB closes the gap exactly: it resolves every
-overlap ambiguity of composed degree <= D, adjoining the reduced residues
-as extra rules derived by that reduction, after a class pass that settles
-confluent input by copy classes.  After that, normal forms are canonical
-on all elements of degree <= D, so a nonzero residue is an exact witness
-of non-membership at that degree bound.  Any adjoined rule is reported as
-a completion warning: the quadratic system by itself was not confluent.
-Work over MAX_COMPLETION_WORK units (one per overlap reduction plus its
-steps) raises CompletionBudgetError.
+non-membership.  QuadraticSystem runs a class pass that decides the
+confluence of the quadratic rules by copy classes (Bergman's diamond lemma,
+Adv. Math. 29, 1978).  TruncatedGB closes the gap exactly: it resolves
+every overlap ambiguity of composed degree <= D, adjoining the reduced
+residues as extra rules derived by that reduction.  After that, normal
+forms are canonical on all elements of degree <= D, so a nonzero residue
+is an exact witness of non-membership at that degree bound.  Any adjoined
+rule is reported as a completion warning: the quadratic system by itself
+was not confluent.  Work over MAX_COMPLETION_WORK units (one per overlap
+reduction plus its steps) raises CompletionBudgetError.
 """
 
 from __future__ import annotations
@@ -363,33 +364,24 @@ def _overlap_terms(rs: RewriteSystem, r1: Rule, r2: Rule, ell: int):
     return terms
 
 
-class TruncatedGB(RewriteSystem):
-    """Rewrite system completed on all overlaps of composed degree <= bound.
+class QuadraticSystem(RewriteSystem):
+    """The quadratic rules of a presentation after the class pass at a
+    degree bound.  confluent is True when every class resolved to zero, so
+    the rules are the basis for every bound (quadratic left sides overlap
+    only in degree 3); False when a class left a nonzero residue, so
+    completion adjoins a rule (it reduces the degree-3 overlaps first, with
+    only these rules until it adjoins one, and this overlap is among them);
+    None when the pass does not apply.
 
-    After construction, reduction is confluent on every element of degree
-    <= bound, so the residue decides ideal membership exactly in both
-    directions.  added_rules lists the non-quadratic rules that had to be
-    adjoined; a nonempty list is the completion warning surfaced to
-    callers (the quadratic system alone was not confluent).
-
-    The class pass (_resolved_by_classes) runs first, then completion
-    (_complete) from scratch unless every class resolved to zero.  One
-    representative decides a class of copy subsets: every rule keeps the
-    copy multiset of its left side, so an overlap's resolution stays on its
-    at most three copies and uses only their rules (the diamond lemma is
-    local); an order-preserving relabelling of copies keeps deg-lex, so it
-    carries reductions on one subset to those on another with equal
+    One representative decides a class of copy subsets: every rule keeps
+    the copy multiset of its left side, so an overlap's resolution stays on
+    its at most three copies and uses only their rules (the diamond lemma
+    is local); an order-preserving relabelling of copies keeps deg-lex, so
+    it carries reductions on one subset to those on another with equal
     relabelled rules; and a subset's key holds the canonical forms placed
     on its single copies and copy pairs, which give all its rules.
-    Quadratic left sides overlap only in degree 3, so if every class
-    resolves to zero they are the basis for every bound.
-
-    Both passes build each overlap difference as coded terms
-    (_overlap_terms) and reduce it with reduce's own loop (_reduce_coded).
-    The class pass decodes nothing; _complete decodes words, values and
-    steps only for a residue it adjoins, whose leading word is its largest
-    code (codes of one length compare in deg-lex).  classes, class_overlaps
-    (reduced), fell_back and work (units spent) record what construction did.
+    classes, class_overlaps (reduced), fell_back and work (units spent)
+    record what the pass did.
     """
 
     def __init__(self, P: Presentation, bound: int):
@@ -397,9 +389,13 @@ class TruncatedGB(RewriteSystem):
         self.bound = bound
         self.added_rules = []
         self.work = self.classes = self.class_overlaps = 0
-        self.fell_back = not self._resolved_by_classes()
-        if self.fell_back:
-            self._complete()
+        self.confluent = self._resolved_by_classes()
+        self.fell_back = not self.confluent
+
+    @property
+    def completion_warning(self) -> bool:
+        """Completion adjoins rules: it did, or the class pass proved it will."""
+        return bool(self.added_rules) or self.confluent is False
 
     def _charge(self, units):
         self.work += units
@@ -408,22 +404,22 @@ class TruncatedGB(RewriteSystem):
                 f"completion to degree {self.bound} needs more than "
                 f"{MAX_COMPLETION_WORK} units of reduction work")
 
-    def _resolved_by_classes(self) -> bool:
+    def _resolved_by_classes(self):
         """Resolve the degree-3 overlaps of one copy subset per class, on
-        word codes.  False at the first nonzero residue, or when bound < 3,
+        word codes.  False at the first nonzero residue; None when bound < 3,
         the roster's copies are not the placements' blocks, a placement has
         over two copies, or a form's relation has words of two copy multisets."""
         placements, roster = self.presentation.placements, self.presentation.roster
         size = placements[0][1] if placements else 0
         if self.bound < 3 or not size or any(len(c) > 2 for _, _, c in placements) or any(
                 g.copy != roster[i - i % size].copy for i, g in enumerate(roster)):
-            return False
+            return None
         ids, keys, on = {}, {}, {}
         for form, _, copies in placements:
             if id(form) not in keys:
                 if any(len({tuple(sorted(g // size for g in w)) for w in r.terms}) > 1
                        for r in form):
-                    return False
+                    return None
                 keys[id(form)] = ids.setdefault(
                     tuple(tuple(sorted(r.terms.items())) for r in form), len(ids))
             on.setdefault(copies, []).append(form)
@@ -455,6 +451,27 @@ class TruncatedGB(RewriteSystem):
                         if terms:  # reduced in place to the residue
                             return False
         return True
+
+
+
+class TruncatedGB(QuadraticSystem):
+    """Rewrite system completed on all overlaps of composed degree <= bound.
+
+    After construction, reduction is confluent on every element of degree
+    <= bound, so the residue decides ideal membership exactly in both
+    directions.  Completion (_complete) runs from scratch after the class
+    pass unless every class resolved; added_rules lists the rules it
+    adjoined, and a nonempty list is the completion warning.  Both passes
+    build each overlap difference as coded terms (_overlap_terms) and
+    reduce it with reduce's own loop (_reduce_coded); _complete decodes
+    words, values and steps only for a residue it adjoins, whose leading
+    word is its largest code (codes of one length compare in deg-lex).
+    """
+
+    def __init__(self, P: Presentation, bound: int):
+        super().__init__(P, bound)
+        if self.fell_back:
+            self._complete()
 
     def _complete(self):
         """Resolve every overlap of composed degree <= bound, smallest word
@@ -508,14 +525,26 @@ class TruncatedGB(RewriteSystem):
             self.add(new)
             arrive(len(arrived) - 1)
 
-    @property
-    def completion_warning(self) -> bool:
-        return bool(self.added_rules)
 
-
-def truncated_gb(P: Presentation, bound: int) -> TruncatedGB:
+def truncated_gb(P: Presentation, bound: int) -> QuadraticSystem:
+    """The complete basis of P at bound, cached: TruncatedGB(P, bound), or
+    the quadratic_system itself when its class pass resolved."""
     gb = P._cache.get(("gb", bound))
     if gb is None:
-        gb = TruncatedGB(P, bound)
-        P._cache[("gb", bound)] = gb
+        gb = P._cache[("gb", bound)] = TruncatedGB(P, bound)
     return gb
+
+
+def quadratic_system(P: Presentation, bound: int) -> QuadraticSystem:
+    """P's quadratic rules after the class pass at bound, cached; when the
+    pass does not apply, truncated_gb(P, bound).  Rules the pass resolved
+    are stored as truncated_gb(P, bound) too, so it runs once."""
+    quad = P._cache.get(("quadratic", bound))
+    if quad is None:
+        quad = QuadraticSystem(P, bound)
+        if quad.confluent is None:
+            quad = truncated_gb(P, bound)
+        elif quad.confluent:
+            quad = P._cache.setdefault(("gb", bound), quad)
+        P._cache[("quadratic", bound)] = quad
+    return quad

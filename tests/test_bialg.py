@@ -10,19 +10,21 @@ from fractions import Fraction
 
 import pytest
 
-from braidalg import bialg
+from braidalg import bialg, rewrite
 from braidalg import qscalar as qs
 from braidalg.cli import main
 from braidalg.bialg import (CoproductError, CoproductSpec, RelationVerdict,
                             VerificationReport, matrix_coproduct, sample_points,
                             verify_bialgebra, verify_coassoc, verify_counit,
                             verify_homomorphism)
-from braidalg.ideals import substitute_generators
-from braidalg.ncalg import Generator, NCPoly, parse_poly, word_str
+from braidalg.ideals import MembershipCertificate, substitute_generators
+from braidalg.ncalg import Generator, NCPoly, format_poly, parse_poly, word_str
 from braidalg.presents import braided_chain, braided_matrices, braided_tensor_square
 from braidalg.rewrite import truncated_gb
 from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix, identity_rmatrix,
                            save_rmatrix)
+
+from oracles import parse_presentation_document
 
 ONE = qs.ONE
 
@@ -108,7 +110,6 @@ def test_homomorphism_glq2_with_replayable_certificates(bm, square, spec):
     verdicts, warning = verify_homomorphism(bm, spec, square, 4)
     assert all(v.passed for v in verdicts)
     assert not warning
-    from braidalg.ideals import MembershipCertificate
     for v, r in zip(verdicts, bm.relations):
         image = substitute_generators(r, spec.images, square)
         cert = MembershipCertificate(v.certificate)
@@ -143,6 +144,52 @@ def test_corrupted_images_fail_with_residue(bm, square, spec):
     failing = [v for v in verdicts if not v.passed]
     assert failing
     assert all(v.residue for v in failing)
+
+
+# -- reduction with the quadratic rules first -------------------------------------
+
+def test_non_confluent_square_verifies_without_completing(monkeypatch):
+    # the class pass finds the chain pert2 square not confluent, yet every
+    # image reduces to zero with its quadratic rules: the warning is the
+    # pass's, and full completion never runs
+    def refuse(self):
+        raise AssertionError("completion ran")
+
+    monkeypatch.setattr(rewrite.TruncatedGB, "_complete", refuse)
+    for mode in ("exact", "probabilistic"):
+        rep = verify_bialgebra(perturbed_rmatrix(), preset="chain", n=2, bound=4, mode=mode)
+        assert all(v.passed for v in rep.relation_verdicts) and not rep.ybe
+        assert rep.completion_warning
+
+
+def test_confluent_square_runs_the_class_pass_once(monkeypatch):
+    calls = []
+    class_pass = rewrite.QuadraticSystem._resolved_by_classes
+
+    def counted(self):
+        calls.append(self)
+        return class_pass(self)
+
+    monkeypatch.setattr(rewrite.QuadraticSystem, "_resolved_by_classes", counted)
+    rep = verify_bialgebra(glq_rmatrix(4), preset="bm", bound=4)
+    assert rep.passed and not rep.completion_warning
+    assert len(calls) == 1
+
+
+def test_residue_left_by_the_quadratic_rules_is_the_completed_one():
+    R = perturbed_rmatrix()
+    P = braided_chain(R, 2)
+    SQ, spec = braided_tensor_square(P, R), matrix_coproduct(P)
+    g = P.gen("u2", 2, 1)
+    spec.images[g] = spec.images[g] + NCPoly.term((g, P.ngens + g), ONE)
+    verdicts, warning = verify_homomorphism(P, spec, SQ, 4)
+    failing = [v for v in verdicts if not v.passed]
+    assert failing and warning
+    gb = truncated_gb(SQ, 4)
+    assert len(gb.added_rules) == 361
+    for v in failing:
+        image = substitute_generators(P.relations[v.index], spec.images, SQ)
+        assert v.residue == format_poly(gb.reduce(image)[0], SQ)
 
 
 # -- counit ----------------------------------------------------------------------
@@ -424,12 +471,13 @@ GOLDEN = (
      "88d7a0a234fedcbe349178b4e2d4c903955922a221db333144bc35b45a70cefc"),
     (("verify", "chain", "glq2", "-n", "2", "-D", "4"), 0, 124215,
      "6d5415b8dc1962ca034ec621c6661319e7137d076d0e0d3d42f3a0809234f924"),
-    (("verify", "chain", "pert2.json", "-n", "2", "-D", "4"), 1, 460193,
-     "b18c1f8560d7167d5cd516184f23c615edc6db4862aef1e33e58acb6fa73f581"),
-    # completion adjoins 41 rules; the certificates depend on the order in
-    # which overlaps are paired and resolved
-    (("verify", "bm", "pert2.json", "-D", "6"), 1, 55457,
-     "52798d463034d1b861384c8dba9ceea2199602bc3ea16e071f8e0b25879a1208"),
+    # the square is not confluent, but every image reduces to zero with the
+    # quadratic rules: 856 certificate terms over them, no completion
+    (("verify", "chain", "pert2.json", "-n", "2", "-D", "4"), 1, 136184,
+     "6089365b691891bd794ff12dfb8f47a378368ee0623a1de7e254889abb5fbda4"),
+    # likewise 182 terms; completion to degree 6 would adjoin 41 rules
+    (("verify", "bm", "pert2.json", "-D", "6"), 1, 29048,
+     "4fc5a3cae0a7f6e81805e4f940495325c6d77fcfd6892ee9c4061461dc52f880"),
     # the benchmark's largest report: 21,061 certificate terms
     (("verify", "bm", "glq4.json", "-D", "4"), 0, 3060435,
      "3a1e86d0f052f358be0a08b27dac62a6e46ee820c706d4872e264885a68dc549"),
@@ -469,6 +517,44 @@ def test_exact_documents_are_pinned(cli_run, argv, code, length, sha256):
     got_code, out = cli_run(argv)
     data = out.encode()
     assert (got_code, len(data), hashlib.sha256(data).hexdigest()) == (code, length, sha256)
+
+
+# SHA-256 of the non-confluent GOLDEN documents with every "certificate" key
+# removed, re-dumped by json.dumps(indent=2), as recorded when their images
+# were still reduced on the completed basis (2,905 and 346 certificate
+# terms): reducing with the quadratic rules first moved only certificates
+WITHOUT_CERTIFICATES = {
+    "chain-pert2-n2": "ff88fab1be2446819d197b90f9cedc13ec01693c5d91d1d3159b7010026e4763",
+    "bm-pert2-D6": "fa1209e20b1a494e0a493936d8579d98838abab800142e2bb8e98c44e14faf4d",
+}
+
+
+@pytest.mark.parametrize("name", WITHOUT_CERTIFICATES)
+def test_quadratic_certificates_replay_and_move_nothing_else(cli_run, name):
+    argv = dict(zip(GOLDEN_IDS, GOLDEN))[name][0]
+    doc = json.loads(cli_run(argv)[1])
+    # the square's own relations, read back through the document parser
+    R = perturbed_rmatrix()
+    P = braided_chain(R, 2) if "chain" in argv else braided_matrices(R)
+    SQ, spec = braided_tensor_square(P, R), matrix_coproduct(P)
+    _, parsed = parse_presentation_document("\n".join(
+        [f"dim: {SQ.dim}", "generators: " + " ".join(map(str, SQ.roster))]
+        + [f"relation: {r}" for r in doc["square_relations"]]))
+    assert [format_poly(r, parsed) for r in parsed.relations] == doc["square_relations"]
+
+    def word(text):
+        return next(iter(parse_poly(text, parsed).terms))
+
+    for v, r in zip(doc["relations"], P.relations):
+        assert v["verdict"] == "pass" and v["relation"] == format_poly(r, P)
+        cert = MembershipCertificate(tuple(
+            (word(t["left"]), t["relation"], word(t["right"]), qs.parse_scalar(t["coeff"]))
+            for t in v["certificate"]))
+        assert cert.replay(parsed.relations) == substitute_generators(r, spec.images, SQ)
+    for v in doc["relations"]:
+        del v["certificate"]
+    stripped = json.dumps(doc, indent=2).encode()
+    assert hashlib.sha256(stripped).hexdigest() == WITHOUT_CERTIFICATES[name]
 
 
 # (exit code, stdout length, stdout SHA-256) of each GOLDEN argv run with
@@ -573,15 +659,34 @@ def test_degenerate_point_is_detected_and_redrawn(monkeypatch, cli_run):
         truncated_gb(square.evaluate_mod(x), 4)
     assert err.value.primes == (101,)
 
-    rep = verify_bialgebra(R, preset="chain", n=2, bound=4, mode="probabilistic", seed=seed)
+    def sampled(exact):
+        rep = verify_bialgebra(R, preset="chain", n=2, bound=4, mode="probabilistic",
+                               seed=seed)
+        assert [v.passed for v in rep.relation_verdicts] == \
+            [v["verdict"] == "pass" for v in exact["relations"]]
+        assert (rep.passed, rep.ybe, rep.counit, rep.coassoc, rep.completion_warning) == \
+            (exact["passed"], exact["ybe"], exact["counit"], exact["coassoc"],
+             exact["completion_warning"])
+        return rep
+
+    # every image reduces to zero with the quadratic rules: nothing is
+    # completed, so nothing divides at 9/5 and the point is kept
+    argv = ("verify", "chain", "pert2.json", "-n", "2", "-D", "4")
+    assert sampled(json.loads(cli_run(argv)[1])).points == ["9/5", "-13/5", "-4/5"]
+
+    # one corrupted image leaves a residue, so the square is completed at
+    # every point, which 9/5 cannot be
+    def corrupted(P):
+        spec = matrix_coproduct(P)
+        g = P.gen("u1", 1, 2)
+        spec.images[g] = spec.images[g] + NCPoly.term((g, P.ngens + g), P.field.one)
+        return spec
+
+    monkeypatch.setattr(bialg, "matrix_coproduct", corrupted)
+    exact = json.loads("".join(verify_bialgebra(R, preset="chain", n=2, bound=4).to_document()))
+    assert any(v["verdict"] == "fail" for v in exact["relations"])
+    rep = sampled(exact)
     assert "9/5" not in rep.points and rep.points[:2] == ["-13/5", "-4/5"]
-    _, out = cli_run(("verify", "chain", "pert2.json", "-n", "2", "-D", "4"))
-    exact = json.loads(out)
-    assert [v.passed for v in rep.relation_verdicts] == \
-        [v["verdict"] == "pass" for v in exact["relations"]]
-    assert (rep.passed, rep.ybe, rep.counit, rep.coassoc, rep.completion_warning) == \
-        (exact["passed"], exact["ybe"], exact["counit"], exact["coassoc"],
-         exact["completion_warning"])
 
 
 def test_failing_residue_prints_at_the_first_point_where_it_is_nonzero(bm, square, spec):

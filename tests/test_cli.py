@@ -253,6 +253,33 @@ def test_long_confluent_chain_passes_within_the_work_budget(capsys):
     assert doc["passed"] is True and doc["completion_warning"] is False
 
 
+# the Jordanian R-matrix with h written as q, rows and columns in the pair
+# order 11, 12, 21, 22: (1, q, -q, q^2), (0, 1, 0, q), (0, 0, 1, -q), (0, 0, 0, 1)
+JORDAN = {(1, 1, 1, 1): "1", (1, 1, 1, 2): "q", (1, 1, 2, 1): "-q", (1, 1, 2, 2): "q^2",
+          (1, 2, 1, 2): "1", (1, 2, 2, 2): "q", (2, 1, 2, 1): "1", (2, 1, 2, 2): "-q",
+          (2, 2, 2, 2): "1"}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pert2", "-n", "4", "-D", "4"], 1),
+    (["jordan", "-n", "6", "-D", "4", "--mode", "probabilistic"], 0)], ids=["pert2", "jordan"])
+def test_long_non_confluent_chain_verifies_on_the_quadratic_rules(tmp_path, capsys, perturbed_doc,
+                                                                  argv, code):
+    # both squares are not confluent and their full completions exceed the
+    # work budget, but every image reduces to zero with the quadratic rules,
+    # so the report is whole (pert2 fails only on Yang-Baxter), in about 0.2 s
+    jordan = tmp_path / "jordan.json"
+    jordan.write_text(save_rmatrix(RMatrix(2, {k: qs.parse_scalar(v) for k, v in JORDAN.items()})))
+    docs = {"pert2": perturbed_doc, "jordan": str(jordan)}
+    start = time.perf_counter()
+    got, out, err = run(capsys, "verify", "chain", docs[argv[0]], *argv[1:])
+    assert time.perf_counter() - start < 5
+    assert got == code and "error:" not in err
+    doc = json.loads(out)
+    assert doc["completion_warning"] is True and doc["ybe"] is (code == 0)
+    assert all(v["verdict"] == "pass" for v in doc["relations"])
+
+
 # an invertible R-matrix whose r21 and statistics exchange blocks are
 # singular, as (i, j, k, l) -> coefficient
 SINGULAR_EXCHANGE = {(1, 1, 2, 1): "1", (1, 1, 2, 2): "1", (1, 2, 1, 2): "2",

@@ -13,7 +13,8 @@ from braidalg.ncalg import Generator, NCPoly, Presentation, parse_poly, word_str
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, cross_block, frt_algebra,
                                matrix_roster)
-from braidalg.rewrite import RewriteSystem, orient_relations, truncated_gb
+from braidalg.rewrite import (RewriteSystem, TruncatedGB, orient_relations,
+                              quadratic_system, truncated_gb)
 from braidalg.rmat import glq2_rmatrix, identity_rmatrix
 
 from oracles import (RosterMismatchError, rearranged_cross_block, relation_span_equal,
@@ -250,6 +251,45 @@ def test_shipped_presets_confluent_at_degree_4():
     for P in presentations:
         gb = truncated_gb(P, 4)
         assert not gb.completion_warning, P.name
+
+
+def test_reduction_completes_only_a_residue_on_a_non_confluent_square():
+    from braidalg.rmat import RMatrix
+    R = glq2_rmatrix()
+    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    SQ = braided_tensor_square(braided_matrices(R), R)
+    SQp = braided_tensor_square(braided_matrices(Rp), Rp)
+    # resolved rules are the basis itself
+    assert quadratic_system(SQ, 4) is truncated_gb(SQ, 4)
+    quad = quadratic_system(SQp, 4)
+    assert quad.confluent is False and quad.completion_warning and not quad.added_rules
+    # a member reduces to zero on the quadratic rules, a non-member again
+    # on the completed basis
+    member = SQp.relations[0] * NCPoly.gen(1, ONE) * NCPoly.gen(2, ONE)
+    residue, cert, warned = reduce_mod_ideal(member, SQp, 4)
+    assert residue.is_zero() and warned and cert.replay(SQp.relations) == member
+    assert ("gb", 4) not in SQp._cache
+    p = NCPoly.term((0, 0, 5, 5), ONE)
+    residue, cert, warned = reduce_mod_ideal(p, SQp, 4)
+    gb = truncated_gb(SQp, 4)
+    assert gb is not quad and gb.added_rules
+    assert residue == gb.reduce(p)[0] and warned
+    assert cert.replay(SQp.relations) == p - residue
+
+
+def test_bound_2_reduction_takes_the_full_path():
+    # below degree 3 the class pass does not apply: reduction goes through
+    # truncated_gb as it always has
+    from braidalg.rmat import RMatrix
+    R = glq2_rmatrix()
+    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    P = braided_matrices(Rp)
+    gb = truncated_gb(P, 2)
+    assert quadratic_system(P, 2) is gb and gb.fell_back and gb.classes == 0
+    for p in (NCPoly.term((3, 0), ONE) + NCPoly.term((1, 2), ONE), P.relations[1].scale(ONE + ONE)):
+        residue, cert, warned = reduce_mod_ideal(p, P, 2)
+        assert residue == TruncatedGB(P, 2).reduce(p)[0] and not warned
+        assert cert.replay(P.relations) == p - residue
 
 
 # -- Hilbert dimensions ---------------------------------------------------------
