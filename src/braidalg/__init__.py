@@ -17,13 +17,13 @@ from .rmat import (RMatrix, RMatrixDocumentError, TensorOperator,
                    builtin_rmatrix, flip_rmatrix, glq2_rmatrix,
                    identity_rmatrix, invert, leg_embed, load_rmatrix,
                    partial_transpose2, save_rmatrix, second_inverse, ybe_check)
-from .ncalg import (DegLexOrder, Generator, NCAlgError, NCPoly, PolyParseError,
-                    Presentation, format_poly, parse_poly, word_str)
-from .rewrite import (CompletionBudgetError, OrientationError, RewriteSystem,
-                      Rule, TruncatedGB, orient_relations, truncated_gb)
+from .ncalg import (DegLexOrder, Generator, NCAlgError, NCPoly, OrientationError,
+                    PolyParseError, Presentation, format_poly, parse_poly, word_str)
+from .rewrite import (CompletionBudgetError, RewriteSystem, Rule, TruncatedGB,
+                      orient_relations, truncated_gb)
 from .ideals import (MembershipCertificate, MissingImageError, hilbert_dims,
-                     ideal_membership, reduce_mod_ideal, span_rank,
-                     substitute_generators)
+                     ideal_membership, reduce_mod_ideal, span_membership,
+                     span_rank, substitute_generators)
 from .presents import (SquareIsoReport, braided_chain, braided_matrices,
                        braided_tensor_square, build_preset, cross_block,
                        frt_algebra, matrix_roster, square_iso_witness)

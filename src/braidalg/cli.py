@@ -28,13 +28,14 @@ import argparse
 import contextlib
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import bialg, ideals, presents, rmat
 from .linalg import SingularMatrixError
-from .ncalg import (NCAlgError, Presentation, format_poly, parse_poly)
+from .ncalg import (NCAlgError, OrientationError, Presentation, format_poly, parse_poly)
 from .qscalar import QScalarError
-from .rewrite import CompletionBudgetError, OrientationError, truncated_gb
+from .rewrite import CompletionBudgetError, truncated_gb
 from .rmat import RMatrixDocumentError
 
 # The largest degree bound (-D) and nf polynomial degree accepted; far
@@ -190,11 +191,13 @@ def cmd_verify(args, out):
         raise UsageError("verify needs a degree bound of at least 4 "
                          "(the coproduct of a quadratic relation is quartic)")
     _require_roster_in_bound(2 * args.n, R)
+    t0 = time.perf_counter()
     report = bialg.verify_bialgebra(
         R, preset=args.preset, n=args.n, bound=args.degree, mode=args.mode,
         seed=args.seed, rmatrix_label=args.rmatrix)
+    wall_time = time.perf_counter() - t0
     out.writelines(report.to_document())
-    print(f"wall time: {report.wall_time_s:.3f}s", file=sys.stderr)
+    print(f"wall time: {wall_time:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 
 

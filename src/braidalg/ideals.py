@@ -3,12 +3,12 @@
 Two independent engines decide membership in the two-sided ideal generated
 by a presentation's quadratic relations:
 
-  * method "rewrite": reduce with the quadratic rules, completed
-    (TruncatedGB) when needed.  Exact in both directions, and the default.
-  * method "span": assemble the degree-d sandwich span
+  * ideal_membership and hilbert_dims reduce with the quadratic rules,
+    completed (TruncatedGB) when needed.  Exact in both directions.
+  * span_membership and span_rank assemble the degree-d sandwich span
     {m * r * m' : deg <= d} by exact sparse elimination and reduce against
-    it.  Slower, but shares no reduction machinery with the rewrite path;
-    it is the cross-checking oracle.
+    it.  Slower, but they share no reduction machinery with the rewrite
+    path; they are the cross-checking oracle.
 
 Positive answers come with a replayable certificate: an explicit list of
 (left monomial, relation index, right monomial, coefficient) whose sum
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .linalg import SparseEchelon
 from .ncalg import NCAlgError, NCPoly, Presentation
+from .qscalar import QQ_Q
 from .rewrite import QuadraticSystem, quadratic_system, truncated_gb
 
 
@@ -82,17 +83,19 @@ def _certificate(gb: QuadraticSystem, steps) -> MembershipCertificate:
     return _sorted_certificate(acc)
 
 
-def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int, collect=True):
+def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int):
     """Canonical residue of p modulo the ideal, valid for deg(p) <= bound.
 
-    Returns (residue, certificate, completion_warning); the certificate
-    accounts for p - residue.  The quadratic rules reduce p first; only a
-    residue they leave while not confluent is reduced again on the
-    completed basis, so a nonzero residue is canonical.
+    Returns (residue, certificate, completion_warning); the certificate,
+    collected exactly when P is over Q(q) and None otherwise, accounts for
+    p - residue.  The quadratic rules reduce p first; only a residue they
+    leave while not confluent is reduced again on the completed basis, so
+    a nonzero residue is canonical.
     """
     if p.degree() > bound:
         raise ValueError(f"degree {p.degree()} exceeds bound {bound}")
     gb = quadratic_system(P, bound)
+    collect = P.field is QQ_Q
     residue, steps = gb.reduce(p, collect=collect)
     if residue and gb.confluent is False:
         gb = truncated_gb(P, bound)
@@ -101,17 +104,13 @@ def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int, collect=True):
     return residue, cert, gb.completion_warning
 
 
-def ideal_membership(p: NCPoly, P: Presentation, bound: int, method="rewrite"):
+def ideal_membership(p: NCPoly, P: Presentation, bound: int):
     """Decide p in the span of {m * r * m' : deg <= bound}.
 
     Returns (True, certificate) or (False, None).
     """
-    if method == "rewrite":
-        residue, cert, _ = reduce_mod_ideal(p, P, bound)
-        return (True, cert) if residue.is_zero() else (False, None)
-    if method == "span":
-        return _membership_by_span(p, P, bound)
-    raise ValueError(f"unknown method {method!r}")
+    residue, cert, _ = reduce_mod_ideal(p, P, bound)
+    return (True, cert) if residue.is_zero() else (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,8 @@ def _span_echelon(P: Presentation, degree: int) -> SparseEchelon:
     return ech
 
 
-def _membership_by_span(p: NCPoly, P: Presentation, bound: int):
+def span_membership(p: NCPoly, P: Presentation, bound: int):
+    """ideal_membership by sandwich-span elimination (the oracle)."""
     if p.degree() > bound:
         raise ValueError(f"degree {p.degree()} exceeds bound {bound}")
     cert_acc = {}
@@ -172,13 +172,8 @@ def span_rank(P: Presentation, degree: int) -> int:
 # Hilbert dimensions and span comparison
 # ---------------------------------------------------------------------------
 
-def hilbert_dims(P: Presentation, bound: int, method="rewrite"):
+def hilbert_dims(P: Presentation, bound: int):
     """Dimensions of the graded components 0..bound of the quotient algebra."""
-    if method == "span":
-        g = P.ngens
-        return [g ** d - span_rank(P, d) for d in range(bound + 1)]
-    if method != "rewrite":
-        raise ValueError(f"unknown method {method!r}")
     return truncated_gb(P, bound).normal_word_counts(bound)
 
 

@@ -46,6 +46,10 @@ class PolyParseError(NCAlgError):
     """Malformed polynomial expression."""
 
 
+class OrientationError(ValueError):
+    """The relation set cannot be solved for its leading monomials."""
+
+
 class Generator(NamedTuple):
     copy: str
     row: int
@@ -216,9 +220,11 @@ class Presentation:
     Each distinct form is pruned once to its canonical reduced echelon
     basis (forms; placements holds them), and relations is their placed
     union by descending leading word, so equal spans store equal relation
-    lists.  leads are the relations' leading words, and forced, descending,
-    the leads that no relation as given led with and that put a generator
-    of an earlier copy (by first roster appearance) before a later one.
+    lists.  leads are the relations' leading words.  A singular exchange
+    block forces a lead that no relation as given led with and that puts a
+    generator of an earlier copy (by first roster appearance) before a
+    later one; no rule rewrites that word downwards, so construction
+    raises OrientationError naming the largest such word.
     """
 
     def __init__(self, dim, roster, relations, field=QQ_Q, name=""):
@@ -259,11 +265,15 @@ class Presentation:
                     raise NCAlgError("two placements put words on the same copies")
             forced += [(to[a], to[b]) for a, b in unsourced if rank[to[a]] < rank[to[b]]]
             placements.append((form, size, copies))
+        if forced:
+            raise OrientationError(
+                f"cannot orient for this order: exchange coefficient matrix "
+                f"is singular (forced a rule for the ascending cross-copy "
+                f"word {word_str(max(forced), self.roster)})")
         led = sorted(((max(r.terms), r) for form, size, copies in placements
                       for r in _place(form, size, copies)), key=itemgetter(0), reverse=True)
         self.forms, self.placements = [f[0] for f in forms.values()], tuple(placements)
         self.relations, self.leads = tuple(r for _, r in led), tuple(w for w, _ in led)
-        self.forced = tuple(sorted(forced, reverse=True))
         self._cache = {}
 
     @property

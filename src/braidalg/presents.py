@@ -12,7 +12,8 @@ index pairs.  Each form is built once, on copy 0 or copies 0 and 1 (entry
 u[i,j] of copy c is roster position c*N^2 + (i-1)*N + (j-1)), and placed
 on other copies as Presentation placements (form, N^2, copies), relabelled
 in order by ncalg._place; the stored relations are the canonical basis of
-the union of the placed blocks, so equal spans store equal relation lists.
+the union of the placed blocks, so equal spans store equal relation lists,
+and a singular exchange block is an OrientationError of the Presentation.
 
 Builders:
 
@@ -31,8 +32,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .ncalg import Generator, NCPoly, Presentation, _place  # noqa: F401 (_place re-exported)
-from .rewrite import relation_leads
+from .ncalg import Generator, NCPoly, Presentation
 from .rmat import RMatrix, TensorOperator, invert, leg_embed
 from . import ideals
 
@@ -133,9 +133,8 @@ def braided_tensor_square(base: Presentation, R: RMatrix) -> Presentation:
     and s + base.ngens is the same generator in the right factor.
 
     The right factor sits above the left factor in the monomial order, so
-    every mixed word normalizes to left-then-right; the builder verifies
-    that the statistics block actually provides a rule for each mixed word
-    and raises OrientationError otherwise.
+    every mixed word normalizes to left-then-right; a singular statistics
+    block is an OrientationError of the Presentation.
     """
     labels = list(dict.fromkeys(g.copy for g in base.roster))
     k, size = len(labels), base.dim * base.dim
@@ -147,10 +146,8 @@ def braided_tensor_square(base: Presentation, R: RMatrix) -> Presentation:
     placements += [(form, size, tuple(c + k for c in copies)) for form, _, copies in base.placements]
     statistics = cross_block(R, form="statistics")
     placements += [(statistics, size, (u, k + v)) for v in range(k) for u in range(k)]
-    P = Presentation(base.dim, roster, placements, field=base.field,
-                     name=f"square({base.name})" if base.name else "square")
-    relation_leads(P)  # fail fast when the statistics block is singular
-    return P
+    return Presentation(base.dim, roster, placements, field=base.field,
+                        name=f"square({base.name})" if base.name else "square")
 
 
 def braided_chain(R: RMatrix, n: int) -> Presentation:
@@ -164,9 +161,7 @@ def braided_chain(R: RMatrix, n: int) -> Presentation:
     cross = cross_block(R, form="r21") if n > 1 else ()
     placements = [(own, size, (i,)) for i in range(n)]
     placements += [(cross, size, (j, i)) for i in range(n) for j in range(i)]
-    P = Presentation(R.dim, roster, placements, field=R.field, name=f"chain{n}")
-    relation_leads(P)  # fail fast when a cross block is singular
-    return P
+    return Presentation(R.dim, roster, placements, field=R.field, name=f"chain{n}")
 
 
 # ---------------------------------------------------------------------------

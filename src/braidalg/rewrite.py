@@ -9,9 +9,10 @@ stores as its relations, gives rules
 
 and orientation fails exactly when solving forces a rule whose left side
 is an ascending cross-copy word, which is what a singular exchange block
-produces (see relation_leads).  Each rule carries its source: the stored
-relation it was read off, or the derivation of an adjoined rule from
-earlier rules, which ideals expands into membership certificates.
+produces; Presentation raises OrientationError then, so every
+presentation orients.  Each rule carries its source: the stored relation
+it was read off, or the derivation of an adjoined rule from earlier
+rules, which ideals expands into membership certificates.
 
 A RewriteSystem has one reducer, on word codes: a word of length L is the
 base-n integer of its roster positions, n = max(ngens, 2), so among words
@@ -46,15 +47,11 @@ import heapq
 import itertools
 import threading
 
-from .ncalg import NCPoly, Presentation, _place, word_str
+from .ncalg import NCPoly, Presentation, _place
 
 # far above the ~9.6e4 units of the largest benchmark job, far below a
 # completion without end
 MAX_COMPLETION_WORK = 500_000
-
-
-class OrientationError(ValueError):
-    """The relation set cannot be solved for its leading monomials."""
 
 
 class CompletionBudgetError(RuntimeError):
@@ -308,38 +305,17 @@ class RewriteSystem:
 # orientation
 # ---------------------------------------------------------------------------
 
-def relation_leads(P: Presentation) -> tuple:
-    """The leading word of each stored relation, in order.
-
-    Cross-copy relations are exchange blocks: they may only rewrite
-    "wrong-order" words (a later-copy generator passing an earlier-copy one)
-    downwards.  When the exchange coefficient matrix is singular, solving
-    the system forces a rule for an ascending cross-copy word that no given
-    relation led with (P.forced, which Presentation finds once per form);
-    that is the unsolvable case reported as OrientationError (permuting
-    the generator precedence may help).  A relation explicitly written
-    with an ascending leading word is taken at face value and oriented as
-    given.  The builders call this alone to fail fast.
-    """
-    if P.forced:
-        raise OrientationError(
-            f"cannot orient for this order: exchange coefficient matrix "
-            f"is singular (forced a rule for the ascending cross-copy "
-            f"word {word_str(P.forced[0], P.roster)})")
-    return P.leads
-
-
 def orient_relations(P: Presentation) -> tuple:
     """The Rules that solve the quadratic relations for their leading
     monomials, as a tuple (a RewriteSystem indexes them).
 
     The reduced echelon basis of the relation span yields one rule per
-    pivot word.  A presentation stores exactly that basis, so the rules
-    are read off the stored relations, each with source the relation's
-    index; relation_leads raises OrientationError where that fails.
+    pivot word.  A presentation stores exactly that basis, and refuses a
+    singular exchange block, so the rules are read off the stored
+    relations, each with source the relation's index.
     """
     return tuple(Rule(lead, NCPoly({w: -c for w, c in r.terms.items() if w != lead}), i)
-                 for i, (r, lead) in enumerate(zip(P.relations, relation_leads(P))))
+                 for i, (r, lead) in enumerate(zip(P.relations, P.leads)))
 
 
 # ---------------------------------------------------------------------------

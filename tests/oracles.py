@@ -3,8 +3,9 @@ of degree-2 relation spans, the defining identities of the second
 inverse of an R-matrix, the parser of the presentation documents that
 `braidalg present` writes, the chain and square relations with every
 block built from scratch at its own roster offsets, the chain cross
-block in its rearranged form, a rule as an ideal element, and the
-overlaps that completion pairs, found by filtering a superset."""
+block in its rearranged form, a rule as an ideal element, the overlaps
+that completion pairs, found by filtering a superset, and an R-matrix
+whose exchange blocks are singular."""
 
 import itertools
 import operator
@@ -14,6 +15,12 @@ from braidalg import presents
 from braidalg.linalg import SparseEchelon
 from braidalg.ncalg import Generator, NCAlgError, NCPoly, Presentation, parse_poly
 from braidalg.rmat import RMatrix, TensorOperator, invert, second_inverse
+
+
+# an invertible R-matrix whose r21 and statistics exchange blocks are
+# singular, as (i, j, k, l) -> coefficient
+SINGULAR_EXCHANGE = {(1, 1, 2, 1): "1", (1, 1, 2, 2): "1", (1, 2, 1, 2): "2",
+                     (1, 2, 2, 1): "1", (2, 1, 1, 1): "-2", (2, 2, 2, 1): "-2"}
 
 
 def dense_rank(matrix) -> int:

@@ -23,7 +23,7 @@ from braidalg.ncalg import NCPoly, format_poly
 from braidalg.presents import braided_matrices
 from braidalg.rewrite import truncated_gb
 from braidalg.rmat import RMatrix, glq2_rmatrix, load_rmatrix, save_rmatrix
-from oracles import parse_presentation_document, rule_element
+from oracles import SINGULAR_EXCHANGE, parse_presentation_document, rule_element
 
 
 def run(capsys, *argv):
@@ -278,12 +278,6 @@ def test_long_non_confluent_chain_verifies_on_the_quadratic_rules(tmp_path, caps
     doc = json.loads(out)
     assert doc["completion_warning"] is True and doc["ybe"] is (code == 0)
     assert all(v["verdict"] == "pass" for v in doc["relations"])
-
-
-# an invertible R-matrix whose r21 and statistics exchange blocks are
-# singular, as (i, j, k, l) -> coefficient
-SINGULAR_EXCHANGE = {(1, 1, 2, 1): "1", (1, 1, 2, 2): "1", (1, 2, 1, 2): "2",
-                     (1, 2, 2, 1): "1", (2, 1, 1, 1): "-2", (2, 2, 2, 1): "-2"}
 
 
 @pytest.fixture

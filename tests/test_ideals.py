@@ -8,7 +8,8 @@ import pytest
 
 from braidalg import qscalar as qs
 from braidalg.ideals import (MissingImageError, hilbert_dims, ideal_membership,
-                             reduce_mod_ideal, substitute_generators)
+                             reduce_mod_ideal, span_membership, span_rank,
+                             substitute_generators)
 from braidalg.ncalg import Generator, NCPoly, Presentation, parse_poly, word_str
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, cross_block, frt_algebra,
@@ -25,6 +26,11 @@ ONE = qs.ONE
 
 def commutative_count(nvars, d):
     return math.comb(d + nvars - 1, nvars - 1)
+
+
+def span_dims(P, bound):
+    """hilbert_dims by sandwich-span elimination (the oracle)."""
+    return [P.ngens ** d - span_rank(P, d) for d in range(bound + 1)]
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +79,8 @@ def test_membership_methods_agree_on_random_inputs(bm):
             p = NCPoly(terms)
         if p.degree() > 3 or p.is_zero():
             continue
-        got_rw, cert = ideal_membership(p, bm, 3, method="rewrite")
-        got_sp, cert_sp = ideal_membership(p, bm, 3, method="span")
+        got_rw, cert = ideal_membership(p, bm, 3)
+        got_sp, cert_sp = span_membership(p, bm, 3)
         assert got_rw == got_sp
         if got_rw:
             assert cert.replay(bm.relations) == p
@@ -141,8 +147,10 @@ def test_sampled_membership_agrees_with_exact(bm):
         sampled = True
         for q0 in points:
             x = GF.image(q0)
-            residue, _, _ = reduce_mod_ideal(p.map_coefficients(lambda c: c.evaluate_mod(x)),
-                                             bm.evaluate_mod(x), 3, collect=False)
+            residue, cert, _ = reduce_mod_ideal(p.map_coefficients(lambda c: c.evaluate_mod(x)),
+                                                bm.evaluate_mod(x), 3)
+            # over Z/MZ no certificate is collected
+            assert cert is None
             sampled = sampled and residue.is_zero()
         assert sampled == exact
 
@@ -160,7 +168,7 @@ def test_non_confluent_input_surfaces_completion_and_engines_agree():
     gb = truncated_gb(Pp, 4)
     assert gb.completion_warning
     assert all(len(r.lhs) == 3 for r in gb.added_rules)
-    assert hilbert_dims(Pp, 4) == hilbert_dims(Pp, 4, method="span") == \
+    assert hilbert_dims(Pp, 4) == span_dims(Pp, 4) == \
         [1, 4, 6, 6, 7]
     # adjoined rules are derived from earlier rules: each source sums exactly
     for rule in gb.added_rules:
@@ -312,10 +320,10 @@ def test_hilbert_chain2_matches_commutative_counts():
 
 
 def test_hilbert_methods_agree(bm):
-    assert hilbert_dims(bm, 3, method="span") == hilbert_dims(bm, 3)
-    assert hilbert_dims(bm, 5, method="span") == hilbert_dims(bm, 5)
+    assert span_dims(bm, 3) == hilbert_dims(bm, 3)
+    assert span_dims(bm, 5) == hilbert_dims(bm, 5)
     chain = braided_chain(glq2_rmatrix(), 2)
-    assert hilbert_dims(chain, 2, method="span") == hilbert_dims(chain, 2)
+    assert span_dims(chain, 2) == hilbert_dims(chain, 2)
 
 
 def test_hilbert_first_entries(bm):
@@ -330,7 +338,7 @@ def test_hilbert_with_dead_end_generator():
     a, b = 0, 1
     P = Presentation(1, [Generator("x", 1, 1), Generator("y", 1, 1)], [NCPoly({(a, a): ONE}), NCPoly({(a, b): ONE})])
     dims = hilbert_dims(P, 3)
-    assert dims == hilbert_dims(P, 3, method="span") == [1, 2, 2, 2]
+    assert dims == span_dims(P, 3) == [1, 2, 2, 2]
 
 
 # -- relation span comparison ----------------------------------------------------

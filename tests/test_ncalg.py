@@ -7,20 +7,20 @@ from fractions import Fraction
 import pytest
 
 from braidalg import qscalar as qs
-from braidalg.ncalg import (Generator, NCAlgError, NCPoly, PolyParseError,
-                            Presentation, format_poly, parse_poly)
+from braidalg.ncalg import (Generator, NCAlgError, NCPoly, OrientationError,
+                            PolyParseError, Presentation, format_poly, parse_poly)
 from braidalg.cli import format_presentation_document
 from braidalg.bialg import DEFAULT_SEED, PRIMES, sample_points
 from braidalg.ideals import reduce_mod_ideal
 from braidalg.linalg import SparseEchelon
-from braidalg.rewrite import OrientationError, RewriteSystem, orient_relations
+from braidalg.rewrite import RewriteSystem, orient_relations
 from braidalg.rmat import RMatrix, glq2_rmatrix, identity_rmatrix
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
                                build_preset, cross_block, frt_algebra, matrix_roster,
                                self_block)
 
-from oracles import (chain_relations_at_offsets, parse_presentation_document,
-                     square_relations_at_offsets)
+from oracles import (SINGULAR_EXCHANGE, chain_relations_at_offsets,
+                     parse_presentation_document, square_relations_at_offsets)
 
 ONE = qs.ONE
 
@@ -230,7 +230,7 @@ def test_a_plain_list_is_one_placement_on_all_generators():
     plain = Presentation(2, roster, given, field=R.field)
     placed = Presentation(2, roster, [(given, 8, (0,))], field=R.field)
     assert plain.relations == placed.relations == braided_chain(R, 2).relations
-    assert (plain.leads, plain.forced) == (placed.leads, placed.forced)
+    assert plain.leads == placed.leads
     assert [(size, copies) for _, size, copies in plain.placements] == [(8, (0,))]
 
 
@@ -263,10 +263,31 @@ def test_orient_singular_exchange_raises():
     roster = [Generator("u", 1, 1), Generator("v", 1, 1)]
     vu = NCPoly({(v, u): ONE})
     uv = NCPoly({(u, v): ONE})
-    P = Presentation(1, roster, [vu - uv, vu - uv.scale(qs.parse_scalar("2"))],
+    with pytest.raises(OrientationError, match=r"cross-copy word u\[1,1\]\*v\[1,1\]\)"):
+        Presentation(1, roster, [vu - uv, vu - uv.scale(qs.parse_scalar("2"))],
                      name="singular-exchange")
-    with pytest.raises(OrientationError):
-        orient_relations(P)
+
+
+def test_singular_exchange_block_is_refused_at_construction():
+    # as a plain list, as placements and through the builders, the
+    # presentation names the word that the present command reports
+    R = RMatrix(2, {k: qs.parse_scalar(v) for k, v in SINGULAR_EXCHANGE.items()})
+    own, base = self_block(R), braided_matrices(R)
+    chain_roster = [g for c in ("u1", "u2") for g in matrix_roster(c, 2)]
+    square_roster = [Generator(f"{t}.u", g.row, g.col) for t in "LR" for g in base.roster]
+    for word, roster, given, cross, build in (
+            ("u1[2,2]*u2[1,2]", chain_roster, chain_relations_at_offsets(R, 2), "r21",
+             lambda: braided_chain(R, 2)),
+            ("L.u[2,2]*R.u[2,1]", square_roster, square_relations_at_offsets(base, R),
+             "statistics", lambda: braided_tensor_square(base, R))):
+        placements = [(own, 4, (0,)), (own, 4, (1,)), (cross_block(R, cross), 4, (0, 1))]
+        for make in (lambda: Presentation(2, roster, given, field=R.field),
+                     lambda: Presentation(2, roster, placements, field=R.field), build):
+            with pytest.raises(OrientationError) as e:
+                make()
+            assert str(e.value) == (
+                "cannot orient for this order: exchange coefficient matrix is singular "
+                f"(forced a rule for the ascending cross-copy word {word})")
 
 
 def test_orientation_solvable_for_glq2_presets():
@@ -334,8 +355,7 @@ def test_specialization_evaluates_each_distinct_coefficient_once(monkeypatch):
     P_x = P.evaluate_mod(x)
     assert sorted(map(id, calls)) == sorted(map(id, distinct))
     # a copy over Z/MZ with the roster, order and orientation of P
-    assert (P_x.field, P_x.roster, P_x.leads, P_x.forced) == \
-        (x.ring, P.roster, P.leads, P.forced)
+    assert (P_x.field, P_x.roster, P_x.leads) == (x.ring, P.roster, P.leads)
     assert P_x._cache == {} and P_x._cache is not P._cache
     assert [r.lhs for r in orient_relations(P_x)] == [r.lhs for r in orient_relations(P)]
 

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from braidalg import presents
+from braidalg import ncalg, presents
 from braidalg import qscalar as qs
 from braidalg.cli import main
 from braidalg.ideals import hilbert_dims, ideal_membership
@@ -191,7 +191,7 @@ def test_placed_blocks_equal_blocks_built_at_their_offsets(rmatrix, n, monkeypat
 
     def recording(dim, roster, placements, **kw):
         given.append([r.terms for form, size, copies in placements
-                      for r in presents._place(form, size, copies)])
+                      for r in ncalg._place(form, size, copies)])
         return Presentation(dim, roster, placements, **kw)
 
     def multiset(terms):
@@ -228,7 +228,7 @@ def test_stored_relations_are_the_placed_block_bases(rmatrix, ns):
                 + [(cross, pair) for pair in itertools.combinations(copies, 2)])
 
     def union(blocks):
-        rels = [r for block, copies in blocks for r in presents._place(block, size, copies)]
+        rels = [r for block, copies in blocks for r in ncalg._place(block, size, copies)]
         return sorted(rels, key=lambda r: order.key(order.leading_word(r)), reverse=True)
 
     for n in ns:
