@@ -15,6 +15,13 @@ memoized by their operands.  They stay safe to share between threads: the
 intern table is filled with dict.setdefault, so two threads building one
 value get the same object, and a memo entry only ever names that object.
 
+A Laurent polynomial q^k * num (den = 1) with every |coefficient| below
+2^(W-1) also holds its packed image num(2^W) in signed base-2^W digits
+(Kronecker substitution).  When the result's coefficients provably stay
+below that bound, a sum or product of two such values is one integer
+operation, and its value is found by (k, image) in a secondary index, also
+filled with setdefault; other operands take the tuple path.
+
 Sampled computations specialize q to x in Z/MZ, M = p_1...p_k distinct
 primes (a ModRing), and work there with ModP elements: by the Chinese
 remainder theorem that is k points mod p_i at once; GF(p) is M = p.
@@ -191,17 +198,44 @@ def _laurent_str(k, p):
 
 # _VALUES maps the canonical triple (k, num, den) of each value to its one
 # RatFunc and is never emptied, so the id of an operand names its value for
-# the life of the process; the memo tables key on such ids.
-_VALUES = {}
+# the life of the process; the memo tables key on such ids.  _PACKED maps k
+# to {num(2^W): value} for each Laurent value q^k * num that has a packed image.
+_VALUES, _PACKED = {}, {}
 _MUL, _ADD, _DIV, _NEG = {}, {}, {}, {}
+
+# digit width of packed images; each digit c is signed, |c| < _HALF
+W = 32
+_HALF, _MASK = 1 << (W - 1), (1 << W) - 1
+
+
+def _laurent(k, n):
+    """The value q^k * p(q) for n = p(2^W), each digit c of p with |c| < _HALF."""
+    if not n:
+        return ZERO
+    while not n & _MASK:  # a zero constant digit moves into k
+        n >>= W
+        k += 1
+    r = _PACKED.get(k, {}).get(n)
+    if r is None:
+        digits = []
+        while n:
+            digits.append((n + _HALF & _MASK) - _HALF)
+            n = (n - digits[-1]) >> W
+        r = RatFunc._raw(k, tuple(digits), (1,))
+    return r
 
 
 class RatFunc:
     """q^k * num(q) / den(q), a canonical element of Q(q).  RatFunc(k, num,
     den), num and den integer coefficient sequences (low degree first, den
-    not zero), normalizes and returns the value's one object."""
+    not zero), normalizes and returns the value's one object.
 
-    __slots__ = ("k", "num", "den", "_hash")
+    A Laurent value also holds _mx, the largest |coefficient| of num, and
+    its packed image _pk = num(2^W) while _mx < 2^(W-1), else None.  A sum
+    needs _mx + _mx' below that bound, a product min(len) * _mx * _mx':
+    p -> p(2^W) is a ring homomorphism, injective on such polynomials."""
+
+    __slots__ = ("k", "num", "den", "_hash", "_pk", "_mx")
 
     def __new__(cls, k, num, den=(1,)):
         num, den = _trim(list(num)), _trim(list(den))
@@ -230,8 +264,15 @@ class RatFunc:
             r = object.__new__(cls)
             r.k, r.num, r.den = key
             r._hash = hash(key)  # of integers only: the same in every process
+            r._pk = r._mx = None
+            if den == (1,):
+                r._mx = max(map(abs, num), default=0)
+                if r._mx < _HALF:
+                    r._pk = sum(c << W * i for i, c in enumerate(num))
             # setdefault: two threads building one value get the same object
             r = _VALUES.setdefault(key, r)
+            if r._pk is not None:
+                _PACKED.setdefault(k, {}).setdefault(r._pk, r)
         return r
 
     @classmethod
@@ -268,7 +309,10 @@ class RatFunc:
         r = _ADD.get(key)
         if r is None:
             k = min(self.k, other.k)
-            if self.den == other.den:
+            a, b = self._pk, other._pk
+            if a is not None and b is not None and self._mx + other._mx < _HALF:
+                r = _laurent(k, (a << W * (self.k - k)) + (b << W * (other.k - k)))
+            elif self.den == other.den:
                 r = RatFunc(k, _add(self.num, self.k - k, other.num, other.k - k), self.den)
             else:
                 r = RatFunc(k, _add(_mul(self.num, other.den), self.k - k,
@@ -303,8 +347,14 @@ class RatFunc:
         key = (id(self), id(other))
         r = _MUL.get(key)
         if r is None:
-            r = _MUL[key] = RatFunc(self.k + other.k, _mul(self.num, other.num),
-                                    _mul(self.den, other.den))
+            a, b = self._pk, other._pk
+            if (a is not None and b is not None
+                    and min(len(self.num), len(other.num)) * self._mx * other._mx < _HALF):
+                r = _laurent(self.k + other.k, a * b)
+            else:
+                r = RatFunc(self.k + other.k, _mul(self.num, other.num),
+                            _mul(self.den, other.den))
+            _MUL[key] = r
         return r
 
     __rmul__ = __mul__

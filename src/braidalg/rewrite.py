@@ -312,9 +312,11 @@ def orient_relations(P: Presentation) -> tuple:
     The reduced echelon basis of the relation span yields one rule per
     pivot word.  A presentation stores exactly that basis, and refuses a
     singular exchange block, so the rules are read off the stored
-    relations, each with source the relation's index.
+    relations, each with source the relation's index.  Each distinct
+    coefficient is negated once; no negative is zero.
     """
-    return tuple(Rule(lead, NCPoly({w: -c for w, c in r.terms.items() if w != lead}), i)
+    neg = {c: -c for c in dict.fromkeys(c for r in P.relations for c in r.terms.values())}
+    return tuple(Rule(lead, NCPoly._raw({w: neg[c] for w, c in r.terms.items() if w != lead}), i)
                  for i, (r, lead) in enumerate(zip(P.relations, P.leads)))
 
 

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -174,6 +175,25 @@ def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
     assert (gb.classes, gb.class_overlaps, gb.work) == (2, 4400, 83137)
     assert not any(residue for residue, _ in steps)
     assert gb.work == sum(1 + n for _, n in steps)
+
+
+ORIENTED = [
+    ("chain-glq2-n5", lambda: braided_chain(glq2_rmatrix(), 5)),
+    ("bm-glq4-square", lambda: square(braided_matrices(glq_rmatrix(4)), glq_rmatrix(4))),
+    ("chain-pert2-n2", lambda: braided_chain(pert2_rmatrix(), 2)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORIENTED], ids=[n for n, _ in ORIENTED])
+def test_orientation_reads_the_rules_off_the_relations_with_each_coefficient_negated(build):
+    # the rules that negating every term's coefficient gives: the same left
+    # sides, right sides and sources, over Q(q) and at a point of Z/MZ
+    P = build()
+    x = qs.ModRing((2 ** 61 - 1, 2 ** 61 - 31)).image(Fraction(3, 7))
+    for S in (P, P.evaluate_mod(x)):
+        want = [(lead, {w: -c for w, c in r.terms.items() if w != lead}, i)
+                for i, (r, lead) in enumerate(zip(S.relations, S.leads))]
+        assert [(r.lhs, r.rhs.terms, r.source) for r in rewrite.orient_relations(S)] == want
 
 
 def test_threads_reducing_on_one_cached_system_get_the_serial_results():

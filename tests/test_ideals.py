@@ -341,6 +341,44 @@ def test_hilbert_with_dead_end_generator():
     assert dims == span_dims(P, 3) == [1, 2, 2, 2]
 
 
+def skew_ring(extra=False):
+    """x, y, z with yx, zx, zy q-commuting past x y, x z, y z by factors
+    that leave the packed Laurent path (2^70 + q) or stay on it; extra adds
+    x x = (2^70*q + 5) y z, which puts denominators in the basis and makes
+    completion adjoin rules."""
+    c = {(0, 1): qs.parse_scalar("2^70 + q"), (0, 2): qs.parse_scalar("q^-1 - 3*q"),
+         (1, 2): qs.parse_scalar("(2^31 - 1)*q^2 + 3")}
+    rels = [NCPoly({(b, a): ONE, (a, b): -f}) for (a, b), f in c.items()]
+    if extra:
+        rels.append(NCPoly({(0, 0): ONE, (1, 2): -qs.parse_scalar("2^70*q + 5")}))
+    return Presentation(1, [Generator(g, 1, 1) for g in "xyz"], rels, name="skew3")
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["confluent", "completed"])
+def test_completion_is_exact_with_coefficients_past_the_packed_bound(extra):
+    P = skew_ring(extra)
+    dims = hilbert_dims(P, 4)
+    assert dims == span_dims(P, 4)
+    assert dims == ([1, 3, 5, 4, 4] if extra else [commutative_count(3, d) for d in range(5)])
+    assert bool(truncated_gb(P, 4).added_rules) == extra
+    rng = random.Random(29)
+    coeffs = [ONE, qs.Q, qs.parse_scalar("2^70 - q^-1"), qs.parse_scalar("(2^30 + 1)*q^2 - 7")]
+    members = 0
+    for _ in range(12):
+        d = rng.choice((3, 4))
+        left = tuple(rng.randrange(3) for _ in range(rng.randrange(d - 1)))
+        right = tuple(rng.randrange(3) for _ in range(d - 2 - len(left)))
+        p = rng.choice(P.relations).sandwich(left, right).scale(rng.choice(coeffs))
+        if rng.random() < 0.5:  # plus a word, which mostly leaves the ideal
+            p = p + NCPoly.term(tuple(rng.randrange(3) for _ in range(d)), rng.choice(coeffs))
+        residue, cert, _ = reduce_mod_ideal(p, P, 4)
+        assert cert.replay(P.relations) == p - residue
+        assert span_membership(p - residue, P, 4)[0]
+        assert span_membership(p, P, 4)[0] == residue.is_zero()
+        members += residue.is_zero()
+    assert 0 < members < 12
+
+
 # -- relation span comparison ----------------------------------------------------
 
 def test_span_equal_scaling(bm):

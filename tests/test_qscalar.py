@@ -309,8 +309,11 @@ def test_hash_is_the_same_under_every_hash_seed():
 def test_two_threads_building_the_same_values_get_the_same_objects(monkeypatch):
     # values no other test builds; the intern table holds a thread that misses
     # a key until the other thread has missed it too, so both build every new
-    # value and only the table's insertion decides which object both get
+    # value and only the table's insertion decides which object both get.
+    # The Laurent texts multiply on packed images, the last 50 past the bound
     texts = [f"({k} + 7919*q^{k % 5})/(q^2 + {k}*q + 1)" for k in range(10 ** 9, 10 ** 9 + 200)]
+    texts += [f"{k} - 7919*q^{k % 5 - 2}" for k in range(10 ** 9 + 200, 10 ** 9 + 350)]
+    texts += [f"{k} - 7919*q^{k % 5 - 2}" for k in range(10 ** 12, 10 ** 12 + 50)]
     meet, built = threading.Barrier(2, timeout=10), [None, None]
 
     class RacingTable(dict):
@@ -334,9 +337,65 @@ def test_two_threads_building_the_same_values_get_the_same_objects(monkeypatch):
     table.update(racing)  # keep every value made here interned for good
     monkeypatch.setattr(qs, "_VALUES", table)
     assert not any(t.is_alive() for t in threads)
-    assert len(built[0]) == len(built[1]) == 200
+    assert len(built[0]) == len(built[1]) == 400
     assert all(x is y for x, y in zip(*built))
     assert all(x is parse_scalar(t) * (1 + qs.Q) for x, t in zip(built[0], texts))
+
+
+# -- sums and products on packed images ----------------------------------------
+
+HALF = 1 << (qs.W - 1)
+# coefficients on both sides of the packed bound, up to 2^70
+big_coeffs = st.one_of(st.integers(-4, 4), st.integers(-2 ** 16, 2 ** 16),
+                       st.integers(-HALF, HALF), st.integers(-2 ** 70, 2 ** 70))
+laurent_polys = st.builds(RatFunc, st.integers(-4, 4), st.lists(big_coeffs, max_size=6))
+
+
+def constructed(op, a, b):
+    """a op b for Laurent a, b as the constructor builds it from tuples."""
+    k = min(a.k, b.k)
+    if op == "*":
+        return RatFunc(a.k + b.k, qs._mul(a.num, b.num))
+    num = b.num if op == "+" else [-c for c in b.num]
+    return RatFunc(k, qs._add(a.num, a.k - k, num, b.k - k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys, laurent_polys)
+def test_laurent_sums_and_products_are_the_constructors_objects(a, b):
+    assert a + b is constructed("+", a, b)
+    assert a - b is constructed("-", a, b)
+    assert a * b is constructed("*", a, b)
+    assert b * a is a * b and b + a is a + b
+    for x in (a, b, a + b, a - b, a * b):
+        assert_canonical(x)
+        assert (x._pk is None) == (max(map(abs, x.num), default=0) >= HALF)
+
+
+def test_packed_operations_run_exactly_below_the_bound(monkeypatch):
+    # q^1001.. keeps these operand pairs out of every other test's memo
+    packed, laurent = [], qs._laurent
+    monkeypatch.setattr(qs, "_laurent", lambda k, n: packed.append(n) or laurent(k, n))
+    m = HALF // 2
+    cases = [  # (op, a, b, packed): sums need mx_a + mx_b < HALF, products
+               # min(len_a, len_b) * mx_a * mx_b < HALF
+        ("+", [m], [m - 1], True), ("+", [m], [m], False), ("-", [-m], [m], False),
+        ("-", [1 - m, 3], [0, 3], True), ("+", [1 - m, 1, 5], [m - 1, -1, 2], True),
+        ("-", [3, -4], [3, -4], True), ("+", [0, 2 - HALF], [0, 0, 1], True),
+        ("*", [HALF - 1], [0, -1], True), ("*", [HALF - 1], [2], False),
+        ("*", [2 ** 15, 2 ** 15], [2 ** 15 - 1, 1 - 2 ** 15], True),
+        ("*", [2 ** 15, 2 ** 15], [2 ** 15, 2 ** 15], False),
+        ("*", [HALF], [1], False), ("+", [-HALF], [0, 1], False),
+    ]
+    for i, (op, p, r, want_packed) in enumerate(cases):
+        a, b = RatFunc(1001 + i, p), RatFunc(1001 + i, r)
+        packed.clear()
+        got = a * b if op == "*" else a + b if op == "+" else a - b
+        assert got is constructed(op, a, b), (op, p, r)
+        assert bool(packed) == want_packed, (op, p, r)
+    assert RatFunc(0, [HALF - 1, 1 - HALF])._pk is not None
+    assert RatFunc(0, [HALF, 1])._pk is None and RatFunc(0, [1, -HALF])._pk is None
+    assert RatFunc(0, [1], [1, 1])._pk is None  # not a Laurent polynomial
 
 
 # -- residue rings Z/MZ ---------------------------------------------------------
