@@ -34,8 +34,9 @@ is non-certifying; the sampled rational points are recorded in the report.
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _enc
 
@@ -44,7 +45,7 @@ from .ideals import reduce_mod_ideal, substitute_generators
 from .linalg import SingularMatrixError
 from .ncalg import NCPoly, OrientationError, Presentation, format_poly, word_str
 from .qscalar import ModRing, NonUnitError, PoleError, RatFunc
-from .rmat import RMatrix, invert, second_inverse, ybe_check
+from .rmat import INDEX_CONVENTION, RMatrix, invert, second_inverse, ybe_check
 
 DEFAULT_SEED = 7261
 # sample point i works mod PRIMES[i]: 2^61 - 1 and the next primes below it
@@ -213,45 +214,20 @@ def verify_coassoc(P: Presentation, spec: CoproductSpec):
 # the full pipeline
 # ---------------------------------------------------------------------------
 
-# the verify document's fixed shape, as json.dumps(indent=2) prints it, split
-# at the relations array: its items are written between the head and the tail
-_REPORT_HEAD = """{
-  "report": "verify",
-  "index_convention": "R^{ij}_{kl}; upper indices are outputs, index pairs flattened \
-row-major as (i-1)*N+(j-1)",
-  "preset": %s,
-  "rmatrix": %s,
-  "copies": %s,
-  "degree_bound": %s,
-  "mode": %s,
-  "points": %s,
-  "ybe": %s,
-  "ybe_witness": %s,
-  "invertible": %s,
-  "second_inverse": %s,
-  "orientation": %s,
-  "warnings": %s,
-  "relations": ["""
-_REPORT_TAIL = """],
-  "counit": %s,
-  "counit_detail": %s,
-  "coassoc": %s,
-  "coassoc_detail": %s,
-  "completion_warning": %s,
-  "square_relations": %s,
-  "failure": %s,
-  "passed": %s
-}
-"""
 _VERDICT = '{\n      "index": %d,\n      "relation": %s,\n      "verdict": "%s"%s%s\n    }'
 _TERM = ('{\n          "left": %s,\n          "relation": %d,\n          "right": %s,\n'
          '          "coeff": %s\n        }')
 
 
-def _scalar(v):
-    """A str, int, bool or None as JSON."""
-    return ("null" if v is None else "true" if v is True else "false" if v is False
-            else "%d" % v if isinstance(v, int) else _enc(v))
+class _Memo(dict):
+    """key -> fn(key), computed on the first lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 def _array(items, pad):
@@ -292,19 +268,21 @@ class VerificationReport:
         """The report as JSON, yielded in chunks: the head up to the relations
         array, one chunk per relation verdict, then the tail.  Joined, the
         chunks are byte for byte json.dumps(document, indent=2) + "\\n": 2-space
-        indent, keys in a fixed order, non-ASCII escaped as \\uXXXX."""
-        s = _scalar
-        yield _REPORT_HEAD % (
-            s(self.preset), s(self.rmatrix), s(self.copies), s(self.degree_bound),
-            s(self.mode), _array(map(_enc, self.points), 4), s(self.ybe),
-            s(self.ybe_witness), s(self.invertible), s(self.second_inverse),
-            s(self.orientation), _array(map(_enc, self.warnings), 4))
-        terms = [t for v in self.relation_verdicts if v.certificate for t in v.certificate]
+        indent, keys in field order, non-ASCII escaped as \\uXXXX.  json.dumps
+        writes the fixed fields; templates write only the verdicts and their
+        certificate terms."""
+        doc = {"report": "verify", "index_convention": INDEX_CONVENTION}
+        for f in fields(self):
+            if f.name == "relation_verdicts":
+                doc["relations"] = []
+            elif f.name != "square_roster":
+                doc[f.name] = getattr(self, f.name)
+        # json.dumps escapes a newline inside a string: only the key line matches
+        head, tail = json.dumps(doc, indent=2).split('\n  "relations": [],\n')
+        yield head + '\n  "relations": ['
         # each distinct word and coefficient is printed and escaped once
-        words = {w: _enc(word_str(w, self.square_roster))
-                 for w in {w for t in terms for w in (t[0], t[2])}}
-        coeffs = {c: _enc(str(c)) for c in {t[3] for t in terms}}
-        del terms  # this frame lives until the last chunk is taken
+        words = _Memo(lambda w: _enc(word_str(w, self.square_roster)))
+        coeffs = _Memo(lambda c: _enc(str(c)))
         sep = "\n    "
         for v in self.relation_verdicts:
             yield sep + _VERDICT % (
@@ -314,10 +292,7 @@ class VerificationReport:
                      for lw, idx, rw, c in v.certificate], 8),
                 "" if v.residue is None else ',\n      "residue": ' + _enc(v.residue))
             sep = ",\n    "
-        yield ("\n  " if self.relation_verdicts else "") + _REPORT_TAIL % (
-            s(self.counit), s(self.counit_detail), s(self.coassoc),
-            s(self.coassoc_detail), s(self.completion_warning),
-            _array(map(_enc, self.square_relations), 4), s(self.failure), s(self.passed))
+        yield ("\n  " if self.relation_verdicts else "") + "],\n" + tail + "\n"
 
 
 def _denominators(P: Presentation, SQ: Presentation):

@@ -46,8 +46,7 @@ MAX_DEGREE = 64
 # that for the braided tensor square that verify and square-iso build.
 MAX_GENERATORS = 256
 
-CONVENTION_LINE = ("# index convention: R^{ij}_{kl}; upper indices are outputs, "
-                   "index pairs flattened row-major as (i-1)*N+(j-1)")
+CONVENTION_LINE = "# index convention: " + rmat.INDEX_CONVENTION
 
 
 class UsageError(ValueError):

@@ -178,12 +178,6 @@ class NCPoly:
                 out[w] = v
         return NCPoly._raw(out)
 
-    def generators(self):
-        gens = set()
-        for w in self.terms:
-            gens.update(w)
-        return gens
-
     def __repr__(self):
         if not self.terms:
             return "NCPoly(0)"
@@ -202,11 +196,6 @@ class DegLexOrder:
 
     def key(self, word):
         return (len(word), word)
-
-    def leading_word(self, p: NCPoly):
-        if not p.terms:
-            return None
-        return max(p.terms, key=self.key)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ from .qscalar import QQ_Q
 # has N^4 entries and each preset has at least N^2 generators.
 MAX_DIM = 16
 
+# The convention above in one line, as the documents state it.
+INDEX_CONVENTION = ("R^{ij}_{kl}; upper indices are outputs, "
+                    "index pairs flattened row-major as (i-1)*N+(j-1)")
+
 
 class RMatrixDocumentError(ValueError):
     """Malformed R-matrix document."""

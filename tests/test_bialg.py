@@ -360,6 +360,7 @@ def hand_built_reports():
                 ybe=True, invertible=True, second_inverse=True, orientation="ok",
                 counit=True, coassoc=True, square_relations=["L.u[1,1]*L.u[1,2]", "é[1,1]"],
                 square_roster=roster)
+    key_line = '"\n  "relations": [],\n  "passed": true'
     return {
         "passing-with-certificates": VerificationReport(
             **base, passed=True, relation_verdicts=[
@@ -392,6 +393,16 @@ def hand_built_reports():
             mode="exact", ybe=True, invertible=True, second_inverse=False,
             orientation='cannot orient "u[1,1]"\tat \\ degree 2\n\x01',
             warnings=['"quoted" back\\slash\ttab\nnewline\x01 é √']),
+        # strings that hold the relations key line; the empty arrays print
+        # lines of its shape
+        "relations-key-in-strings": VerificationReport(
+            preset="bm", rmatrix=f"{key_line}.json", copies=1, degree_bound=4,
+            mode="exact", ybe=False, ybe_witness=f"entry {key_line}", invertible=True,
+            second_inverse=True, orientation="ok", counit=True, coassoc=True,
+            coassoc_detail=key_line, warnings=[], square_relations=[], square_roster=roster,
+            relation_verdicts=[
+                RelationVerdict(0, f"u[1,1] {key_line}", True, certificate=cert[1:2]),
+                RelationVerdict(1, "u[1,2]", False, residue=f"{key_line}\n")]),
     }
 
 
