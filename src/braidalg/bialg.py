@@ -50,7 +50,6 @@ from .rmat import INDEX_CONVENTION, RMatrix, invert, second_inverse, ybe_check
 DEFAULT_SEED = 7261
 # sample point i works mod PRIMES[i]: 2^61 - 1 and the next primes below it
 PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
-DEFAULT_POINTS = len(PRIMES)
 
 
 class CoproductError(ValueError):
@@ -302,22 +301,19 @@ def _denominators(P: Presentation, SQ: Presentation):
     return {RatFunc(0, c.den) for c in coeffs}
 
 
-def sample_points(R: RMatrix, seed: int, count: int, denominators=(), exclude=()):
-    """Deterministic sample values q0 = n/d of q.
+def sample_points(R: RMatrix, seed: int, denominators=(), exclude=()):
+    """Deterministic sample values q0 = n/d of q, one per prime.
 
-    Point i (1 <= count <= len(PRIMES)) is used through its image
-    x = n * d^-1 mod PRIMES[i].  A drawn q0 is skipped when it is in exclude,
-    when x does not exist or is 0 or +-1, when x is a pole of R or of R^-1,
-    or when one of the given denominators vanishes at x.  Raises
-    SamplingError after 200 draws.
+    Point i is used through its image x = n * d^-1 mod PRIMES[i].  A drawn
+    q0 is skipped when it is in exclude, when x does not exist or is 0 or
+    +-1, when x is a pole of R or of R^-1, or when one of the given
+    denominators vanishes at x.  Raises SamplingError after 200 draws.
     """
-    if not 1 <= count <= len(PRIMES):
-        raise ValueError(f"sample point count must be 1..{len(PRIMES)}, not {count}")
     rng = random.Random(seed)
-    fields = [ModRing((p,)) for p in PRIMES[:count]]
+    fields = [ModRing((p,)) for p in PRIMES]
     points = []
     attempts = 0
-    while len(points) < count:
+    while len(points) < len(fields):
         attempts += 1
         if attempts > 200:
             raise SamplingError("could not sample enough good evaluation points")
@@ -377,7 +373,7 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
         report.failure = f"singular matrix during build: {e}"
     if report.failure:
         if sampled:  # without a square there are no coefficients to avoid
-            report.points = [str(q0) for q0 in sample_points(R, seed, DEFAULT_POINTS)]
+            report.points = [str(q0) for q0 in sample_points(R, seed)]
         return report
 
     if sampled:
@@ -386,7 +382,7 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
         denominators, dropped = _denominators(P, SQ), set()
         ring = ModRing(PRIMES)
         while True:
-            points = sample_points(R, seed, DEFAULT_POINTS, denominators, dropped)
+            points = sample_points(R, seed, denominators, dropped)
             x = ring.crt([f.image(q0) for f, q0 in zip(ring.fields, points)])
             try:
                 if SQ is None:  # dropped at the previous point

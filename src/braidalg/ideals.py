@@ -97,7 +97,7 @@ def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int):
     gb = quadratic_system(P, bound)
     collect = P.field is QQ_Q
     residue, steps = gb.reduce(p, collect=collect)
-    if residue and gb.confluent is False:
+    if residue and not gb.confluent:
         gb = truncated_gb(P, bound)
         residue, steps = gb.reduce(p, collect=collect)
     cert = _certificate(gb, steps) if collect else None

@@ -18,12 +18,14 @@ A presentation's relations are placements of block forms.  A form is a
 list of relations on k copies of size generators, copy j being positions
 j*size .. j*size + size - 1; a placement (form, size, copies) puts it on k
 increasing roster copies by a relabelling that keeps the order.  A plain
-relation list is one form on all of its generators.  Placements share one
-size and put words on distinct copies, so their word supports are
-disjoint, and the stored relations, the placed canonical forms sorted by
-descending leading word, are the canonical basis of the whole span.
-Completion's class pass reads copy classes off the placements, so a plain
-list on a roster of several copies takes the full-completion fallback.
+relation list is one form on one copy of all the generators.  The block
+contract: k is 1 or 2, every word of a form lies on its one copy or takes
+one letter from each of its two copies, placements share one size, and no
+two nonempty ones share their copies; anything else raises NCAlgError.
+So the placements' word supports are disjoint, the stored relations, the
+placed canonical forms sorted by descending leading word, are the
+canonical basis of the whole span, and every relation keeps the copy
+multiset of its words, which completion's class pass rests on.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -207,10 +209,11 @@ class Presentation:
     placements (form, size, copies) or as a plain relation list.
 
     Each distinct form is pruned once to its canonical reduced echelon
-    basis (forms; placements holds them), and relations is their placed
-    union by descending leading word, so equal spans store equal relation
-    lists.  leads are the relations' leading words.  A singular exchange
-    block forces a lead that no relation as given led with and that puts a
+    basis, and equal bases are one object (forms lists each once;
+    placements holds them).  relations is their placed union by
+    descending leading word, so equal spans store equal relation lists.
+    leads are the relations' leading words.  A singular exchange block
+    forces a lead that no relation as given led with and that puts a
     generator of an earlier copy (by first roster appearance) before a
     later one; no rule rewrites that word downwards, so construction
     raises OrientationError naming the largest such word.
@@ -230,7 +233,7 @@ class Presentation:
             relations = [(relations, len(self.roster), (0,))]
         labels = {c: i for i, c in enumerate(dict.fromkeys(g.copy for g in self.roster))}
         rank = [labels[g.copy] for g in self.roster]
-        forms, owners, placements, forced = {}, {}, [], []
+        forms, canonical, owned, placements, forced = {}, {}, set(), [], []
         for given, size, copies in relations:
             copies = tuple(copies)
             to = [c * size + g for c in copies for g in range(size)]
@@ -242,16 +245,20 @@ class Presentation:
                 if not all(r.is_homogeneous(2) for r in given):
                     raise NCAlgError("relations must be homogeneous of degree 2")
                 form = tuple(_prune(given, self.order))
+                form = canonical.setdefault(tuple(tuple(sorted(r.terms.items())) for r in form),
+                                            form)
                 sourced = {max(r.terms) for r in given if r}
                 contents = {tuple(sorted(g // size for g in w)) for r in form for w in r.terms}
                 unsourced = [w for w in (max(r.terms) for r in form) if w not in sourced]
                 forms[id(given)] = form, contents, unsourced
             form, contents, unsourced = forms[id(given)]
-            if any(c[0] < 0 or c[-1] >= len(copies) for c in contents):
-                raise NCAlgError("relation uses generators outside the roster")
-            for key in {tuple(copies[j] for j in content) for content in contents}:
-                if owners.setdefault(key, len(placements)) != len(placements):
+            if len(copies) > 2 or any(c != (0, len(copies) - 1) for c in contents):
+                raise NCAlgError("a placement's words must lie on its one copy or take "
+                                 "one letter from each of its two copies")
+            if form:
+                if copies in owned:
                     raise NCAlgError("two placements put words on the same copies")
+                owned.add(copies)
             forced += [(to[a], to[b]) for a, b in unsourced if rank[to[a]] < rank[to[b]]]
             placements.append((form, size, copies))
         if forced:
@@ -261,7 +268,7 @@ class Presentation:
                 f"word {word_str(max(forced), self.roster)})")
         led = sorted(((max(r.terms), r) for form, size, copies in placements
                       for r in _place(form, size, copies)), key=itemgetter(0), reverse=True)
-        self.forms, self.placements = [f[0] for f in forms.values()], tuple(placements)
+        self.forms, self.placements = list(canonical.values()), tuple(placements)
         self.relations, self.leads = tuple(r for _, r in led), tuple(w for w, _ in led)
         self._cache = {}
 

@@ -345,21 +345,23 @@ def _overlap_terms(rs: RewriteSystem, r1: Rule, r2: Rule, ell: int):
 class QuadraticSystem(RewriteSystem):
     """The quadratic rules of a presentation after the class pass at a
     degree bound.  confluent is True when every class resolved to zero, so
-    the rules are the basis for every bound (quadratic left sides overlap
+    the rules are the basis for the bound (quadratic left sides overlap
     only in degree 3); False when a class left a nonzero residue, so
     completion adjoins a rule (it reduces the degree-3 overlaps first, with
-    only these rules until it adjoins one, and this overlap is among them);
-    None when the pass does not apply.
+    only these rules until it adjoins one, and this overlap is among them).
 
-    One representative decides a class of copy subsets: every rule keeps
-    the copy multiset of its left side, so an overlap's resolution stays on
-    its at most three copies and uses only their rules (the diamond lemma
-    is local); an order-preserving relabelling of copies keeps deg-lex, so
+    One representative decides a class of copy subsets.  A Presentation
+    places every form on one copy, with its words on that copy, or on two,
+    with one letter from each in every word; so every rule keeps the copy
+    multiset of its left side, an overlap's resolution stays on its at
+    most three copies and uses only their rules (the diamond lemma is
+    local).  An order-preserving relabelling of copies keeps deg-lex, so
     it carries reductions on one subset to those on another with equal
     relabelled rules; and a subset's key holds the canonical forms placed
-    on its single copies and copy pairs, which give all its rules.
-    classes, class_overlaps (reduced), fell_back and work (units spent)
-    record what the pass did.
+    on its single copies and copy pairs (equal forms are one object), which
+    give all its rules.  A plain relation list is one placement on one
+    copy, so one class decides it.  classes, class_overlaps (reduced) and
+    work (units spent) record what the pass did.
     """
 
     def __init__(self, P: Presentation, bound: int):
@@ -368,12 +370,11 @@ class QuadraticSystem(RewriteSystem):
         self.added_rules = []
         self.work = self.classes = self.class_overlaps = 0
         self.confluent = self._resolved_by_classes()
-        self.fell_back = not self.confluent
 
     @property
     def completion_warning(self) -> bool:
         """Completion adjoins rules: it did, or the class pass proved it will."""
-        return bool(self.added_rules) or self.confluent is False
+        return bool(self.added_rules) or not self.confluent
 
     def _charge(self, units):
         self.work += units
@@ -384,24 +385,16 @@ class QuadraticSystem(RewriteSystem):
 
     def _resolved_by_classes(self):
         """Resolve the degree-3 overlaps of one copy subset per class, on
-        word codes.  False at the first nonzero residue; None when bound < 3,
-        the roster's copies are not the placements' blocks, a placement has
-        over two copies, or a form's relation has words of two copy multisets."""
-        placements, roster = self.presentation.placements, self.presentation.roster
-        size = placements[0][1] if placements else 0
-        if self.bound < 3 or not size or any(len(c) > 2 for _, _, c in placements) or any(
-                g.copy != roster[i - i % size].copy for i, g in enumerate(roster)):
-            return None
-        ids, keys, on = {}, {}, {}
-        for form, _, copies in placements:
-            if id(form) not in keys:
-                if any(len({tuple(sorted(g // size for g in w)) for w in r.terms}) > 1
-                       for r in form):
-                    return None
-                keys[id(form)] = ids.setdefault(
-                    tuple(tuple(sorted(r.terms.items())) for r in form), len(ids))
-            on.setdefault(copies, []).append(form)
-        sig = {t: tuple(keys[id(form)] for form in forms) for t, forms in on.items()}
+        word codes.  False at the first nonzero residue; True at once when
+        bound < 3 or there are no placements, since no overlap lies within
+        the bound."""
+        placements, ngens = self.presentation.placements, self.presentation.ngens
+        if self.bound < 3 or not placements:
+            return True
+        # at most one nonempty form per copies, each canonical form one object
+        size = placements[0][1]
+        on = {copies: form for form, _, copies in placements if form}
+        sig = {t: id(form) for t, form in on.items()}
 
         def parts(s):
             # the single copies and copy pairs of s
@@ -409,14 +402,14 @@ class QuadraticSystem(RewriteSystem):
 
         classes = {}
         for k in (1, 2, 3):
-            for s in itertools.combinations(range(len(roster) // size), k):
-                classes.setdefault(tuple(sig.get(t, ()) for t in parts(s)), s)
+            for s in itertools.combinations(range(ngens // size), k):
+                classes.setdefault(tuple(sig.get(t) for t in parts(s)), s)
         self.classes = len(classes)
         arrived, prefixes = self._arrived, self._prefixes
         for s in classes.values():
             # the rules of the forms placed on each single copy and copy pair of s
-            for r1 in [self.rules[max(r.terms)] for t in parts(s) for form in on.get(t, ())
-                       for r in _place(form, size, t)]:
+            for r1 in [self.rules[max(r.terms)] for t in parts(s) if t in on
+                       for r in _place(on[t], size, t)]:
                 a, b = r1.lhs
                 # every rule is quadratic here: the rules that start with b
                 for r2 in map(arrived.__getitem__, prefixes.get((b,), ())):
@@ -448,7 +441,7 @@ class TruncatedGB(QuadraticSystem):
 
     def __init__(self, P: Presentation, bound: int):
         super().__init__(P, bound)
-        if self.fell_back:
+        if not self.confluent:
             self._complete()
 
     def _complete(self):
@@ -514,15 +507,13 @@ def truncated_gb(P: Presentation, bound: int) -> QuadraticSystem:
 
 
 def quadratic_system(P: Presentation, bound: int) -> QuadraticSystem:
-    """P's quadratic rules after the class pass at bound, cached; when the
-    pass does not apply, truncated_gb(P, bound).  Rules the pass resolved
-    are stored as truncated_gb(P, bound) too, so it runs once."""
+    """P's quadratic rules after the class pass at bound, cached.  Rules
+    the pass resolved are stored as truncated_gb(P, bound) too, so it runs
+    once."""
     quad = P._cache.get(("quadratic", bound))
     if quad is None:
         quad = QuadraticSystem(P, bound)
-        if quad.confluent is None:
-            quad = truncated_gb(P, bound)
-        elif quad.confluent:
+        if quad.confluent:
             quad = P._cache.setdefault(("gb", bound), quad)
         P._cache[("quadratic", bound)] = quad
     return quad

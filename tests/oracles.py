@@ -4,23 +4,58 @@ inverse of an R-matrix, the parser of the presentation documents that
 `braidalg present` writes, the chain and square relations with every
 block built from scratch at its own roster offsets, the chain cross
 block in its rearranged form, a rule as an ideal element, the overlaps
-that completion pairs, found by filtering a superset, and an R-matrix
-whose exchange blocks are singular."""
+that completion pairs, found by filtering a superset, and the test
+R-matrices: one whose exchange blocks are singular, GL_q(N) built from
+its defining entries, and the perturbed GL_q(2), also as a document."""
 
 import itertools
 import operator
 import re
 
+import pytest
+
 from braidalg import presents
+from braidalg import qscalar as qs
 from braidalg.linalg import SparseEchelon
 from braidalg.ncalg import Generator, NCAlgError, NCPoly, Presentation, parse_poly
-from braidalg.rmat import RMatrix, TensorOperator, invert, second_inverse
+from braidalg.rmat import (RMatrix, TensorOperator, glq2_rmatrix, invert, save_rmatrix,
+                           second_inverse)
 
 
 # an invertible R-matrix whose r21 and statistics exchange blocks are
 # singular, as (i, j, k, l) -> coefficient
 SINGULAR_EXCHANGE = {(1, 1, 2, 1): "1", (1, 1, 2, 2): "1", (1, 2, 1, 2): "2",
                      (1, 2, 2, 1): "1", (2, 1, 1, 1): "-2", (2, 2, 2, 1): "-2"}
+
+
+def glq_rmatrix(N):
+    """The Drinfeld-Jimbo GL_q(N) R-matrix: R^{ii}_{ii} = q, R^{ij}_{ij} = 1
+    for i != j and R^{ij}_{ji} = q - q^-1 for i < j."""
+    entries = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i == j:
+                entries[(i, i, i, i)] = qs.Q
+            else:
+                entries[(i, j, i, j)] = qs.ONE
+                if i < j:
+                    entries[(i, j, j, i)] = qs.Q - qs.QINV
+    return RMatrix(N, entries)
+
+
+def perturbed_rmatrix():
+    """GL_q(2)'s R-matrix with R^{12}_{21} = 1 + q (pert2): it fails YBE,
+    and its braided squares and chains are not confluent."""
+    R = glq2_rmatrix()
+    return RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+
+
+@pytest.fixture
+def perturbed_doc(tmp_path):
+    """The path of a document holding perturbed_rmatrix()."""
+    path = tmp_path / "perturbed.json"
+    path.write_text(save_rmatrix(perturbed_rmatrix()))
+    return str(path)
 
 
 def dense_rank(matrix) -> int:

@@ -12,8 +12,6 @@ import math
 import random
 import time
 
-import pytest
-
 from braidalg import qscalar as qs
 from braidalg.bialg import matrix_coproduct, verify_bialgebra
 from braidalg.cli import main
@@ -23,9 +21,9 @@ from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, cross_block, matrix_roster)
 from braidalg.rewrite import RewriteSystem, orient_relations
 from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix,
-                           identity_rmatrix, leg_embed, save_rmatrix)
+                           identity_rmatrix, leg_embed)
 
-from oracles import rearranged_cross_block, relation_span_equal
+from oracles import perturbed_doc, rearranged_cross_block, relation_span_equal
 
 ONE = qs.ONE
 
@@ -34,15 +32,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
-
-
-@pytest.fixture
-def perturbed_doc(tmp_path):
-    R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
-    path = tmp_path / "perturbed.json"
-    path.write_text(save_rmatrix(Rp))
-    return str(path)
 
 
 def test_criterion_1_ybe_and_biinvertibility(capsys):

@@ -18,13 +18,14 @@ from braidalg.bialg import (CoproductError, CoproductSpec, RelationVerdict,
                             verify_bialgebra, verify_coassoc, verify_counit,
                             verify_homomorphism)
 from braidalg.ideals import MembershipCertificate, substitute_generators
-from braidalg.ncalg import Generator, NCPoly, format_poly, parse_poly, word_str
+from braidalg.ncalg import (Generator, NCPoly, Presentation, format_poly, parse_poly,
+                            word_str)
 from braidalg.presents import braided_chain, braided_matrices, braided_tensor_square
 from braidalg.rewrite import truncated_gb
 from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix, identity_rmatrix,
                            save_rmatrix)
 
-from oracles import parse_presentation_document
+from oracles import glq_rmatrix, parse_presentation_document, perturbed_rmatrix
 
 ONE = qs.ONE
 
@@ -42,26 +43,6 @@ def square(bm):
 @pytest.fixture(scope="module")
 def spec(bm):
     return matrix_coproduct(bm)
-
-
-def perturbed_rmatrix():
-    R = glq2_rmatrix()
-    return RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
-
-
-def glq_rmatrix(N):
-    """The Drinfeld-Jimbo GL_q(N) R-matrix: R^{ii}_{ii} = q, R^{ij}_{ij} = 1
-    for i != j and R^{ij}_{ji} = q - q^-1 for i < j."""
-    entries = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i == j:
-                entries[(i, i, i, i)] = qs.Q
-            else:
-                entries[(i, j, i, j)] = ONE
-                if i < j:
-                    entries[(i, j, j, i)] = qs.Q - qs.QINV
-    return RMatrix(N, entries)
 
 
 # -- coproduct images -----------------------------------------------------------
@@ -209,6 +190,13 @@ def test_counit_epsilon_kills_relations_value(bm, spec):
                 v = v * spec.counit[g]
             total = total + v
         assert total.is_zero()
+
+
+def test_a_relation_the_counit_does_not_kill_fails(bm):
+    # u12*u21 = u11*u22 keeps the unit laws of the matrix coproduct, but the
+    # counit maps it to 0 - 1
+    P = Presentation(2, bm.roster, [parse_poly("u[1,2]*u[2,1] - u[1,1]*u[2,2]", bm)])
+    assert verify_counit(P, matrix_coproduct(P)) == (False, "eps(relation 0) = -1 != 0")
 
 
 def test_corrupted_counit_fails_unit_law(bm, spec):
@@ -441,16 +429,16 @@ def test_report_document_yields_one_relation_verdict_per_chunk():
 
 def test_sample_points_deterministic_and_safe():
     R = glq2_rmatrix()
-    pts1 = sample_points(R, 7261, 3)
-    pts2 = sample_points(R, 7261, 3)
+    pts1 = sample_points(R, 7261)
+    pts2 = sample_points(R, 7261)
     assert pts1 == pts2
     assert len(set(pts1)) == 3
     for p in pts1:
         assert p not in (0, 1, -1)
-    # one prime per point: no more points than primes, and at least one
-    for count in (0, len(bialg.PRIMES) + 1):
-        with pytest.raises(ValueError):
-            sample_points(R, 7261, count)
+    # a denominator that vanishes at the first draw, 7/6, replaces it by the
+    # next good draw
+    assert pts1[0] == Fraction(7, 6)
+    assert sample_points(R, 7261, [qs.parse_scalar("6*q - 7")]) == [-3, -2, 6]
 
 
 def test_probabilistic_agrees_with_exact_on_bm_glq2():
@@ -643,8 +631,8 @@ def test_sample_points_skip_denominators_divisible_by_the_prime(monkeypatch):
 
     seed = next(s for s in range(1000) if first_draw(s).denominator == 7)
     R = glq2_rmatrix()
-    points = sample_points(R, seed, 3)
-    assert points == sample_points(R, seed, 3)
+    points = sample_points(R, seed)
+    assert points == sample_points(R, seed)
     assert first_draw(seed) not in points
     # point i avoids p_i, and only p_i: -7 is point 2 (mod 11), though it is 0 mod 7
     assert all(q0.denominator % p and q0.numerator % p for q0, p in zip(points, small))
@@ -661,7 +649,7 @@ def test_degenerate_point_is_detected_and_redrawn(monkeypatch, cli_run):
     small = (101, 103, 107)
     monkeypatch.setattr(bialg, "PRIMES", small)
     R, seed = perturbed_rmatrix(), 3
-    points = sample_points(R, seed, 3)
+    points = sample_points(R, seed)
     assert points == [Fraction(9, 5), Fraction(-13, 5), Fraction(-4, 5)]
     ring = qs.ModRing(small)
     x = ring.crt([F.image(q0) for F, q0 in zip(ring.fields, points)])

@@ -23,22 +23,14 @@ from braidalg.ncalg import NCPoly, format_poly
 from braidalg.presents import braided_matrices
 from braidalg.rewrite import truncated_gb
 from braidalg.rmat import RMatrix, glq2_rmatrix, load_rmatrix, save_rmatrix
-from oracles import SINGULAR_EXCHANGE, parse_presentation_document, rule_element
+from oracles import (SINGULAR_EXCHANGE, parse_presentation_document, perturbed_doc,
+                     rule_element)
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture
-def perturbed_doc(tmp_path):
-    R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
-    path = tmp_path / "perturbed.json"
-    path.write_text(save_rmatrix(Rp))
-    return str(path)
 
 
 def test_ybe_pass(capsys):

@@ -1,5 +1,5 @@
 """Completion by copy classes: the class pass of TruncatedGB against full
-completion, its fallbacks, and its share of the work budget."""
+completion, plain relation lists, and its share of the work budget."""
 
 import heapq
 import itertools
@@ -19,9 +19,10 @@ from braidalg.ncalg import NCPoly, Presentation, format_poly, parse_poly
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
                                cross_block, frt_algebra, matrix_roster, self_block)
 from braidalg.rewrite import CompletionBudgetError, TruncatedGB
-from braidalg.rmat import RMatrix, glq2_rmatrix
+from braidalg.rmat import glq2_rmatrix
 
-from oracles import overlap_pushes, parse_presentation_document
+from oracles import (glq_rmatrix, overlap_pushes, parse_presentation_document,
+                     perturbed_rmatrix)
 from test_rewrite import reference_reduce
 
 BOUND = 4
@@ -32,24 +33,6 @@ class FullCompletion(TruncatedGB):
 
     def _resolved_by_classes(self):
         return False
-
-
-def glq_rmatrix(N):
-    entries = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i == j:
-                entries[(i, i, i, i)] = qs.Q
-            else:
-                entries[(i, j, i, j)] = qs.ONE
-                if i < j:
-                    entries[(i, j, j, i)] = qs.Q - qs.QINV
-    return RMatrix(N, entries)
-
-
-def pert2_rmatrix():
-    R = glq2_rmatrix()
-    return RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
 
 
 def square(P, R):
@@ -78,6 +61,10 @@ CONFLUENT = [
     ("chain-glq3-n3-unsquared", lambda: braided_chain(glq_rmatrix(3), 3), 3, 1461, 28563),
     ("bm-glq3", lambda: square(braided_matrices(glq_rmatrix(3)), glq_rmatrix(3)), 2, 732, 11161),
     ("bm-glq4", lambda: square(braided_matrices(glq_rmatrix(4)), glq_rmatrix(4)), 2, 4400, 83137),
+    # the outer statistics block is the inner one's form: one object, so
+    # three classes, not five
+    ("square-glq2-squared", lambda: square(square(braided_matrices(glq2_rmatrix()),
+                                                  glq2_rmatrix()), glq2_rmatrix()), 3, 116, 1285),
 ]
 
 
@@ -88,14 +75,14 @@ def test_class_pass_gives_full_completions_verdict(name, build, classes, reduced
     P = build()
     gb, steps = assert_class_pass_steps_match_reduce(P, monkeypatch)
     gb, full = assert_same_verdict(P, gb=gb)
-    assert not gb.fell_back and gb.added_rules == []
+    assert gb.confluent and gb.added_rules == []
     assert (gb.classes, gb.class_overlaps) == (classes, reduced)
     assert not any(residue for residue, _ in steps)
     # the budget unit: one per reduced overlap plus its steps
     assert gb.work == work == sum(1 + n for _, n in steps)
     # one representative per class does less work than every overlap
     assert 0 < gb.work <= full.work
-    assert full.fell_back and full.classes == 0
+    assert not full.confluent and full.classes == 0
 
 
 def _decode(terms, gb, length=3):
@@ -171,7 +158,7 @@ def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
         assert form_x == tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in form)
     assert len(P.forms) == len(symbolic.forms) == 2
     gb, steps = assert_class_pass_steps_match_reduce(P, monkeypatch)
-    assert not gb.fell_back and gb.added_rules == []
+    assert gb.confluent and gb.added_rules == []
     assert (gb.classes, gb.class_overlaps, gb.work) == (2, 4400, 83137)
     assert not any(residue for residue, _ in steps)
     assert gb.work == sum(1 + n for _, n in steps)
@@ -180,7 +167,7 @@ def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
 ORIENTED = [
     ("chain-glq2-n5", lambda: braided_chain(glq2_rmatrix(), 5)),
     ("bm-glq4-square", lambda: square(braided_matrices(glq_rmatrix(4)), glq_rmatrix(4))),
-    ("chain-pert2-n2", lambda: braided_chain(pert2_rmatrix(), 2)),
+    ("chain-pert2-n2", lambda: braided_chain(perturbed_rmatrix(), 2)),
 ]
 
 
@@ -250,9 +237,9 @@ def test_threads_reducing_on_one_cached_system_get_the_serial_results():
 
 
 def test_non_confluent_square_falls_back_to_full_completion():
-    Rp = pert2_rmatrix()
+    Rp = perturbed_rmatrix()
     gb, full = assert_same_verdict(square(braided_chain(Rp, 2), Rp))
-    assert gb.fell_back and gb.classes == 5 and gb.class_overlaps == 1
+    assert not gb.confluent and gb.classes == 5 and gb.class_overlaps == 1
     assert len(gb.added_rules) == 361
     # the pass's reductions are charged on top of completion's
     assert gb.work > full.work
@@ -264,12 +251,12 @@ def test_completion_builds_and_reduces_overlaps_without_reduce(monkeypatch):
         raise AssertionError("completion called RewriteSystem.reduce")
 
     monkeypatch.setattr(rewrite.RewriteSystem, "reduce", refuse)
-    Rp = pert2_rmatrix()
+    Rp = perturbed_rmatrix()
     gb = TruncatedGB(square(braided_chain(Rp, 2), Rp), BOUND)
-    assert gb.fell_back and len(gb.added_rules) == 361 and gb.work == 51651
+    assert not gb.confluent and len(gb.added_rules) == 361 and gb.work == 51651
     # the hilbert chain pert2 -n 3 -D 5 benchmark job's completion
     chain = TruncatedGB(braided_chain(Rp, 3), 5)
-    assert chain.fell_back and (chain.work, len(chain.added_rules)) == (21123, 105)
+    assert not chain.confluent and (chain.work, len(chain.added_rules)) == (21123, 105)
 
 
 class _RecordingHeapq:
@@ -294,13 +281,13 @@ def test_completion_queues_the_overlaps_of_the_reference_pairing(copies, bound, 
     # completion pairs each arriving rule only with the rules it overlaps,
     # through its prefix and suffix index; the reference pairs it with a
     # superset and filters, and both queue the same overlaps in one order
-    Rp = pert2_rmatrix()
+    Rp = perturbed_rmatrix()
     P = braided_chain(Rp, copies)
     P = square(P, Rp) if copies == 2 else P
     recording = _RecordingHeapq()
     monkeypatch.setattr(rewrite, "heapq", recording)
     gb = TruncatedGB(P, bound)
-    assert gb.fell_back
+    assert not gb.confluent
     assert recording.pushed == overlap_pushes(list(gb), bound)
     assert len(recording.pushed) == pushed
 
@@ -308,7 +295,7 @@ def test_completion_queues_the_overlaps_of_the_reference_pairing(copies, bound, 
 def test_overlap_terms_of_adjoined_rules_are_the_overlap_difference():
     # pairs of the length-3 rules adjoined on the pert2 square, overlapping
     # in one letter (a degree-5 word) or two (degree 4)
-    Rp = pert2_rmatrix()
+    Rp = perturbed_rmatrix()
     gb = TruncatedGB(square(braided_chain(Rp, 2), Rp), BOUND)
     cubic = [r for r in gb.added_rules if len(r.lhs) == 3]
     checked = {1: 0, 2: 0}
@@ -346,21 +333,21 @@ def test_a_changed_cross_block_separates_its_copy_pair():
     # all three pairs of the chain carry the same r21 block: one single,
     # one pair and one triple class
     gb = TruncatedGB(braided_chain(glq2_rmatrix(), 3), BOUND)
-    assert (gb.classes, gb.fell_back) == (3, False)
+    assert (gb.classes, gb.confluent) == (3, True)
     for k in (0, 2, 6):
         mutated, _ = assert_same_verdict(_mutated_chain3(k))
         # u1u3 now differs from u1u2 and u2u3
         assert mutated.classes == 4
-        assert mutated.fell_back and mutated.added_rules
+        assert not mutated.confluent and mutated.added_rules
 
 
 def test_class_pass_steps_match_reduce_up_to_a_residue(monkeypatch):
     # the pert2 square's first reduced overlap leaves a residue; the mutated
     # chain's first residue comes after dozens of zero ones
-    Rp = pert2_rmatrix()
+    Rp = perturbed_rmatrix()
     for P in (square(braided_chain(Rp, 2), Rp), _mutated_chain3(0)):
         gb, reduced = assert_class_pass_steps_match_reduce(P, monkeypatch)
-        assert gb.fell_back
+        assert not gb.confluent
         assert [bool(residue) for residue, _ in reduced] == [False] * (len(reduced) - 1) + [True]
 
 
@@ -386,16 +373,17 @@ def _interleaved_tensor_product_document():
     return "\n".join(out) + "\n"
 
 
-# (document, nf input, hilbert dims to degree 4, nf output) as the completion
-# without a class pass gives them
-FALLBACKS = {
+# (document, nf input, hilbert dims to degree 4, nf output, confluent, rules
+# adjoined) of plain relation lists, each decided by the class pass as one copy
+PLAIN_LISTS = {
     "interleaved-roster": (
         _interleaved_tensor_product_document,
         "u2[2,2]*u1[1,1]*u2[1,2] + q*u1[2,1]*u2[1,1]*u1[1,2]",
         [1, 8, 36, 120, 330],
         "q * u2[1,1]*u1[1,2]*u1[2,1] + u1[1,1]*u2[1,2]*u2[2,2] + (q^-1 - q) * "
         "u1[1,1]*u2[1,1]*u1[2,2] - (q^-2 - 1) * u1[1,1]*u2[1,1]*u2[1,2] - "
-        "(q^-1 - q) * u1[1,1]*u1[1,1]*u2[1,1]"),
+        "(q^-1 - q) * u1[1,1]*u1[1,1]*u2[1,1]",
+        True, 0),
     "copy-multiset-changing-relation": (
         lambda: _chain2_document() + "relation: u2[1,1]*u1[1,1] - u1[1,2]*u1[2,1]\n",
         "u2[2,2]*u1[1,1]*u2[1,1] + q*u2[1,1]*u2[1,1]*u1[1,1]",
@@ -404,26 +392,28 @@ FALLBACKS = {
         "- (1 - q^2) * u1[1,2]*u1[2,2]*u2[2,1] + u1[1,1]*u2[1,1]*u2[2,2] + "
         "(q^-2 - 1 + q - q^2 + q^4) * u1[1,1]*u2[1,1]*u2[1,1] + (2*q^-2 - 4 + 2*q^2) * "
         "u1[1,1]*u1[2,2]*u2[1,1] + (q^-4 - 2*q^-2 + q^2) * u1[1,1]*u1[2,1]*u2[1,2] + "
-        "(q^2 - q^4) * u1[1,1]*u1[1,2]*u2[2,1] - (q^-2 - 2 + q^2) * u1[1,1]*u1[1,1]*u2[1,1]"),
+        "(q^2 - q^4) * u1[1,1]*u1[1,2]*u2[2,1] - (q^-2 - 2 + q^2) * u1[1,1]*u1[1,1]*u2[1,1]",
+        False, 28),
 }
 
 
-@pytest.mark.parametrize("case", sorted(FALLBACKS))
-def test_unqualified_input_takes_the_fallback(case):
-    document, poly, dims, nf = FALLBACKS[case]
+@pytest.mark.parametrize("case", sorted(PLAIN_LISTS))
+def test_plain_lists_are_decided_as_one_copy(case):
+    document, poly, dims, nf, confluent, adjoined = PLAIN_LISTS[case]
     _, P = parse_presentation_document(document())
     gb, _ = assert_same_verdict(P)
-    assert gb.fell_back and gb.classes == 0 and gb.class_overlaps == 0
+    assert (gb.confluent, gb.classes, len(gb.added_rules)) == (confluent, 1, adjoined)
     assert hilbert_dims(P, BOUND) == dims
     p = parse_poly(poly, P)
     assert format_poly(TruncatedGB(P, p.degree()).reduce(p)[0], P) == nf
 
 
-def test_bounds_below_three_take_the_fallback():
+def test_bounds_below_three_are_confluent_at_once():
+    # no overlap lies within the bound
     P = braided_chain(glq2_rmatrix(), 2)
     for bound in (0, 2):
         gb = TruncatedGB(P, bound)
-        assert gb.fell_back and gb.classes == 0 and gb.work == 0
+        assert gb.confluent and gb.classes == 0 and gb.work == 0
 
 
 def test_the_class_pass_is_charged_to_the_work_budget(monkeypatch):
@@ -433,4 +423,4 @@ def test_the_class_pass_is_charged_to_the_work_budget(monkeypatch):
     with pytest.raises(CompletionBudgetError):
         TruncatedGB(P, BOUND)
     monkeypatch.setattr(rewrite, "MAX_COMPLETION_WORK", needed)
-    assert not TruncatedGB(P, BOUND).fell_back
+    assert TruncatedGB(P, BOUND).confluent

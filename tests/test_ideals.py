@@ -18,8 +18,8 @@ from braidalg.rewrite import (RewriteSystem, TruncatedGB, orient_relations,
                               quadratic_system, truncated_gb)
 from braidalg.rmat import glq2_rmatrix, identity_rmatrix
 
-from oracles import (RosterMismatchError, rearranged_cross_block, relation_span_equal,
-                     rule_element)
+from oracles import (RosterMismatchError, perturbed_rmatrix, rearranged_cross_block,
+                     relation_span_equal, rule_element)
 
 ONE = qs.ONE
 
@@ -161,9 +161,7 @@ def test_non_confluent_input_surfaces_completion_and_engines_agree():
     # the perturbed R-matrix gives a quadratic system that is NOT confluent;
     # completion must adjoin rules (surfaced as a warning) and the completed
     # reduction must still agree with the independent span elimination
-    from braidalg.rmat import RMatrix
-    R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    Rp = perturbed_rmatrix()
     Pp = braided_matrices(Rp)
     gb = truncated_gb(Pp, 4)
     assert gb.completion_warning
@@ -181,9 +179,7 @@ def test_non_confluent_input_surfaces_completion_and_engines_agree():
 def test_every_adjoined_rule_of_a_deep_completion_is_certified():
     # the bm pert2 square at D = 8 adjoins 60 rules whose derivations nest
     # 7 deep; certifying each rule's own element expands every source
-    from braidalg.rmat import RMatrix
-    R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    Rp = perturbed_rmatrix()
     SQ = braided_tensor_square(braided_matrices(Rp), Rp)
     gb = truncated_gb(SQ, 8)
     depth = {}  # a source names only earlier rules, so depth[r] is known
@@ -234,9 +230,7 @@ PERTURBED_ADJOINED = {
 
 def test_perturbed_completion_adjoins_the_recorded_rules():
     from braidalg.presents import build_preset
-    from braidalg.rmat import RMatrix
-    R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    Rp = perturbed_rmatrix()
     counts = {}
     for preset, n in (("bm", 1), ("chain", 2), ("square", 1)):
         gb = truncated_gb(build_preset(preset, Rp, n), 4)
@@ -262,9 +256,7 @@ def test_shipped_presets_confluent_at_degree_4():
 
 
 def test_reduction_completes_only_a_residue_on_a_non_confluent_square():
-    from braidalg.rmat import RMatrix
-    R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
+    R, Rp = glq2_rmatrix(), perturbed_rmatrix()
     SQ = braided_tensor_square(braided_matrices(R), R)
     SQp = braided_tensor_square(braided_matrices(Rp), Rp)
     # resolved rules are the basis itself
@@ -286,14 +278,11 @@ def test_reduction_completes_only_a_residue_on_a_non_confluent_square():
 
 
 def test_bound_2_reduction_takes_the_full_path():
-    # below degree 3 the class pass does not apply: reduction goes through
-    # truncated_gb as it always has
-    from braidalg.rmat import RMatrix
-    R = glq2_rmatrix()
-    Rp = RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
-    P = braided_matrices(Rp)
+    # below degree 3 no overlap lies within the bound: the quadratic rules
+    # are the basis
+    P = braided_matrices(perturbed_rmatrix())
     gb = truncated_gb(P, 2)
-    assert quadratic_system(P, 2) is gb and gb.fell_back and gb.classes == 0
+    assert quadratic_system(P, 2) is gb and gb.confluent and gb.classes == 0
     for p in (NCPoly.term((3, 0), ONE) + NCPoly.term((1, 2), ONE), P.relations[1].scale(ONE + ONE)):
         residue, cert, warned = reduce_mod_ideal(p, P, 2)
         assert residue == TruncatedGB(P, 2).reduce(p)[0] and not warned
@@ -450,9 +439,7 @@ def test_substitute_reduce_option(bm):
 
 
 def test_substitute_reduce_is_canonical_on_non_confluent_input():
-    from braidalg.rmat import RMatrix
-    R = glq2_rmatrix()
-    P = braided_matrices(RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")}))
+    P = braided_matrices(perturbed_rmatrix())
     images = {g: NCPoly.gen(g, ONE) for g in range(P.ngens)}
     rule = truncated_gb(P, 3).added_rules[0]
     p = rule_element(rule, ONE)

@@ -11,7 +11,7 @@ from braidalg.ncalg import (Generator, NCAlgError, NCPoly, OrientationError,
                             PolyParseError, Presentation, format_poly, parse_poly)
 from braidalg.cli import format_presentation_document
 from braidalg.bialg import DEFAULT_SEED, PRIMES, sample_points
-from braidalg.ideals import reduce_mod_ideal
+from braidalg.ideals import hilbert_dims, reduce_mod_ideal, span_rank
 from braidalg.linalg import SparseEchelon
 from braidalg.rewrite import RewriteSystem, orient_relations
 from braidalg.rmat import RMatrix, glq2_rmatrix, identity_rmatrix
@@ -20,7 +20,8 @@ from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_s
                                self_block)
 
 from oracles import (SINGULAR_EXCHANGE, chain_relations_at_offsets,
-                     parse_presentation_document, square_relations_at_offsets)
+                     parse_presentation_document, perturbed_rmatrix,
+                     square_relations_at_offsets)
 
 ONE = qs.ONE
 
@@ -58,11 +59,6 @@ def test_deglex_order():
     assert key((x, x)) > key((y,))        # degree first
     assert key((y, x)) > key((x, y))      # then precedence, left to right
     assert max(NCPoly({(x, y): ONE, (y, x): ONE}).terms, key=key) == (y, x)
-
-
-def perturbed_rmatrix():
-    R = glq2_rmatrix()
-    return RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
 
 
 def builder_presentations():
@@ -150,6 +146,10 @@ def test_presentation_rejects_bad_relations():
         two_gen_presentation([x])                    # degree 1
     with pytest.raises(NCAlgError):
         two_gen_presentation([NCPoly.gen(2, ONE) * x])  # position outside the roster
+    with pytest.raises(NCAlgError):
+        Presentation(1, [Generator("x", 1, 1)] * 2, [])  # duplicate roster generators
+    with pytest.raises(NCAlgError):
+        P.gen("z", 1, 1)                                # not a roster generator
 
 
 # -- orientation --------------------------------------------------------------
@@ -246,6 +246,8 @@ def test_placements_with_overlapping_word_supports_are_refused():
         "copies out of order": [(cross, 4, (1, 0))],
         "a copy past the roster": [(own, 4, (3,))],
         "a form too wide for its copies": [(cross, 4, (2,))],
+        "a form on three copies": [(chain_relations_at_offsets(R, 3), 4, (0, 1, 2))],
+        "a self block on two copies": [(self_block(perturbed_rmatrix()), 4, (0, 1))],
     }
     for placements in refused.values():
         with pytest.raises(NCAlgError):
@@ -254,6 +256,20 @@ def test_placements_with_overlapping_word_supports_are_refused():
     P = Presentation(2, roster, [(own, 4, (0,)), (own, 4, (2,)), (cross, 4, (0, 2))],
                      field=R.field)
     assert len(P.forms) == 2 and len(P.relations) == 2 * 6 + 16
+
+
+def test_a_self_block_placed_on_two_copies_is_refused():
+    # its words all lie on the first copy; the class pass rests on every
+    # two-copy word taking one letter from each copy, and would read this
+    # placement as confluent and miscount degrees 3 and 4
+    R = perturbed_rmatrix()
+    own = self_block(R)
+    roster = [g for c in ("u", "v") for g in matrix_roster(c, 2)]
+    with pytest.raises(NCAlgError):
+        Presentation(2, roster, [(own, 4, (0, 1))], field=R.field)
+    P = Presentation(2, roster, [(own, 4, (0,))], field=R.field)
+    dims = [P.ngens ** d - span_rank(P, d) for d in range(5)]
+    assert hilbert_dims(P, 4) == dims == [1, 8, 54, 374, 2583]
 
 
 def test_orient_singular_exchange_raises():
@@ -331,7 +347,7 @@ def test_specialized_relations_are_the_entrywise_specialization(rmatrix, preset,
     dens = {qs.RatFunc(0, c.den) for r in P.relations for c in r.terms.values()}
     # at each point alone, and at all three at once over Z/MZ
     ring = qs.ModRing(PRIMES[:3])
-    images = [F.image(q0) for F, q0 in zip(ring.fields, sample_points(R, DEFAULT_SEED, 3, dens))]
+    images = [F.image(q0) for F, q0 in zip(ring.fields, sample_points(R, DEFAULT_SEED, dens))]
     for x in images + [ring.crt(images)]:
         want = tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in P.relations)
         assert P.evaluate_mod(x).relations == want, (preset, x)

@@ -23,15 +23,11 @@ from braidalg.rmat import (RMatrix, flip_rmatrix, glq2_rmatrix,
                            ybe_check)
 from braidalg.linalg import SingularMatrixError
 
-from oracles import (chain_relations_at_offsets, rearranged_cross_block,
-                     relation_span_equal, square_relations_at_offsets)
+from oracles import (chain_relations_at_offsets, glq_rmatrix, perturbed_rmatrix,
+                     rearranged_cross_block, relation_span_equal,
+                     square_relations_at_offsets)
 
 ONE = qs.ONE
-
-
-def perturbed_rmatrix():
-    R = glq2_rmatrix()
-    return RMatrix(2, dict(R.entries) | {(1, 2, 2, 1): qs.parse_scalar("1 + q")})
 
 
 def is_commutator_presentation(P):
@@ -323,20 +319,6 @@ def test_build_preset_dispatch():
 
 
 # -- pinned presentation documents ------------------------------------------------
-
-def glq_rmatrix(N):
-    """The standard GL_q(N) R-matrix, built from its defining entries."""
-    entries = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i == j:
-                entries[(i, i, i, i)] = qs.Q
-            else:
-                entries[(i, j, i, j)] = ONE
-                if i < j:
-                    entries[(i, j, j, i)] = qs.Q - qs.QINV
-    return RMatrix(N, entries)
-
 
 # (argv, exit code, stdout length, stdout SHA-256) of present runs made in a
 # directory holding glq3.json and pert2.json; the relation blocks of every

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidalg import qscalar as qs
-from braidalg.bialg import DEFAULT_POINTS, PRIMES
+from braidalg.bialg import PRIMES
 from braidalg.qscalar import (ModRing, NonUnitError, PoleError, RatFunc,
                               ScalarParseError, ZeroDenominatorError, parse_scalar)
 
@@ -518,7 +518,6 @@ def test_sample_primes_are_distinct_primes():
     assert not any(_is_prime(n) for n in (561, 2 ** 61 - 3, 2 ** 61 - 9, 2 ** 61 - 33))
     # the next primes below 2^61 - 1, with none skipped
     assert [n for n in range(PRIMES[0], PRIMES[-1] - 1, -1) if _is_prime(n)] == list(PRIMES)
-    assert DEFAULT_POINTS == len(PRIMES)
 
 
 def test_printing_an_integer_beyond_the_digit_limit_is_a_qscalar_error():
