@@ -216,7 +216,9 @@ class Presentation:
     forces a lead that no relation as given led with and that puts a
     generator of an earlier copy (by first roster appearance) before a
     later one; no rule rewrites that word downwards, so construction
-    raises OrientationError naming the largest such word.
+    raises OrientationError naming the largest such word.  point is the
+    value of q in Z/MZ a specialization (evaluate_mod) was taken at, and
+    None over Q(q).
     """
 
     def __init__(self, dim, roster, relations, field=QQ_Q, name=""):
@@ -270,7 +272,7 @@ class Presentation:
                       for r in _place(form, size, copies)), key=itemgetter(0), reverse=True)
         self.forms, self.placements = list(canonical.values()), tuple(placements)
         self.relations, self.leads = tuple(r for _, r in led), tuple(w for w, _ in led)
-        self._cache = {}
+        self.point, self._cache = None, {}
 
     @property
     def ngens(self):
@@ -289,7 +291,7 @@ class Presentation:
         of a relation coefficient.  It keeps every monic leading term, so
         the specialized forms are canonical bases with the same leading
         words, and the placed relations, which hold the forms' coefficients,
-        take the same values on the same words."""
+        take the same values on the same words.  point records x."""
         coeffs = dict.fromkeys(c for form in self.forms for r in form for c in r.terms.values())
         special = {c: c.evaluate_mod(x) for c in coeffs}.__getitem__
         forms = {id(form): tuple(r.map_coefficients(special) for r in form) for form in self.forms}
@@ -298,7 +300,7 @@ class Presentation:
         P.placements = tuple((forms[id(form)], size, copies)
                              for form, size, copies in self.placements)
         P.relations = tuple(r.map_coefficients(special) for r in self.relations)
-        P.field, P._cache = x.ring, {}
+        P.field, P.point, P._cache = x.ring, x, {}
         return P
 
     def __repr__(self):

@@ -31,20 +31,24 @@ Because no confluence is guaranteed for quadratic rewrite systems in
 general, reduction alone only proves membership (residue zero), never
 non-membership.  QuadraticSystem runs a class pass that decides the
 confluence of the quadratic rules by copy classes (Bergman's diamond lemma,
-Adv. Math. 29, 1978).  TruncatedGB closes the gap exactly: it resolves
-every overlap ambiguity of composed degree <= D, adjoining the reduced
-residues as extra rules derived by that reduction.  After that, normal
-forms are canonical on all elements of degree <= D, so a nonzero residue
-is an exact witness of non-membership at that degree bound.  Any adjoined
+Adv. Math. 29, 1978), at a sample point by one random combination of
+each class's overlaps (Schwartz, J. ACM 27, 1980).  TruncatedGB closes the
+gap exactly: it resolves every overlap ambiguity of composed degree <= D,
+adjoining the reduced residues as extra rules derived by that reduction.
+After that, normal forms are canonical on all elements of degree <= D, so
+a nonzero residue is an exact witness of non-membership at that degree
+bound.  Any adjoined
 rule is reported as a completion warning: the quadratic system by itself
 was not confluent.  Work over MAX_COMPLETION_WORK units (one per overlap
-reduction plus its steps) raises CompletionBudgetError.
+reduction, or per word entering a combination, plus its steps) raises
+CompletionBudgetError.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import random
 import threading
 
 from .ncalg import NCPoly, Presentation, _place
@@ -52,6 +56,9 @@ from .ncalg import NCPoly, Presentation, _place
 # far above the ~9.6e4 units of the largest benchmark job, far below a
 # completion without end
 MAX_COMPLETION_WORK = 500_000
+# a sampled class pass reduces a combination before it passes this many
+# words (the GL_q(4) square's larger class sums 9,600)
+MAX_COMBINATION_WORDS = MAX_COMPLETION_WORK // 100
 
 
 class CompletionBudgetError(RuntimeError):
@@ -349,6 +356,8 @@ class QuadraticSystem(RewriteSystem):
     only in degree 3); False when a class left a nonzero residue, so
     completion adjoins a rule (it reduces the degree-3 overlaps first, with
     only these rules until it adjoins one, and this overlap is among them).
+    At a sample point (presentation.point) True errs with probability at
+    most 1/p per class, p the least prime of M.
 
     One representative decides a class of copy subsets.  A Presentation
     places every form on one copy, with its words on that copy, or on two,
@@ -360,8 +369,8 @@ class QuadraticSystem(RewriteSystem):
     relabelled rules; and a subset's key holds the canonical forms placed
     on its single copies and copy pairs (equal forms are one object), which
     give all its rules.  A plain relation list is one placement on one
-    copy, so one class decides it.  classes, class_overlaps (reduced) and
-    work (units spent) record what the pass did.
+    copy, so one class decides it.  classes, class_overlaps (nonzero
+    differences built) and work (units spent) record what the pass did.
     """
 
     def __init__(self, P: Presentation, bound: int):
@@ -387,8 +396,10 @@ class QuadraticSystem(RewriteSystem):
         """Resolve the degree-3 overlaps of one copy subset per class, on
         word codes.  False at the first nonzero residue; True at once when
         bound < 3 or there are no placements, since no overlap lies within
-        the bound."""
-        placements, ngens = self.presentation.placements, self.presentation.ngens
+        the bound.  At a sample point each class reduces one combination of
+        its overlaps, weighted by a generator seeded by the point."""
+        P = self.presentation
+        placements, ngens = P.placements, P.ngens
         if self.bound < 3 or not placements:
             return True
         # at most one nonempty form per copies, each canonical form one object
@@ -400,29 +411,98 @@ class QuadraticSystem(RewriteSystem):
             # the single copies and copy pairs of s
             return [t for k in (1, 2) for t in itertools.combinations(s, k)]
 
+        def overlaps(s):
+            # the nonzero overlap differences on all of s, from the rules of
+            # the forms placed on each single copy and copy pair of s
+            for r1 in [self.rules[max(r.terms)] for t in parts(s) if t in on
+                       for r in _place(on[t], size, t)]:
+                a, b = r1.lhs
+                # every rule is quadratic here: the rules that start with b
+                for r2 in map(arrived.__getitem__, prefixes.get((b,), ())):
+                    if {a // size, b // size, r2.lhs[1] // size} == set(s):
+                        terms = _overlap_terms(self, r1, r2, 1)
+                        if terms:
+                            self.class_overlaps += 1
+                            yield terms
+
         classes = {}
         for k in (1, 2, 3):
             for s in itertools.combinations(range(ngens // size), k):
                 classes.setdefault(tuple(sig.get(t) for t in parts(s)), s)
         self.classes = len(classes)
         arrived, prefixes = self._arrived, self._prefixes
+        rng = None if P.point is None else random.Random(P.point.v)
         for s in classes.values():
-            # the rules of the forms placed on each single copy and copy pair of s
-            for r1 in [self.rules[max(r.terms)] for t in parts(s) if t in on
-                       for r in _place(on[t], size, t)]:
-                a, b = r1.lhs
-                # every rule is quadratic here: the rules that start with b
-                for r2 in map(arrived.__getitem__, prefixes.get((b,), ())):
-                    if {a // size, b // size, r2.lhs[1] // size} != set(s):
-                        continue
-                    terms = _overlap_terms(self, r1, r2, 1)
-                    if terms:
-                        self._charge(1 + self._reduce_coded(terms, 3))
-                        self.class_overlaps += 1
-                        if terms:  # reduced in place to the residue
-                            return False
+            if rng is not None:
+                if not self._combination_resolves(overlaps(s), rng):
+                    return False
+                continue
+            for terms in overlaps(s):
+                self._charge(1 + self._reduce_coded(terms, 3))
+                if terms:  # reduced in place to the residue
+                    return False
         return True
 
+    def _combination_resolves(self, overlaps, rng) -> bool:
+        """Whether sum lambda_i * d_i over the overlap differences d_i, each
+        lambda_i uniform in Z/MZ, reduces to zero.  Reduction (largest word
+        first, its leftmost redex) is linear, so the residue is
+        sum lambda_i * r_i of their residues: zero when every r_i is, else
+        zero with probability at most 1/p, p the least prime of M.  Each
+        word entering costs a unit; a combination is reduced before it
+        would pass MAX_COMBINATION_WORDS words."""
+        M, values = self.presentation.field.M, self.values
+        raw = [x.v for x in values]
+        combination = {}
+        for terms in overlaps:
+            if len(combination) + len(terms) > MAX_COMBINATION_WORDS:
+                if not self._reduces_to_zero(combination, raw, M):
+                    return False
+            self._charge(len(terms))
+            lam = rng.randrange(M)
+            for w, c in terms.items():
+                s = (combination.get(w, 0) + lam * values[c].v) % M
+                if s:
+                    combination[w] = s
+                else:
+                    combination.pop(w, None)
+        return self._reduces_to_zero(combination, raw, M)
+
+    def _reduces_to_zero(self, terms: dict, raw: list, M: int) -> bool:
+        """_reduce_coded on words of length 3 with residues mod M for
+        coefficients, raw[r] the residue of value index r; charges the
+        steps and says whether the residue is zero."""
+        probes, push, pop = self._probes_at(3), heapq.heappush, heapq.heappop
+        heap = [-w for w in terms]
+        heapq.heapify(heap)
+        count = 0
+        while heap:
+            w = -pop(heap)
+            c = terms.get(w)
+            if c is None:
+                continue
+            for _, div, mod, get in probes:
+                key = w // div % mod
+                hit = get(key)
+                if hit is not None:
+                    break
+            else:
+                continue
+            del terms[w]
+            count += 1
+            rest = w - key * div
+            for u, r, _ in hit[1]:
+                nw = u * div + rest
+                s = terms.get(nw)
+                if s is None:
+                    terms[nw] = c * raw[r] % M
+                    push(heap, -nw)
+                elif s := (s + c * raw[r]) % M:
+                    terms[nw] = s
+                else:
+                    del terms[nw]
+        self._charge(count)
+        return not any(terms.values())
 
 
 class TruncatedGB(QuadraticSystem):

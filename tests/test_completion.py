@@ -1,24 +1,26 @@
 """Completion by copy classes: the class pass of TruncatedGB against full
 completion, plain relation lists, and its share of the work budget."""
 
+import copy
 import heapq
 import itertools
 import random
 import sys
 import threading
 import time
+import types
 from fractions import Fraction
 
 import pytest
 
+from braidalg import bialg, rewrite
 from braidalg import qscalar as qs
-from braidalg import rewrite
 from braidalg.cli import format_presentation_document
 from braidalg.ideals import hilbert_dims
 from braidalg.ncalg import NCPoly, Presentation, format_poly, parse_poly
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
                                cross_block, frt_algebra, matrix_roster, self_block)
-from braidalg.rewrite import CompletionBudgetError, TruncatedGB
+from braidalg.rewrite import CompletionBudgetError, QuadraticSystem, TruncatedGB
 from braidalg.rmat import glq2_rmatrix
 
 from oracles import (glq_rmatrix, overlap_pushes, parse_presentation_document,
@@ -143,13 +145,78 @@ def assert_class_pass_steps_match_reduce(P, monkeypatch):
     return gb, reduced
 
 
+def assert_combinations_are_weighted_residues(P, monkeypatch):
+    """Build QuadraticSystem(P, BOUND), P specialized at a point, recording
+    each overlap difference its class pass builds, each weight it draws and
+    each combination it reduces (before and after).  Check that the weights
+    are those a generator seeded by the point draws, every combination is
+    the weighted sum of its differences, and its residue is the weighted
+    sum of their residues under the reference reducer with the quadratic
+    rules as well as the reference reduction of the combination itself.
+    Returns the system, the differences, the number of combinations and
+    their reference steps."""
+    ring, diffs, draws, reduced = P.field, [], [], []
+    overlap_terms, reduces_to_zero = rewrite._overlap_terms, QuadraticSystem._reduces_to_zero
+
+    class RecordingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(super().randrange(*args))
+            return draws[-1]
+
+    def recording_overlap(rs, r1, r2, ell):
+        terms = overlap_terms(rs, r1, r2, ell)
+        if terms:
+            diffs.append(NCPoly(_decode(terms, rs)))
+        return terms
+
+    def recording_reduce(self, terms, raw, M):
+        # the combination holds the differences whose weights were drawn
+        # since the last reduction
+        before = dict(terms)
+        out = reduces_to_zero(self, terms, raw, M)
+        reduced.append((len(draws), before, dict(terms)))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "random", types.SimpleNamespace(Random=RecordingRandom))
+        m.setattr(rewrite, "_overlap_terms", recording_overlap)
+        m.setattr(QuadraticSystem, "_reduces_to_zero", recording_reduce)
+        gb = QuadraticSystem(P, BOUND)
+    assert len(diffs) == len(draws) == gb.class_overlaps
+    rng = random.Random(P.point.v)
+    assert draws == [rng.randrange(ring.M) for _ in draws]
+    weights = list(map(ring.from_int, draws))
+    quadratic = rewrite.orient_relations(P)
+
+    def weighted(polys):
+        return sum((p.scale(c) for p, c in polys), NCPoly.zero())
+
+    def poly(coded):
+        return NCPoly({gb.decode(w, 3): ring.from_int(v) for w, v in coded.items()})
+
+    start, steps = 0, 0
+    for end, before, after in reduced:
+        combination = weighted(zip(diffs[start:end], weights[start:end]))
+        assert poly(before) == combination
+        residues = weighted((reference_reduce(quadratic, d)[0], c)
+                            for d, c in zip(diffs[start:end], weights[start:end]))
+        residue, reference_steps = reference_reduce(quadratic, combination, collect=True)
+        assert poly(after) == residue == residues
+        steps += len(reference_steps)
+        start = end
+    assert start == len(diffs)
+    return gb, diffs, len(reduced), steps
+
+
 def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
-    # the bm GL_q(4) square at q = 123456789 in GF(2^61 - 1): the class
-    # pass over residues gives the counters it gives over Q(q)
+    # the bm GL_q(4) square at q = 123456789 in GF(2^61 - 1): the sampled
+    # class pass visits the classes and overlaps the pass over Q(q) does, and
+    # decides each class by a random combination of its overlaps
     R = glq_rmatrix(4)
     x = qs.ModRing((2 ** 61 - 1,)).from_int(123456789)
     symbolic = square(braided_matrices(R), R)
     P = symbolic.evaluate_mod(x)
+    assert P.point is x and symbolic.point is None
     # the specialized square keeps its placements, each form specialized
     # entrywise
     assert [(size, copies) for _, size, copies in P.placements] == \
@@ -157,11 +224,97 @@ def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
     for (form_x, _, _), (form, _, _) in zip(P.placements, symbolic.placements):
         assert form_x == tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in form)
     assert len(P.forms) == len(symbolic.forms) == 2
-    gb, steps = assert_class_pass_steps_match_reduce(P, monkeypatch)
-    assert gb.confluent and gb.added_rules == []
-    assert (gb.classes, gb.class_overlaps, gb.work) == (2, 4400, 83137)
-    assert not any(residue for residue, _ in steps)
-    assert gb.work == sum(1 + n for _, n in steps)
+    gb, diffs, combinations, steps = assert_combinations_are_weighted_residues(P, monkeypatch)
+    exact = QuadraticSystem(symbolic, BOUND)
+    assert gb.confluent and exact.confluent and gb.added_rules == []
+    assert (gb.classes, gb.class_overlaps) == (exact.classes, exact.class_overlaps) == (2, 4400)
+    # a class's combination is reduced whenever the next difference would
+    # take it past MAX_COMBINATION_WORDS (5,000), and at the end of the
+    # class: one class reaches the bound once
+    assert rewrite.MAX_COMBINATION_WORDS == 5000 and combinations == 3
+    # the budget unit: one per word entering a combination plus one per step
+    assert gb.work == sum(len(d.terms) for d in diffs) + steps == 43766
+
+
+def _changed_coefficient(P, copies, k):
+    """P with the smallest word's coefficient of relation k of the form on
+    copies multiplied by 1 + q."""
+    placements = []
+    for form, size, on in P.placements:
+        if on == copies:
+            form = list(form)
+            terms = dict(form[k].terms)
+            w = min(terms)
+            terms[w] = terms[w] * qs.parse_scalar("1 + q")
+            form[k] = NCPoly(terms)
+        placements.append((form, size, on))
+    return Presentation(P.dim, P.roster, placements, field=P.field, name="changed")
+
+
+def _per_overlap(P_x):
+    """P_x without its point: its class pass reduces each overlap in turn."""
+    P = copy.copy(P_x)
+    P.point, P._cache = None, {}
+    return P
+
+
+def test_a_changed_cross_coefficient_is_found_at_every_point(monkeypatch):
+    # the bm glq2 square with one statistics-block coefficient changed: the
+    # tenth overlap the pass builds is the first to leave a residue (6 of
+    # the 52 of its two classes do), and each point's combination finds one
+    # as the per-overlap pass does
+    R = glq2_rmatrix()
+    P = _changed_coefficient(square(braided_matrices(R), R), (0, 1), 9)
+    exact = QuadraticSystem(P, BOUND)
+    assert (exact.confluent, exact.classes, exact.class_overlaps) == (False, 2, 10)
+    ring = qs.ModRing(bialg.PRIMES)
+    # the change vanishes at q = -1, and sample_points avoids q = 1 too
+    points = {Fraction(a, b) for a in (-5, -3, 2, 3, 7, 11) for b in (1, 4, 9, 13)}
+    assert len(points) == 24 and not points & {1, -1}
+    for q0 in points:
+        P_x = P.evaluate_mod(ring.image(q0))
+        sampled = QuadraticSystem(P_x, BOUND)
+        per_overlap = QuadraticSystem(_per_overlap(P_x), BOUND)
+        assert (sampled.confluent, per_overlap.confluent) == (False, False), q0
+        assert per_overlap.class_overlaps == 10
+    # the residue that decides is the weighted sum of the overlaps' residues
+    gb, _, _, _ = assert_combinations_are_weighted_residues(P_x, monkeypatch)
+    assert not gb.confluent
+
+
+PERT2_SQUARES = [
+    ("square-pert2-n2", lambda: square(braided_chain(perturbed_rmatrix(), 2),
+                                       perturbed_rmatrix())),
+    ("bm-pert2-square", lambda: square(braided_matrices(perturbed_rmatrix()),
+                                       perturbed_rmatrix())),
+]
+
+
+@pytest.mark.parametrize("build", [c[1] for c in CONFLUENT + PERT2_SQUARES],
+                         ids=[c[0] for c in CONFLUENT + PERT2_SQUARES])
+def test_the_sampled_verdict_is_the_exact_one(build):
+    # every CONFLUENT case is confluent over Q(q) (see above); the pert2
+    # squares are not
+    P = build()
+    x = qs.ModRing(bialg.PRIMES).image(Fraction(-7, 3))
+    assert QuadraticSystem(P.evaluate_mod(x), BOUND).confluent == \
+        QuadraticSystem(P, BOUND).confluent
+
+
+def test_one_point_gives_the_same_work_twice():
+    # the weights come from the point, and the global generator is neither
+    # read nor advanced
+    R = glq_rmatrix(3)
+    P = square(braided_matrices(R), R)
+    x = qs.ModRing(bialg.PRIMES).image(Fraction(5, 2))
+    works = []
+    for seed in (1, 2):
+        random.seed(seed)
+        works.append(QuadraticSystem(P.evaluate_mod(x), BOUND).work)
+        after = random.random()
+        random.seed(seed)
+        assert after == random.random()
+    assert works[0] == works[1] > 0
 
 
 ORIENTED = [
