@@ -5,9 +5,9 @@ Construct the quantum-matrix bialgebra A(R), the braided matrices B(R),
 braided tensor squares with braid statistics, and n-fold braided chains
 from any exactly given R-matrix; orient their quadratic relations into
 rewrite systems; and verify the braided-bialgebra axioms (coproduct
-homomorphism with replayable certificates, counit, coassociativity) to a
-configurable degree bound, over the field Q(q) or, at sampled rational
-values of q, modulo one prime per value.
+homomorphism with replayable certificates, counit, coassociativity),
+decided in degree 4 and so holding in every degree, over the field Q(q)
+or, at sampled rational values of q, modulo one prime per value.
 """
 
 from .qscalar import (ModP, ModRing, NonUnitError, PoleError, Q, QINV, QQ_Q,

@@ -1,4 +1,4 @@
-"""Coalgebra data and degree-bounded braided-bialgebra verification.
+"""Coalgebra data and braided-bialgebra verification.
 
 Every check takes the base presentation P and, where it needs one, its
 braided tensor square SQ, both plain Presentations.  The matrix coproduct
@@ -10,7 +10,7 @@ drives the whole claim check for a preset: Yang-Baxter and
 biinvertibility status of R, orientation of the presentation, then
 
   * homomorphism: the coproduct image of every relation must lie in the
-    tensor-square ideal at the degree bound (with a replayable certificate,
+    tensor-square ideal, decided in degree 4 (with a replayable certificate,
     or a nonzero residue as counterexample witness),
   * counit laws on generators and relations,
   * coassociativity as a formal identity on generators.
@@ -105,20 +105,17 @@ def _reporting_map(values, field):
     return (lambda c: field.from_int(min(c.v % p, c.v % p - p, key=abs))) if p else (lambda c: c)
 
 
-def verify_homomorphism(P: Presentation, spec: CoproductSpec,
-                        SQ: Presentation, bound: int):
+def verify_homomorphism(P: Presentation, spec: CoproductSpec, SQ: Presentation):
     """Check that every relation maps into the ideal of the square SQ,
     with certificates exactly when SQ is over Q(q).
 
     Returns (verdicts, completion_warning), relation texts left None.
     """
-    if bound < 4:
-        raise ValueError("degree bound must be at least 4")
     verdicts = []
     warning = False
     for i, r in enumerate(P.relations):
         image = substitute_generators(r, spec.images, SQ)
-        residue, cert, warned = reduce_mod_ideal(image, SQ, bound)
+        residue, cert, warned = reduce_mod_ideal(image, SQ)
         warning = warning or warned
         if residue.is_zero():
             verdicts.append(RelationVerdict(
@@ -238,7 +235,7 @@ def _array(items, pad):
 
 @dataclass
 class VerificationReport:
-    """Machine-readable outcome of a degree-bounded bialgebra check."""
+    """Machine-readable outcome of a bialgebra check."""
 
     preset: str
     rmatrix: str
@@ -338,11 +335,14 @@ def sample_points(R: RMatrix, seed: int, denominators=(), exclude=()):
 def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
                      mode: str = "exact", seed: int = DEFAULT_SEED,
                      rmatrix_label: str = "") -> VerificationReport:
-    """Run the full braided-bialgebra claim check for a preset."""
+    """Run the full braided-bialgebra claim check for a preset.  Relation
+    images are quartic, so it is decided in degree 4; bound is only recorded."""
     if preset not in ("bm", "chain"):
         raise ValueError(f"preset {preset!r} is not verifiable (use bm or chain)")
     if mode not in ("exact", "probabilistic"):
         raise ValueError(f"unknown mode {mode!r}")
+    if bound < 4:
+        raise ValueError("degree bound must be at least 4")
     report = VerificationReport(preset=preset, rmatrix=rmatrix_label,
                                 copies=n, degree_bound=bound, mode=mode)
     ok, wit = ybe_check(R)
@@ -391,14 +391,14 @@ def verify_bialgebra(R: RMatrix, preset: str = "bm", n: int = 1, bound: int = 4,
                 # only a redrawn point reads the symbolic square again
                 SQ = None
                 spec = matrix_coproduct(P_x)
-                verdicts, warning = verify_homomorphism(P_x, spec, SQ_x, bound)
+                verdicts, warning = verify_homomorphism(P_x, spec, SQ_x)
                 break
             except NonUnitError as e:
                 dropped.update(q0 for q0, p in zip(points, ring.primes) if p in e.primes)
         report.points = [str(q0) for q0 in points]
     else:
         P_x, spec = P, matrix_coproduct(P)
-        verdicts, warning = verify_homomorphism(P, spec, SQ, bound)
+        verdicts, warning = verify_homomorphism(P, spec, SQ)
         report.square_roster = SQ.roster
         report.square_relations = [format_poly(r, SQ) for r in SQ.relations]
     # over P_x, the field the relations were checked over; neither check

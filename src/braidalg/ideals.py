@@ -1,10 +1,11 @@
-"""Degree-bounded ideal membership, Hilbert dimensions, and substitution.
+"""Ideal membership, Hilbert dimensions, and substitution.
 
 Two independent engines decide membership in the two-sided ideal generated
 by a presentation's quadratic relations:
 
   * ideal_membership and hilbert_dims reduce with the quadratic rules,
-    completed (TruncatedGB) when needed.  Exact in both directions.
+    completed (TruncatedGB) when needed: to deg(p) for membership, to the
+    bound for dimensions.  Exact in both directions.
   * span_membership and span_rank assemble the degree-d sandwich span
     {m * r * m' : deg <= d} by exact sparse elimination and reduce against
     it.  Slower, but they share no reduction machinery with the rewrite
@@ -83,17 +84,17 @@ def _certificate(gb: QuadraticSystem, steps) -> MembershipCertificate:
     return _sorted_certificate(acc)
 
 
-def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int):
-    """Canonical residue of p modulo the ideal, valid for deg(p) <= bound.
+def reduce_mod_ideal(p: NCPoly, P: Presentation):
+    """Canonical residue of p modulo the ideal.
 
     Returns (residue, certificate, completion_warning); the certificate,
     collected exactly when P is over Q(q) and None otherwise, accounts for
     p - residue.  The quadratic rules reduce p first; only a residue they
-    leave while not confluent is reduced again on the completed basis, so
-    a nonzero residue is canonical.
+    leave while not confluent is reduced again on the basis completed to
+    deg(p), so a nonzero residue is canonical.  The warning speaks for
+    degrees up to max(deg(p), 2).
     """
-    if p.degree() > bound:
-        raise ValueError(f"degree {p.degree()} exceeds bound {bound}")
+    bound = max(p.degree(), 2)
     gb = quadratic_system(P, bound)
     collect = P.field is QQ_Q
     residue, steps = gb.reduce(p, collect=collect)
@@ -104,12 +105,12 @@ def reduce_mod_ideal(p: NCPoly, P: Presentation, bound: int):
     return residue, cert, gb.completion_warning
 
 
-def ideal_membership(p: NCPoly, P: Presentation, bound: int):
-    """Decide p in the span of {m * r * m' : deg <= bound}.
+def ideal_membership(p: NCPoly, P: Presentation):
+    """Decide p in the ideal generated by P's relations.
 
     Returns (True, certificate) or (False, None).
     """
-    residue, cert, _ = reduce_mod_ideal(p, P, bound)
+    residue, cert, _ = reduce_mod_ideal(p, P)
     return (True, cert) if residue.is_zero() else (False, None)
 
 
@@ -142,10 +143,8 @@ def _span_echelon(P: Presentation, degree: int) -> SparseEchelon:
     return ech
 
 
-def span_membership(p: NCPoly, P: Presentation, bound: int):
+def span_membership(p: NCPoly, P: Presentation):
     """ideal_membership by sandwich-span elimination (the oracle)."""
-    if p.degree() > bound:
-        raise ValueError(f"degree {p.degree()} exceeds bound {bound}")
     cert_acc = {}
     for d, part in p.homogeneous_parts().items():
         if not part:

@@ -177,7 +177,7 @@ def test_criterion_8_engine_invariants():
         right = tuple(rng.randrange(P.ngens) for _ in range(rng.randint(0, 1)))
         c = qs.RatFunc.from_int(rng.randint(1, 3))
         p = r.sandwich(left, right).scale(c)
-        ok, cert = ideal_membership(p, P, 4)
+        ok, cert = ideal_membership(p, P)
         assert ok
         assert cert.replay(P.relations) == p
 

@@ -82,13 +82,13 @@ def test_homomorphism_identity_r():
     P = braided_matrices(R)
     sq = braided_tensor_square(P, R)
     cp = matrix_coproduct(P)
-    verdicts, warning = verify_homomorphism(P, cp, sq, 4)
+    verdicts, warning = verify_homomorphism(P, cp, sq)
     assert all(v.passed for v in verdicts)
     assert not warning
 
 
 def test_homomorphism_glq2_with_replayable_certificates(bm, square, spec):
-    verdicts, warning = verify_homomorphism(bm, spec, square, 4)
+    verdicts, warning = verify_homomorphism(bm, spec, square)
     assert all(v.passed for v in verdicts)
     assert not warning
     for v, r in zip(verdicts, bm.relations):
@@ -99,18 +99,18 @@ def test_homomorphism_glq2_with_replayable_certificates(bm, square, spec):
 
 def test_certificates_follow_the_field(bm, square, spec):
     # certificates are collected over Q(q) and never over Z/MZ
-    verdicts, _ = verify_homomorphism(bm, spec, square, 4)
+    verdicts, _ = verify_homomorphism(bm, spec, square)
     assert all(v.certificate for v in verdicts)
     x = qs.ModRing(bialg.PRIMES[:1]).image(Fraction(7, 6))
     P_x = bm.evaluate_mod(x)
-    sampled, _ = verify_homomorphism(P_x, matrix_coproduct(P_x), square.evaluate_mod(x), 4)
+    sampled, _ = verify_homomorphism(P_x, matrix_coproduct(P_x), square.evaluate_mod(x))
     assert [v.passed for v in sampled] == [v.passed for v in verdicts]
     assert all(v.certificate is None for v in sampled)
 
 
-def test_homomorphism_rejects_small_bound(bm, square, spec):
+def test_homomorphism_rejects_small_bound():
     with pytest.raises(ValueError):
-        verify_homomorphism(bm, spec, square, 3)
+        verify_bialgebra(glq2_rmatrix(), preset="bm", bound=3)
 
 
 def test_corrupted_images_fail_with_residue(bm, square, spec):
@@ -121,7 +121,7 @@ def test_corrupted_images_fail_with_residue(bm, square, spec):
     terms.popitem()
     bad_images[u11] = NCPoly(terms)
     bad = CoproductSpec(bad_images, dict(spec.counit))
-    verdicts, _ = verify_homomorphism(bm, bad, square, 4)
+    verdicts, _ = verify_homomorphism(bm, bad, square)
     failing = [v for v in verdicts if not v.passed]
     assert failing
     assert all(v.residue for v in failing)
@@ -163,7 +163,7 @@ def test_residue_left_by_the_quadratic_rules_is_the_completed_one():
     SQ, spec = braided_tensor_square(P, R), matrix_coproduct(P)
     g = P.gen("u2", 2, 1)
     spec.images[g] = spec.images[g] + NCPoly.term((g, P.ngens + g), ONE)
-    verdicts, warning = verify_homomorphism(P, spec, SQ, 4)
+    verdicts, warning = verify_homomorphism(P, spec, SQ)
     failing = [v for v in verdicts if not v.passed]
     assert failing and warning
     gb = truncated_gb(SQ, 4)
@@ -619,6 +619,23 @@ def test_sampled_points_are_pinned(cli_run, argv):
     assert json.loads(out)["points"] == SAMPLED_POINTS
 
 
+@pytest.mark.parametrize("mode", [(), ("--mode", "probabilistic", "--seed", "7")],
+                         ids=("exact", "sampled"))
+@pytest.mark.parametrize("job", [("bm", "glq2"), ("chain", "pert2.json", "-n", "2"),
+                                 ("bm", "pert2.json")],
+                         ids=("bm-glq2", "chain-pert2-n2", "bm-pert2"))
+def test_verify_documents_do_not_depend_on_the_degree_bound(cli_run, job, mode):
+    # images of quadratic relations are quartic, so verify decides in degree
+    # 4: -D is validated and recorded, and changes nothing else
+    code, base = cli_run(("verify", *job, "-D", "4", *mode))
+    for degree in (5, 6, 8):
+        got_code, out = cli_run(("verify", *job, "-D", str(degree), *mode))
+        lines, base_lines = out.splitlines(), base.splitlines()
+        assert got_code == code and len(lines) == len(base_lines)
+        assert [(a, b) for a, b in zip(base_lines, lines) if a != b] == \
+            [('  "degree_bound": 4,', f'  "degree_bound": {degree},')]
+
+
 def test_sample_points_skip_denominators_divisible_by_the_prime(monkeypatch):
     small = (7, 11, 13)
     monkeypatch.setattr(bialg, "PRIMES", small)
@@ -704,7 +721,7 @@ def test_failing_residue_prints_at_the_first_point_where_it_is_nonzero(bm, squar
                   for g, img in spec.images.items()}
         images[u12] = images[u12] + NCPoly.term((u12, n + u12), x.ring.from_int(p1))
         counit = {g: c.evaluate_mod(x) for g, c in spec.counit.items()}
-        return verify_homomorphism(P_x, CoproductSpec(images, counit), square_x, 4)[0]
+        return verify_homomorphism(P_x, CoproductSpec(images, counit), square_x)[0]
 
     both, second = at(x), at(F2.from_int(x.v))
     assert any(not v.passed for v in second)
@@ -746,7 +763,7 @@ def test_counit_detail_names_the_first_generator_failing_at_any_point(bm, spec):
 def test_certificate_specializes_at_q_equals_1(bm, square, spec):
     # evaluating a passing exact certificate at q = 1 must replay against the
     # classical (q = 1) relations
-    verdicts, _ = verify_homomorphism(bm, spec, square, 4)
+    verdicts, _ = verify_homomorphism(bm, spec, square)
     classical_rels = [r.map_coefficients(lambda c: c.evaluate(1))
                       for r in square.relations]
     for v, r in zip(verdicts, bm.relations):

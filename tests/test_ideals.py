@@ -42,7 +42,7 @@ def bm():
 
 def test_relation_is_member_with_unit_certificate(bm):
     for i, r in enumerate(bm.relations):
-        ok, cert = ideal_membership(r, bm, 2)
+        ok, cert = ideal_membership(r, bm)
         assert ok
         assert cert.terms == (((), i, (), ONE),)
 
@@ -52,13 +52,13 @@ def test_sandwiched_relations_are_members(bm):
     y = NCPoly.gen(3, ONE)
     r, s = bm.relations[0], bm.relations[1]
     p = x * r + s * y
-    ok, cert = ideal_membership(p, bm, 3)
+    ok, cert = ideal_membership(p, bm)
     assert ok
     assert cert.replay(bm.relations) == p
 
 
 def test_single_generator_is_not_member(bm):
-    ok, cert = ideal_membership(NCPoly.gen(0, ONE), bm, 4)
+    ok, cert = ideal_membership(NCPoly.gen(0, ONE), bm)
     assert not ok and cert is None
 
 
@@ -79,8 +79,8 @@ def test_membership_methods_agree_on_random_inputs(bm):
             p = NCPoly(terms)
         if p.degree() > 3 or p.is_zero():
             continue
-        got_rw, cert = ideal_membership(p, bm, 3)
-        got_sp, cert_sp = span_membership(p, bm, 3)
+        got_rw, cert = ideal_membership(p, bm)
+        got_sp, cert_sp = span_membership(p, bm)
         assert got_rw == got_sp
         if got_rw:
             assert cert.replay(bm.relations) == p
@@ -97,7 +97,7 @@ def test_nf_zero_implies_membership(bm):
         g = rng.randrange(bm.ngens)
         p = NCPoly.gen(g, ONE) * r - r * NCPoly.gen(g, ONE)
         if rules.reduce(p)[0].is_zero():
-            assert ideal_membership(p, bm, 3)[0]
+            assert ideal_membership(p, bm)[0]
 
 
 def test_nf_minus_input_is_always_member(bm):
@@ -112,7 +112,7 @@ def test_nf_minus_input_is_always_member(bm):
         diff = rules.reduce(p)[0] - p
         if diff.is_zero():
             continue
-        ok, cert = ideal_membership(diff, bm, 3)
+        ok, cert = ideal_membership(diff, bm)
         assert ok
         assert cert.replay(bm.relations) == diff
 
@@ -122,15 +122,9 @@ def test_certificate_replay_exact(bm):
     r = SQ.relations[0]
     g = 2
     p = r * NCPoly.gen(g, ONE) * NCPoly.gen(g, ONE)
-    residue, cert, _ = reduce_mod_ideal(p, SQ, 4)
+    residue, cert, _ = reduce_mod_ideal(p, SQ)
     assert residue.is_zero()
     assert cert.replay(SQ.relations) == p
-
-
-def test_degree_bound_enforced(bm):
-    p = NCPoly.term(tuple(0 for _ in range(5)), ONE)
-    with pytest.raises(ValueError):
-        ideal_membership(p, bm, 4)
 
 
 def test_sampled_membership_agrees_with_exact(bm):
@@ -143,12 +137,12 @@ def test_sampled_membership_agrees_with_exact(bm):
         r = rng.choice(bm.relations)
         g = NCPoly.gen(rng.randrange(bm.ngens), ONE)
         p = g * r if rng.random() < 0.5 else NCPoly.gen(rng.randrange(bm.ngens), ONE) * g
-        exact = ideal_membership(p, bm, 3)[0]
+        exact = ideal_membership(p, bm)[0]
         sampled = True
         for q0 in points:
             x = GF.image(q0)
             residue, cert, _ = reduce_mod_ideal(p.map_coefficients(lambda c: c.evaluate_mod(x)),
-                                                bm.evaluate_mod(x), 3)
+                                                bm.evaluate_mod(x))
             # over Z/MZ no certificate is collected
             assert cert is None
             sampled = sampled and residue.is_zero()
@@ -190,7 +184,7 @@ def test_every_adjoined_rule_of_a_deep_completion_is_certified():
     assert max(depth.values()) == 7
     for rule in gb.added_rules:
         element = rule_element(rule, ONE)
-        residue, cert, warned = reduce_mod_ideal(element, SQ, 8)
+        residue, cert, warned = reduce_mod_ideal(element, SQ)
         assert residue.is_zero() and warned
         assert cert.replay(SQ.relations) == element
 
@@ -266,17 +260,41 @@ def test_reduction_completes_only_a_residue_on_a_non_confluent_square():
     # a member reduces to zero on the quadratic rules, a non-member again
     # on the completed basis
     member = SQp.relations[0] * NCPoly.gen(1, ONE) * NCPoly.gen(2, ONE)
-    residue, cert, warned = reduce_mod_ideal(member, SQp, 4)
+    residue, cert, warned = reduce_mod_ideal(member, SQp)
     assert residue.is_zero() and warned and cert.replay(SQp.relations) == member
     assert ("gb", 4) not in SQp._cache
     p = NCPoly.term((0, 0, 5, 5), ONE)
-    residue, cert, warned = reduce_mod_ideal(p, SQp, 4)
+    residue, cert, warned = reduce_mod_ideal(p, SQp)
     gb = truncated_gb(SQp, 4)
     assert gb is not quad and gb.added_rules
     assert residue == gb.reduce(p)[0] and warned
     assert cert.replay(SQp.relations) == p - residue
 
 
+def test_completion_to_the_degree_of_p_gives_the_residue_of_any_higher_one():
+    # the ideal is homogeneous, so a degree-4 polynomial reduced on the basis
+    # completed to degree 4 has the residue it has on the degree-8 basis;
+    # the members are degree-4 multiples of the rules completion adjoins
+    Rp = perturbed_rmatrix()
+    SQ = braided_tensor_square(braided_matrices(Rp), Rp)
+    quad, deep = quadratic_system(SQ, 4), truncated_gb(SQ, 8)
+    rng = random.Random(41)
+    coeffs = [ONE, -ONE, qs.Q, ONE + qs.Q]
+    polys = [rule_element(rule, ONE) * NCPoly.gen(g, ONE)
+             for rule, g in zip(truncated_gb(SQ, 4).added_rules[:4], (0, 3, 5, 6))]
+    while len(polys) < 8:  # random ones, kept when they leave a residue
+        p = NCPoly({tuple(rng.randrange(SQ.ngens) for _ in range(4)): rng.choice(coeffs)
+                    for _ in range(3)})
+        if not quad.reduce(p)[0].is_zero():
+            polys.append(p)
+    members = 0
+    for p in polys:
+        assert p.degree() == 4 and not quad.reduce(p)[0].is_zero()
+        residue, cert, warned = reduce_mod_ideal(p, SQ)
+        assert residue == deep.reduce(p)[0] and warned
+        assert cert.replay(SQ.relations) == p - residue
+        members += residue.is_zero()
+    assert 4 <= members < 8
 def test_bound_2_reduction_takes_the_full_path():
     # below degree 3 no overlap lies within the bound: the quadratic rules
     # are the basis
@@ -284,7 +302,7 @@ def test_bound_2_reduction_takes_the_full_path():
     gb = truncated_gb(P, 2)
     assert quadratic_system(P, 2) is gb and gb.confluent and gb.classes == 0
     for p in (NCPoly.term((3, 0), ONE) + NCPoly.term((1, 2), ONE), P.relations[1].scale(ONE + ONE)):
-        residue, cert, warned = reduce_mod_ideal(p, P, 2)
+        residue, cert, warned = reduce_mod_ideal(p, P)
         assert residue == TruncatedGB(P, 2).reduce(p)[0] and not warned
         assert cert.replay(P.relations) == p - residue
 
@@ -360,10 +378,10 @@ def test_completion_is_exact_with_coefficients_past_the_packed_bound(extra):
         p = rng.choice(P.relations).sandwich(left, right).scale(rng.choice(coeffs))
         if rng.random() < 0.5:  # plus a word, which mostly leaves the ideal
             p = p + NCPoly.term(tuple(rng.randrange(3) for _ in range(d)), rng.choice(coeffs))
-        residue, cert, _ = reduce_mod_ideal(p, P, 4)
+        residue, cert, _ = reduce_mod_ideal(p, P)
         assert cert.replay(P.relations) == p - residue
-        assert span_membership(p - residue, P, 4)[0]
-        assert span_membership(p, P, 4)[0] == residue.is_zero()
+        assert span_membership(p - residue, P)[0]
+        assert span_membership(p, P)[0] == residue.is_zero()
         members += residue.is_zero()
     assert 0 < members < 12
 
@@ -419,7 +437,7 @@ def test_substitute_coproduct_images_are_members_at_degree_4(bm):
     for r in bm.relations:
         image = substitute_generators(r, spec.images, square)
         assert image.is_homogeneous(4)
-        ok, cert = ideal_membership(image, square, 4)
+        ok, cert = ideal_membership(image, square)
         assert ok
         assert cert.replay(square.relations) == image
 

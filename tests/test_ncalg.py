@@ -11,7 +11,7 @@ from braidalg.ncalg import (Generator, NCAlgError, NCPoly, OrientationError,
                             PolyParseError, Presentation, format_poly, parse_poly)
 from braidalg.cli import format_presentation_document
 from braidalg.bialg import DEFAULT_SEED, PRIMES, sample_points
-from braidalg.ideals import hilbert_dims, reduce_mod_ideal, span_rank
+from braidalg.ideals import hilbert_dims, span_rank
 from braidalg.linalg import SparseEchelon
 from braidalg.rewrite import RewriteSystem, orient_relations
 from braidalg.rmat import RMatrix, glq2_rmatrix, identity_rmatrix
@@ -410,10 +410,3 @@ def test_normal_form_idempotent_on_random_inputs():
         p = NCPoly(terms)
         nf = rules.reduce(p)[0]
         assert rules.reduce(nf)[0] == nf
-
-
-def test_normal_form_degree_cap():
-    P = braided_matrices(glq2_rmatrix())
-    p = parse_poly("u[1,1]*u[1,1]*u[1,1]", P)
-    with pytest.raises(ValueError):
-        reduce_mod_ideal(p, P, 2)

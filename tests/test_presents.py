@@ -109,7 +109,7 @@ def test_builders_self_certify():
               braided_chain(glq2_rmatrix(), 2)):
         for r in P.relations:
             assert r.is_homogeneous(2)
-            ok, cert = ideal_membership(r, P, 2)
+            ok, cert = ideal_membership(r, P)
             assert ok and len(cert.terms) == 1
 
 
