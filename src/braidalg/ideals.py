@@ -3,9 +3,9 @@
 Two independent engines decide membership in the two-sided ideal generated
 by a presentation's quadratic relations:
 
-  * ideal_membership and hilbert_dims reduce with the quadratic rules,
-    completed (TruncatedGB) when needed: to deg(p) for membership, to the
-    bound for dimensions.  Exact in both directions.
+  * ideal_membership and hilbert_dims reduce with the presentation's one
+    basis (TruncatedGB), extended when needed: to deg(p) for membership,
+    to the bound for dimensions.  Exact in both directions.
   * span_membership and span_rank assemble the degree-d sandwich span
     {m * r * m' : deg <= d} by exact sparse elimination and reduce against
     it.  Slower, but they share no reduction machinery with the rewrite
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .linalg import SparseEchelon
 from .ncalg import NCAlgError, NCPoly, Presentation
 from .qscalar import QQ_Q
-from .rewrite import QuadraticSystem, quadratic_system, truncated_gb
+from .rewrite import TruncatedGB, truncated_gb
 
 
 class MissingImageError(NCAlgError):
@@ -60,7 +60,7 @@ def _sorted_certificate(acc: dict) -> MembershipCertificate:
     return MembershipCertificate(tuple((lw, i, rw, c) for (i, lw, rw), c in sorted(acc.items())))
 
 
-def _certificate(gb: QuadraticSystem, steps) -> MembershipCertificate:
+def _certificate(gb: TruncatedGB, steps) -> MembershipCertificate:
     """The certificate of the reduction steps (left, rule, right, coeff).
 
     A use of a rule read off relation i is a term.  The uses of each
@@ -89,20 +89,20 @@ def reduce_mod_ideal(p: NCPoly, P: Presentation):
 
     Returns (residue, certificate, completion_warning); the certificate,
     collected exactly when P is over Q(q) and None otherwise, accounts for
-    p - residue.  The quadratic rules reduce p first; only a residue they
-    leave while not confluent is reduced again on the basis completed to
-    deg(p), so a nonzero residue is canonical.  The warning speaks for
-    degrees up to max(deg(p), 2).
+    p - residue.  P's basis reduces p first with the rules it has; only a
+    residue they leave while not confluent is reduced again on the basis
+    extended to deg(p), so a nonzero residue is canonical.  The warning is
+    the class pass's from degree 3 on.
     """
     bound = max(p.degree(), 2)
-    gb = quadratic_system(P, bound)
+    gb = truncated_gb(P, 2)
+    warned = bound >= 3 and not gb.resolve_classes(bound)
     collect = P.field is QQ_Q
     residue, steps = gb.reduce(p, collect=collect)
-    if residue and not gb.confluent:
-        gb = truncated_gb(P, bound)
-        residue, steps = gb.reduce(p, collect=collect)
+    if residue and warned:
+        residue, steps = gb.extend(bound).reduce(p, collect=collect)
     cert = _certificate(gb, steps) if collect else None
-    return residue, cert, gb.completion_warning
+    return residue, cert, warned
 
 
 def ideal_membership(p: NCPoly, P: Presentation):

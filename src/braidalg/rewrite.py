@@ -29,19 +29,18 @@ never decrease.
 
 Because no confluence is guaranteed for quadratic rewrite systems in
 general, reduction alone only proves membership (residue zero), never
-non-membership.  QuadraticSystem runs a class pass that decides the
-confluence of the quadratic rules by copy classes (Bergman's diamond lemma,
-Adv. Math. 29, 1978), at a sample point by one random combination of
-each class's overlaps (Schwartz, J. ACM 27, 1980).  TruncatedGB closes the
-gap exactly: it resolves every overlap ambiguity of composed degree <= D,
-adjoining the reduced residues as extra rules derived by that reduction.
-After that, normal forms are canonical on all elements of degree <= D, so
-a nonzero residue is an exact witness of non-membership at that degree
-bound.  Any adjoined
-rule is reported as a completion warning: the quadratic system by itself
-was not confluent.  Work over MAX_COMPLETION_WORK units (one per overlap
-reduction, or per word entering a combination, plus its steps) raises
-CompletionBudgetError.
+non-membership.  TruncatedGB, a presentation's one basis (truncated_gb
+caches it), closes the gap exactly.  Its class pass decides the confluence
+of the quadratic rules by copy classes (Bergman's diamond lemma, Adv. Math.
+29, 1978), at a sample point by one random combination of each class's
+overlaps (Schwartz, J. ACM 27, 1980).  Unless every class resolves,
+completion resolves every overlap ambiguity of composed degree <= D,
+adjoining the reduced residues as rules derived by that reduction, one
+degree after another, so extending the basis resumes it.  Then normal
+forms are canonical on all elements of degree <= D, so a nonzero residue
+is an exact witness of non-membership.  Work over MAX_COMPLETION_WORK
+units (one per overlap reduction, or per word entering a combination, plus
+its steps), counted over the whole basis, raises CompletionBudgetError.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ class RewriteSystem:
         self._arrived, self._prefixes, self._suffixes = [], {}, {}
         field = presentation.field
         self.values, self._ids = [field.zero], {field.zero: 0}
-        self._rows, self._sums, self._lock = {}, {}, threading.Lock()
+        self._rows, self._sums, self._lock = {}, {}, threading.RLock()
         self._minus = self.value_index(-field.one)
         for rule in rules:
             self.add(rule)
@@ -183,11 +182,12 @@ class RewriteSystem:
         of some length fits in a word of this length, leftmost first."""
         probes = self._probes.get(length)
         if probes is None:
-            n = self.n
-            probes = self._probes[length] = [
-                (i, n ** (length - i - ell), n ** ell, table.get)
-                for i in range(length) for ell, table in sorted(self.index.items())
-                if i + ell <= length]
+            with self._lock:  # so no rule of a new length arrives meanwhile
+                n = self.n
+                probes = self._probes[length] = [
+                    (i, n ** (length - i - ell), n ** ell, table.get)
+                    for i in range(length) for ell, table in sorted(self.index.items())
+                    if i + ell <= length]
         return probes
 
     def find_redex(self, w: int, length: int):
@@ -286,9 +286,9 @@ class RewriteSystem:
         word ends (None), or a proper prefix: the left sides are an
         antichain, so a left side is never a suffix of a proper prefix.
         """
-        rules, states = self.rules, {(): 0}
-        for p in self._prefixes:
-            states[p] = len(states)
+        with self._lock:  # a snapshot, should another thread extend the rules
+            rules, prefixes = set(self.rules), list(self._prefixes)
+        states = {s: i for i, s in enumerate([(), *prefixes])}
         goto = []
         for s in states:
             row = []
@@ -349,58 +349,91 @@ def _overlap_terms(rs: RewriteSystem, r1: Rule, r2: Rule, ell: int):
     return terms
 
 
-class QuadraticSystem(RewriteSystem):
-    """The quadratic rules of a presentation after the class pass at a
-    degree bound.  confluent is True when every class resolved to zero, so
-    the rules are the basis for the bound (quadratic left sides overlap
-    only in degree 3); False when a class left a nonzero residue, so
-    completion adjoins a rule (it reduces the degree-3 overlaps first, with
-    only these rules until it adjoins one, and this overlap is among them).
-    At a sample point (presentation.point) True errs with probability at
-    most 1/p per class, p the least prime of M.
+class TruncatedGB(RewriteSystem):
+    """A presentation's quadratic rules, completed on overlaps of degree <= bound.
+
+    extend(D) raises bound to D: the first time D >= 3 it runs the class
+    pass (resolve_classes), then, unless every class resolved, completes
+    the overlaps of composed degree in (bound, D], the rules paired again
+    for that window in arrival order; so it ends rule for rule, sources and
+    work included, where a fresh completion to D ends.  Both hold the lock,
+    so threads may reduce meanwhile.
+
+    confluent is True below degree 3 and when every class resolved: the
+    rules are then the basis in every degree (quadratic left sides overlap
+    only in degree 3).  False means a class left a residue, so completion
+    adjoins a rule (it reduces the degree-3 overlaps first, with only the
+    quadratic rules until it adjoins one).  At a sample point
+    (presentation.point) True errs with probability at most 1/p per class,
+    p the least prime of M.  added_rules, classes, class_overlaps (nonzero
+    differences built) and work (units spent) record what was done.
 
     One representative decides a class of copy subsets.  A Presentation
-    places every form on one copy, with its words on that copy, or on two,
-    with one letter from each in every word; so every rule keeps the copy
-    multiset of its left side, an overlap's resolution stays on its at
-    most three copies and uses only their rules (the diamond lemma is
-    local).  An order-preserving relabelling of copies keeps deg-lex, so
-    it carries reductions on one subset to those on another with equal
-    relabelled rules; and a subset's key holds the canonical forms placed
-    on its single copies and copy pairs (equal forms are one object), which
-    give all its rules.  A plain relation list is one placement on one
-    copy, so one class decides it.  classes, class_overlaps (nonzero
-    differences built) and work (units spent) record what the pass did.
+    places each form on one copy or on two (one letter from each in every
+    word), so every rule keeps the copy multiset of its left side, and an
+    overlap's resolution stays on its at most three copies and uses only
+    their rules (the diamond lemma is local).  An order-preserving
+    relabelling of copies keeps deg-lex, so it carries reductions between
+    subsets with equal relabelled rules; and a subset's key, the canonical
+    forms placed on its single copies and copy pairs (equal forms are one
+    object), gives all its rules.  A plain relation list is one placement
+    on one copy.  Both passes build each overlap difference as coded terms
+    (_overlap_terms) and reduce it with reduce's own loop (_reduce_coded);
+    _complete decodes only a residue it adjoins, led by its largest code.
     """
 
     def __init__(self, P: Presentation, bound: int):
         super().__init__(P, orient_relations(P))
-        self.bound = bound
-        self.added_rules = []
+        self.bound, self.confluent, self._passed, self.added_rules = 2, True, False, []
         self.work = self.classes = self.class_overlaps = 0
-        self.confluent = self._resolved_by_classes()
-
-    @property
-    def completion_warning(self) -> bool:
-        """Completion adjoins rules: it did, or the class pass proved it will."""
-        return bool(self.added_rules) or not self.confluent
+        self.extend(bound)
 
     def _charge(self, units):
         self.work += units
         if self.work > MAX_COMPLETION_WORK:
-            raise CompletionBudgetError(
-                f"completion to degree {self.bound} needs more than "
-                f"{MAX_COMPLETION_WORK} units of reduction work")
+            raise CompletionBudgetError(f"completion to degree {self._goal} needs more than "
+                                        f"{MAX_COMPLETION_WORK} units of reduction work")
+
+    def resolve_classes(self, bound: int) -> bool:
+        """confluent after the class pass (run once, charged to degree bound)."""
+        if not self._passed:
+            self._advance(bound, 2)
+        return self.confluent
+
+    def extend(self, bound: int):
+        """Complete to bound, if above the degree reached; returns self."""
+        if bound > self.bound:
+            self._advance(bound, bound)
+        return self
+
+    def _advance(self, goal: int, bound: int):
+        """Under the lock, charging work to degree goal: the class pass
+        unless it has run, then completion to bound unless it resolved.  A
+        later call runs a failed step again (refused while work is over the
+        budget); as it may have lost popped overlaps, the basis leaves its
+        presentation's cache."""
+        with self._lock:
+            self._goal = goal
+            try:
+                if not self._passed:
+                    self.confluent = self._resolved_by_classes()
+                    self._passed = True
+                if bound > self.bound and not self.confluent:
+                    self._complete(bound)
+                self.bound = max(self.bound, bound)
+            except BaseException:
+                if self.presentation._cache.get("basis") is self:
+                    del self.presentation._cache["basis"]
+                raise
 
     def _resolved_by_classes(self):
         """Resolve the degree-3 overlaps of one copy subset per class, on
-        word codes.  False at the first nonzero residue; True at once when
-        bound < 3 or there are no placements, since no overlap lies within
-        the bound.  At a sample point each class reduces one combination of
-        its overlaps, weighted by a generator seeded by the point."""
+        word codes; False at the first nonzero residue.  At a sample point
+        each class reduces one combination of its overlaps, weighted by a
+        generator seeded by the point."""
         P = self.presentation
         placements, ngens = P.placements, P.ngens
-        if self.bound < 3 or not placements:
+        if not placements:
             return True
         # at most one nonempty form per copies, each canonical form one object
         size = placements[0][1]
@@ -504,36 +537,16 @@ class QuadraticSystem(RewriteSystem):
         self._charge(count)
         return not any(terms.values())
 
-
-class TruncatedGB(QuadraticSystem):
-    """Rewrite system completed on all overlaps of composed degree <= bound.
-
-    After construction, reduction is confluent on every element of degree
-    <= bound, so the residue decides ideal membership exactly in both
-    directions.  Completion (_complete) runs from scratch after the class
-    pass unless every class resolved; added_rules lists the rules it
-    adjoined, and a nonempty list is the completion warning.  Both passes
-    build each overlap difference as coded terms (_overlap_terms) and
-    reduce it with reduce's own loop (_reduce_coded); _complete decodes
-    words, values and steps only for a residue it adjoins, whose leading
-    word is its largest code (codes of one length compare in deg-lex).
-    """
-
-    def __init__(self, P: Presentation, bound: int):
-        super().__init__(P, bound)
-        if not self.confluent:
-            self._complete()
-
-    def _complete(self):
-        """Resolve every overlap of composed degree <= bound, smallest word
-        first, equal words in the order they were paired on arrival."""
-        bound, arrived = self.bound, self._arrived
-        prefixes, suffixes = self._prefixes, self._suffixes
+    def _complete(self, bound: int):
+        """Resolve every overlap of composed degree in (self.bound, bound],
+        smallest word first, equal words in the order they were paired: the
+        rules in arrival order, then each adjoined rule on arrival."""
+        arrived, prefixes, suffixes = self._arrived, self._prefixes, self._suffixes
         pending, seq = [], itertools.count()
 
         def arrive(n: int):
             # pair rule n with itself and each earlier rule it overlaps within
-            # the bound: by arrival index, (earlier, n) before (n, earlier),
+            # the window: by arrival index, (earlier, n) before (n, earlier),
             # the shortest overlap first
             lhs = arrived[n].lhs
             m, pairs = len(lhs), []
@@ -542,7 +555,7 @@ class TruncatedGB(QuadraticSystem):
                 for later, index in ((0, suffixes.get(lhs[:ell], ())),
                                      (1, prefixes.get(lhs[m - ell:], ()))):
                     for i in itertools.takewhile(lambda i: i + later <= n, index):
-                        if len(arrived[i].lhs) + m - ell <= bound:
+                        if self.bound < len(arrived[i].lhs) + m - ell <= bound:
                             pairs.append((i, later, ell))
             pairs.sort()
             for i, later, ell in pairs:
@@ -577,23 +590,9 @@ class TruncatedGB(QuadraticSystem):
             arrive(len(arrived) - 1)
 
 
-def truncated_gb(P: Presentation, bound: int) -> QuadraticSystem:
-    """The complete basis of P at bound, cached: TruncatedGB(P, bound), or
-    the quadratic_system itself when its class pass resolved."""
-    gb = P._cache.get(("gb", bound))
+def truncated_gb(P: Presentation, bound: int) -> TruncatedGB:
+    """P's basis, cached once and extended to bound."""
+    gb = P._cache.get("basis")
     if gb is None:
-        gb = P._cache[("gb", bound)] = TruncatedGB(P, bound)
-    return gb
-
-
-def quadratic_system(P: Presentation, bound: int) -> QuadraticSystem:
-    """P's quadratic rules after the class pass at bound, cached.  Rules
-    the pass resolved are stored as truncated_gb(P, bound) too, so it runs
-    once."""
-    quad = P._cache.get(("quadratic", bound))
-    if quad is None:
-        quad = QuadraticSystem(P, bound)
-        if quad.confluent:
-            quad = P._cache.setdefault(("gb", bound), quad)
-        P._cache[("quadratic", bound)] = quad
-    return quad
+        gb = P._cache.setdefault("basis", TruncatedGB(P, bound))
+    return gb.extend(bound)

@@ -133,7 +133,7 @@ def test_non_confluent_square_verifies_without_completing(monkeypatch):
     # the class pass finds the chain pert2 square not confluent, yet every
     # image reduces to zero with its quadratic rules: the warning is the
     # pass's, and full completion never runs
-    def refuse(self):
+    def refuse(self, bound):
         raise AssertionError("completion ran")
 
     monkeypatch.setattr(rewrite.TruncatedGB, "_complete", refuse)
@@ -145,13 +145,13 @@ def test_non_confluent_square_verifies_without_completing(monkeypatch):
 
 def test_confluent_square_runs_the_class_pass_once(monkeypatch):
     calls = []
-    class_pass = rewrite.QuadraticSystem._resolved_by_classes
+    class_pass = rewrite.TruncatedGB._resolved_by_classes
 
     def counted(self):
         calls.append(self)
         return class_pass(self)
 
-    monkeypatch.setattr(rewrite.QuadraticSystem, "_resolved_by_classes", counted)
+    monkeypatch.setattr(rewrite.TruncatedGB, "_resolved_by_classes", counted)
     rep = verify_bialgebra(glq_rmatrix(4), preset="bm", bound=4)
     assert rep.passed and not rep.completion_warning
     assert len(calls) == 1
@@ -171,6 +171,14 @@ def test_residue_left_by_the_quadratic_rules_is_the_completed_one():
     for v in failing:
         image = substitute_generators(P.relations[v.index], spec.images, SQ)
         assert v.residue == format_poly(gb.reduce(image)[0], SQ)
+    # the images after the first failing one are reduced on the extended
+    # basis, so their certificates go through adjoined rules: 1,692 terms
+    # over the 27 passing images, where the quadratic rules alone give 616
+    passing = [v for v in verdicts if v.passed]
+    assert (len(passing), sum(len(v.certificate) for v in passing)) == (27, 1692)
+    for v in passing:
+        image = substitute_generators(P.relations[v.index], spec.images, SQ)
+        assert MembershipCertificate(v.certificate).replay(SQ.relations) == image
 
 
 # -- counit ----------------------------------------------------------------------

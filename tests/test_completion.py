@@ -16,11 +16,11 @@ import pytest
 from braidalg import bialg, rewrite
 from braidalg import qscalar as qs
 from braidalg.cli import format_presentation_document
-from braidalg.ideals import hilbert_dims
+from braidalg.ideals import hilbert_dims, reduce_mod_ideal
 from braidalg.ncalg import NCPoly, Presentation, format_poly, parse_poly
 from braidalg.presents import (braided_chain, braided_matrices, braided_tensor_square,
                                cross_block, frt_algebra, matrix_roster, self_block)
-from braidalg.rewrite import CompletionBudgetError, QuadraticSystem, TruncatedGB
+from braidalg.rewrite import CompletionBudgetError, TruncatedGB
 from braidalg.rmat import glq2_rmatrix
 
 from oracles import (glq_rmatrix, overlap_pushes, parse_presentation_document,
@@ -39,6 +39,14 @@ class FullCompletion(TruncatedGB):
 
 def square(P, R):
     return braided_tensor_square(P, R)
+
+
+def class_pass(P, bound=BOUND):
+    """A basis of P that has run the class pass at bound and completed
+    nothing."""
+    gb = TruncatedGB(P, 2)
+    gb.resolve_classes(bound)
+    return gb
 
 
 def assert_same_verdict(P, bound=BOUND, gb=None):
@@ -146,7 +154,7 @@ def assert_class_pass_steps_match_reduce(P, monkeypatch):
 
 
 def assert_combinations_are_weighted_residues(P, monkeypatch):
-    """Build QuadraticSystem(P, BOUND), P specialized at a point, recording
+    """Run class_pass(P), P specialized at a point, recording
     each overlap difference its class pass builds, each weight it draws and
     each combination it reduces (before and after).  Check that the weights
     are those a generator seeded by the point draws, every combination is
@@ -156,7 +164,7 @@ def assert_combinations_are_weighted_residues(P, monkeypatch):
     Returns the system, the differences, the number of combinations and
     their reference steps."""
     ring, diffs, draws, reduced = P.field, [], [], []
-    overlap_terms, reduces_to_zero = rewrite._overlap_terms, QuadraticSystem._reduces_to_zero
+    overlap_terms, reduces_to_zero = rewrite._overlap_terms, TruncatedGB._reduces_to_zero
 
     class RecordingRandom(random.Random):
         def randrange(self, *args):
@@ -180,8 +188,8 @@ def assert_combinations_are_weighted_residues(P, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(rewrite, "random", types.SimpleNamespace(Random=RecordingRandom))
         m.setattr(rewrite, "_overlap_terms", recording_overlap)
-        m.setattr(QuadraticSystem, "_reduces_to_zero", recording_reduce)
-        gb = QuadraticSystem(P, BOUND)
+        m.setattr(TruncatedGB, "_reduces_to_zero", recording_reduce)
+        gb = class_pass(P)
     assert len(diffs) == len(draws) == gb.class_overlaps
     rng = random.Random(P.point.v)
     assert draws == [rng.randrange(ring.M) for _ in draws]
@@ -225,7 +233,7 @@ def test_the_specialized_glq4_square_takes_the_same_class_pass(monkeypatch):
         assert form_x == tuple(r.map_coefficients(lambda c: c.evaluate_mod(x)) for r in form)
     assert len(P.forms) == len(symbolic.forms) == 2
     gb, diffs, combinations, steps = assert_combinations_are_weighted_residues(P, monkeypatch)
-    exact = QuadraticSystem(symbolic, BOUND)
+    exact = class_pass(symbolic)
     assert gb.confluent and exact.confluent and gb.added_rules == []
     assert (gb.classes, gb.class_overlaps) == (exact.classes, exact.class_overlaps) == (2, 4400)
     # a class's combination is reduced whenever the next difference would
@@ -265,7 +273,7 @@ def test_a_changed_cross_coefficient_is_found_at_every_point(monkeypatch):
     # as the per-overlap pass does
     R = glq2_rmatrix()
     P = _changed_coefficient(square(braided_matrices(R), R), (0, 1), 9)
-    exact = QuadraticSystem(P, BOUND)
+    exact = class_pass(P)
     assert (exact.confluent, exact.classes, exact.class_overlaps) == (False, 2, 10)
     ring = qs.ModRing(bialg.PRIMES)
     # the change vanishes at q = -1, and sample_points avoids q = 1 too
@@ -273,8 +281,8 @@ def test_a_changed_cross_coefficient_is_found_at_every_point(monkeypatch):
     assert len(points) == 24 and not points & {1, -1}
     for q0 in points:
         P_x = P.evaluate_mod(ring.image(q0))
-        sampled = QuadraticSystem(P_x, BOUND)
-        per_overlap = QuadraticSystem(_per_overlap(P_x), BOUND)
+        sampled = class_pass(P_x)
+        per_overlap = class_pass(_per_overlap(P_x))
         assert (sampled.confluent, per_overlap.confluent) == (False, False), q0
         assert per_overlap.class_overlaps == 10
     # the residue that decides is the weighted sum of the overlaps' residues
@@ -297,8 +305,7 @@ def test_the_sampled_verdict_is_the_exact_one(build):
     # squares are not
     P = build()
     x = qs.ModRing(bialg.PRIMES).image(Fraction(-7, 3))
-    assert QuadraticSystem(P.evaluate_mod(x), BOUND).confluent == \
-        QuadraticSystem(P, BOUND).confluent
+    assert class_pass(P.evaluate_mod(x)).confluent == class_pass(P).confluent
 
 
 def test_one_point_gives_the_same_work_twice():
@@ -310,7 +317,7 @@ def test_one_point_gives_the_same_work_twice():
     works = []
     for seed in (1, 2):
         random.seed(seed)
-        works.append(QuadraticSystem(P.evaluate_mod(x), BOUND).work)
+        works.append(class_pass(P.evaluate_mod(x)).work)
         after = random.random()
         random.seed(seed)
         assert after == random.random()
@@ -387,6 +394,136 @@ def test_threads_reducing_on_one_cached_system_get_the_serial_results():
         assert values[i] == values[s] + values[v]
     for r, row in gb._rows.items():
         assert all(values[i] == values[c] * values[r] for c, i in row.items())
+
+
+def _pert2_square():
+    Rp = perturbed_rmatrix()
+    return square(braided_matrices(Rp), Rp)
+
+
+def _shape(gb):
+    """(lhs, rhs, source) of every rule in arrival order, each earlier rule
+    a source names written as its arrival index."""
+    at = {id(rule): i for i, rule in enumerate(gb)}
+
+    def source(s):
+        return s if type(s) is int else tuple((lw, at[id(r)], rw, c) for lw, r, rw, c in s)
+
+    return [(r.lhs, r.rhs, source(r.source)) for r in gb]
+
+
+def test_an_extended_basis_ends_where_a_fresh_completion_ends():
+    P = _pert2_square()
+    gb = TruncatedGB(P, 4)
+    four = _shape(gb)
+    assert gb.extend(8) is gb and gb.bound == 8
+    fresh = TruncatedGB(P, 8)
+    assert _shape(gb) == _shape(fresh)
+    assert [r.lhs for r in gb.added_rules] == [r.lhs for r in fresh.added_rules]
+    assert (gb.work, len(gb.added_rules)) == (fresh.work, 60)
+    # its rules of length <= 4 are the fresh degree-4 basis
+    assert [r for r in _shape(gb) if len(r[0]) <= 4] == four
+    # extended one degree at a time from 2, it ends in the same place
+    stepwise = TruncatedGB(P, 2)
+    for bound in range(3, 9):
+        stepwise.extend(bound)
+    assert _shape(stepwise) == _shape(fresh) and stepwise.work == fresh.work
+    # one cached basis serves every bound, and lower degrees read off it
+    cached = _pert2_square()
+    for bound in (2, 4, 8):
+        rewrite.truncated_gb(cached, bound)
+    assert hilbert_dims(cached, 6) == hilbert_dims(_pert2_square(), 6)
+    assert list(cached._cache) == ["basis"] and cached._cache["basis"].bound == 8
+
+
+def test_a_refused_extension_leaves_no_partial_basis(monkeypatch):
+    needed = TruncatedGB(_pert2_square(), 8).work
+    P = _pert2_square()
+    four = rewrite.truncated_gb(P, 4)
+    assert four.work < needed
+    monkeypatch.setattr(rewrite, "MAX_COMPLETION_WORK", needed - 1)
+    with pytest.raises(CompletionBudgetError, match="^completion to degree 8 needs"):
+        rewrite.truncated_gb(P, 8)
+    assert P._cache == {}
+    # held on to, the refused basis is refused again and keeps its verdict
+    with pytest.raises(CompletionBudgetError, match="^completion to degree 8 needs"):
+        four.extend(8)
+    assert four.bound == 4 and four.resolve_classes(8) is False
+    monkeypatch.setattr(rewrite, "MAX_COMPLETION_WORK", needed)
+    gb = rewrite.truncated_gb(P, 8)
+    assert gb is not four and gb.work == needed
+    assert _shape(gb) == _shape(TruncatedGB(_pert2_square(), 8))
+    # a refused class pass, asked for by a reduction, leaves none either
+    passed = class_pass(P).work
+    monkeypatch.setattr(rewrite, "MAX_COMPLETION_WORK", passed - 1)
+    P = _pert2_square()
+    held = rewrite.truncated_gb(P, 2)
+    with pytest.raises(CompletionBudgetError, match="^completion to degree 4 needs"):
+        reduce_mod_ideal(P.relations[0] * NCPoly.gen(0, qs.ONE) * NCPoly.gen(1, qs.ONE), P)
+    assert P._cache == {}
+    # held on to across the refusal, the basis runs the pass again and is
+    # refused again: it never reports the verdict of a pass that did not end
+    for ask in (held.resolve_classes, held.extend):
+        with pytest.raises(CompletionBudgetError, match="^completion to degree 4 needs"):
+            ask(4)
+    assert held.bound == 2 and held.added_rules == []
+
+
+def test_threads_extending_one_cached_basis_get_the_serial_results():
+    # degree-4 polynomials that leave a residue on the quadratic rules of
+    # the pert2 square, so the first to reduce extends the shared basis
+    P = _pert2_square()
+    quadratic = rewrite.RewriteSystem(P, rewrite.orient_relations(P))
+    rng, polys = random.Random(23), []
+    coeffs = [qs.ONE, qs.Q, -qs.QINV, qs.parse_scalar("1/(1 + q)")]
+    while len(polys) < 24:
+        p = NCPoly({tuple(rng.randrange(P.ngens) for _ in range(4)): rng.choice(coeffs)
+                    for _ in range(3)})
+        if quadratic.reduce(p)[0]:
+            polys.append(p)
+    serial = []
+    for p in polys:
+        residue, _, warned = reduce_mod_ideal(p, _pert2_square())
+        serial.append((residue, warned))
+    shared = _pert2_square()
+    gb = rewrite.truncated_gb(shared, 2)
+
+    class SlowMisses(dict):
+        # a miss yields to the other threads
+        def get(self, key, default=None):
+            out = super().get(key, default)
+            if out is None:
+                time.sleep(1e-4)
+            return out
+
+    gb._ids = SlowMisses(gb._ids)
+    start, results = threading.Barrier(4, timeout=60), {}
+
+    def work(k):
+        start.wait()
+        # each thread starts at another polynomial
+        results[k] = [(i, reduce_mod_ideal(polys[i], shared))
+                      for i in sorted(range(len(polys)), key=lambda i: (i - 6 * k) % len(polys))]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(4):
+        assert len(results[k]) == len(polys)
+        for i, (residue, cert, warned) in results[k]:
+            assert (residue, warned) == serial[i]
+            assert cert.replay(shared.relations) == polys[i] - residue
+    # one basis, extended once, to the fresh degree-4 completion
+    assert shared._cache == {"basis": gb} and gb.bound == 4
+    assert _shape(gb) == _shape(TruncatedGB(_pert2_square(), 4))
 
 
 def test_non_confluent_square_falls_back_to_full_completion():

@@ -14,8 +14,7 @@ from braidalg.ncalg import Generator, NCPoly, Presentation, parse_poly, word_str
 from braidalg.presents import (braided_chain, braided_matrices,
                                braided_tensor_square, cross_block, frt_algebra,
                                matrix_roster)
-from braidalg.rewrite import (RewriteSystem, TruncatedGB, orient_relations,
-                              quadratic_system, truncated_gb)
+from braidalg.rewrite import RewriteSystem, TruncatedGB, orient_relations, truncated_gb
 from braidalg.rmat import glq2_rmatrix, identity_rmatrix
 
 from oracles import (RosterMismatchError, perturbed_rmatrix, rearranged_cross_block,
@@ -158,7 +157,7 @@ def test_non_confluent_input_surfaces_completion_and_engines_agree():
     Rp = perturbed_rmatrix()
     Pp = braided_matrices(Rp)
     gb = truncated_gb(Pp, 4)
-    assert gb.completion_warning
+    assert not gb.confluent and gb.added_rules
     assert all(len(r.lhs) == 3 for r in gb.added_rules)
     assert hilbert_dims(Pp, 4) == span_dims(Pp, 4) == \
         [1, 4, 6, 6, 7]
@@ -246,28 +245,32 @@ def test_shipped_presets_confluent_at_degree_4():
     ]
     for P in presentations:
         gb = truncated_gb(P, 4)
-        assert not gb.completion_warning, P.name
+        assert gb.confluent and not gb.added_rules, P.name
 
 
 def test_reduction_completes_only_a_residue_on_a_non_confluent_square():
     R, Rp = glq2_rmatrix(), perturbed_rmatrix()
     SQ = braided_tensor_square(braided_matrices(R), R)
     SQp = braided_tensor_square(braided_matrices(Rp), Rp)
-    # resolved rules are the basis itself
-    assert quadratic_system(SQ, 4) is truncated_gb(SQ, 4)
-    quad = quadratic_system(SQp, 4)
-    assert quad.confluent is False and quad.completion_warning and not quad.added_rules
+    # resolved rules are the basis itself, in every degree: one pass, no
+    # completion
+    gb = truncated_gb(SQ, 4)
+    work = gb.work
+    assert gb.confluent and truncated_gb(SQ, 2) is gb and truncated_gb(SQ, 8) is gb
+    assert not gb.added_rules and gb.work == work > 0
+    quad = truncated_gb(SQp, 2)
+    assert quad.resolve_classes(4) is False and not quad.confluent and not quad.added_rules
     # a member reduces to zero on the quadratic rules, a non-member again
     # on the completed basis
     member = SQp.relations[0] * NCPoly.gen(1, ONE) * NCPoly.gen(2, ONE)
     residue, cert, warned = reduce_mod_ideal(member, SQp)
     assert residue.is_zero() and warned and cert.replay(SQp.relations) == member
-    assert ("gb", 4) not in SQp._cache
+    assert quad.bound == 2 and not quad.added_rules
     p = NCPoly.term((0, 0, 5, 5), ONE)
     residue, cert, warned = reduce_mod_ideal(p, SQp)
     gb = truncated_gb(SQp, 4)
-    assert gb is not quad and gb.added_rules
-    assert residue == gb.reduce(p)[0] and warned
+    assert gb is quad and gb.bound == 4 and gb.added_rules
+    assert residue == TruncatedGB(SQp, 4).reduce(p)[0] and warned
     assert cert.replay(SQp.relations) == p - residue
 
 
@@ -277,7 +280,7 @@ def test_completion_to_the_degree_of_p_gives_the_residue_of_any_higher_one():
     # the members are degree-4 multiples of the rules completion adjoins
     Rp = perturbed_rmatrix()
     SQ = braided_tensor_square(braided_matrices(Rp), Rp)
-    quad, deep = quadratic_system(SQ, 4), truncated_gb(SQ, 8)
+    quad, deep = RewriteSystem(SQ, orient_relations(SQ)), TruncatedGB(SQ, 8)
     rng = random.Random(41)
     coeffs = [ONE, -ONE, qs.Q, ONE + qs.Q]
     polys = [rule_element(rule, ONE) * NCPoly.gen(g, ONE)
@@ -300,11 +303,12 @@ def test_bound_2_reduction_takes_the_full_path():
     # are the basis
     P = braided_matrices(perturbed_rmatrix())
     gb = truncated_gb(P, 2)
-    assert quadratic_system(P, 2) is gb and gb.confluent and gb.classes == 0
     for p in (NCPoly.term((3, 0), ONE) + NCPoly.term((1, 2), ONE), P.relations[1].scale(ONE + ONE)):
         residue, cert, warned = reduce_mod_ideal(p, P)
         assert residue == TruncatedGB(P, 2).reduce(p)[0] and not warned
         assert cert.replay(P.relations) == p - residue
+    # one basis, which ran no pass and charged no work
+    assert truncated_gb(P, 2) is gb and gb.confluent and gb.classes == gb.work == 0
 
 
 # -- Hilbert dimensions ---------------------------------------------------------
